@@ -48,7 +48,7 @@ use crate::exec::{
 use crate::plan::{
     AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, SemiringKind, WeightSource,
 };
-use crate::query::ResultRow;
+use crate::query::{Execution, ResultRow};
 use crate::store::GraphSnapshot;
 use crate::trace::OpActuals;
 use crate::value::Predicate;
@@ -1632,6 +1632,9 @@ impl Stage {
 #[derive(Debug)]
 pub struct RowCursor {
     snapshot: GraphSnapshot,
+    /// The optimized plan this cursor executes. The stage trees hold copies
+    /// of its ops; the start frontier is read from here, never copied.
+    plan: LogicalPlan,
     cap: Option<usize>,
     counters: Counters,
     alive: Liveness,
@@ -1659,7 +1662,6 @@ enum Inner {
         root: Box<Stage>,
     },
     Batch {
-        plan: LogicalPlan,
         buffered: Option<std::vec::IntoIter<ResultRow>>,
         /// Per-op actuals recorded by the profiled batch run (populated on
         /// the first pull when [`ExecConfig::profile`] is set).
@@ -1704,13 +1706,13 @@ impl RowCursor {
             ExecutionStrategy::Materialized => Self::batch(snapshot, plan, cap, config),
             ExecutionStrategy::Streaming => {
                 let chunkable = plan.chunk_capable();
-                let (start, ops) = plan.into_parts();
-                let mut root = Stage::pipeline(initial_rows(&start), ops);
+                let mut root = Stage::pipeline(initial_rows(plan.start()), plan.ops().to_vec());
                 if config.profile {
                     root.enable_trace();
                 }
                 RowCursor {
                     snapshot,
+                    plan,
                     cap,
                     counters: Counters::default(),
                     alive: Liveness::default(),
@@ -1739,12 +1741,12 @@ impl RowCursor {
     ) -> RowCursor {
         RowCursor {
             snapshot,
+            plan,
             cap,
             counters: Counters::default(),
             alive: Liveness::default(),
             budget: config.budget,
             inner: Inner::Batch {
-                plan,
                 buffered: None,
                 trace: None,
             },
@@ -1807,9 +1809,9 @@ impl RowCursor {
             let (out, in_) = plan.csr_directions();
             snapshot.prewarm_csr(out, in_);
         }
-        let (start, mut prefix) = plan.into_parts();
-        let suffix = prefix.split_off(split);
+        let (prefix, suffix) = plan.ops().split_at(split);
         let has_suffix = !suffix.is_empty();
+        let start = plan.start();
         let chunk_size = start.len().div_ceil(threads);
         // each accounting domain — every partition plus the suffix/consumer —
         // gets an even share of the query budget (conservative: a query whose
@@ -1820,7 +1822,7 @@ impl RowCursor {
         let partitions: Vec<Partition> = start
             .chunks(chunk_size)
             .map(|chunk| {
-                let mut root = Stage::pipeline(initial_rows(chunk), prefix.clone());
+                let mut root = Stage::pipeline(initial_rows(chunk), prefix.to_vec());
                 if config.profile {
                     root.enable_trace();
                 }
@@ -1840,7 +1842,7 @@ impl RowCursor {
         let suffix = if suffix.is_empty() {
             None
         } else {
-            let mut root = Stage::fed_pipeline(suffix);
+            let mut root = Stage::fed_pipeline(suffix.to_vec());
             if config.profile {
                 root.enable_trace();
             }
@@ -1851,6 +1853,7 @@ impl RowCursor {
         };
         RowCursor {
             snapshot,
+            plan,
             cap,
             counters: Counters::default(),
             alive: Liveness::default(),
@@ -1909,6 +1912,13 @@ impl RowCursor {
     /// server can report its generation alongside results).
     pub fn snapshot(&self) -> &GraphSnapshot {
         &self.snapshot
+    }
+
+    /// The optimized plan this cursor executes. With [`RowCursor::snapshot`]
+    /// it is everything [`crate::plan::estimate`] needs to report on the run
+    /// without planning again.
+    pub fn plan(&self) -> &LogicalPlan {
+        &self.plan
     }
 
     /// Cancels the cursor when `deadline` passes: every subsequent pull (on
@@ -2009,18 +2019,15 @@ impl RowCursor {
                 })),
                 ControlFlow::Continue(None) | ControlFlow::Break(()) => Ok(None),
             },
-            Inner::Batch {
-                plan,
-                buffered,
-                trace,
-            } => {
+            Inner::Batch { buffered, trace } => {
                 if buffered.is_none() {
+                    let (start, ops) = (self.plan.start(), self.plan.ops());
                     let rows = if profile {
-                        let (rows, actuals) = materialized_traced(&ctx, plan.start(), plan.ops())?;
+                        let (rows, actuals) = materialized_traced(&ctx, start, ops)?;
                         *trace = Some(actuals);
                         rows
                     } else {
-                        materialized(&ctx, plan.start(), plan.ops())?
+                        materialized(&ctx, start, ops)?
                     };
                     *buffered = Some(rows.into_iter());
                 }
@@ -2096,6 +2103,14 @@ impl RowCursor {
             }
         }
         stats
+    }
+
+    /// Ends the cursor, keeping what ran: its snapshot, its plan and the
+    /// work counters accumulated so far. The suspended stage state and
+    /// arenas are dropped here.
+    pub(crate) fn finish(self) -> Execution {
+        let stats = self.stats();
+        Execution::new(self.snapshot, self.plan, stats)
     }
 }
 

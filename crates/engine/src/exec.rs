@@ -389,7 +389,7 @@ pub fn execute_with_threads(
     // strategy or plan shape doesn't batch — see `RowCursor::next_chunk`)
     let mut rows = Vec::new();
     while cursor.next_chunk(&mut rows)? {}
-    Ok(QueryResult::new(rows, snapshot.clone(), cursor.stats()))
+    Ok(QueryResult::new(rows, cursor.finish()))
 }
 
 /// A result row during evaluation: the path lives in the execution's arena.

@@ -76,7 +76,7 @@ pub use plan::{
     AutoMove, AutomatonSpec, Direction, LogicalPlan, OpEstimate, PlanOp, PlanReport, Semantics,
     SemiringKind, WeightSource, DEFAULT_MATCH_MAX_HOPS, UNBOUNDED_MATCH_HOPS,
 };
-pub use query::{QueryResult, ResultRow};
+pub use query::{Execution, QueryResult, ResultRow};
 pub use recovery::{RecoveryError, RecoveryReport};
 pub use store::{classic_social_graph, GraphSnapshot, PropertyGraph, StoreStats};
 pub use trace::{ProfiledQuery, QueryTrace, TraceNode};

@@ -380,6 +380,11 @@ cached_metric! {
     pub fn query_latency: Histogram("mrpa_query_latency_us", "Query execution latency in microseconds");
 }
 cached_metric! {
+    /// Planning latency (`plan` + `optimize`), microseconds: one observation
+    /// per query, whether it runs, is profiled or is only explained.
+    pub fn query_plan: Histogram("mrpa_query_plan_us", "Query planning (plan + optimize) latency in microseconds");
+}
+cached_metric! {
     /// Automaton/expansion edge visits across all queries.
     pub fn query_expansions: Counter("mrpa_query_expansions_total", "Edge expansions performed by query execution");
 }

@@ -42,15 +42,16 @@
 use std::ops::RangeInclusive;
 
 use crate::cursor::RowCursor;
+use crate::error::EngineError;
 use crate::exec::{ExecStats, ExecutionStrategy};
 use crate::plan::{
-    self, Direction, Semantics, SemiringKind, DEFAULT_MATCH_MAX_HOPS, UNBOUNDED_MATCH_HOPS,
+    self, Direction, LogicalPlan, PlanReport, Semantics, SemiringKind, DEFAULT_MATCH_MAX_HOPS,
+    UNBOUNDED_MATCH_HOPS,
 };
-use crate::query::{QueryResult, ResultRow};
-use crate::store::PropertyGraph;
+use crate::query::{Execution, QueryResult, ResultRow};
+use crate::store::{GraphSnapshot, PropertyGraph};
 use crate::trace::{ProfiledQuery, QueryTrace};
 use crate::value::Predicate;
-use crate::{error::EngineError, plan::PlanReport};
 
 /// Feeds the process-wide [`crate::metrics`] registry after a completed
 /// query (any terminal).
@@ -1042,12 +1043,11 @@ impl Traversal {
     pub fn execute(&self) -> Result<QueryResult, EngineError> {
         let started = std::time::Instant::now();
         let mut cursor = self.cursor()?;
-        let snapshot = cursor.snapshot().clone();
         let mut rows = Vec::new();
         while cursor.next_chunk(&mut rows)? {}
-        let stats = cursor.stats();
-        record_query_metrics(stats, started.elapsed());
-        Ok(QueryResult::new(rows, snapshot, stats))
+        let execution = cursor.finish();
+        record_query_metrics(execution.stats(), started.elapsed());
+        Ok(QueryResult::new(rows, execution))
     }
 
     /// Executes the traversal with per-stage tracing enabled, returning the
@@ -1058,6 +1058,11 @@ impl Traversal {
     /// plain counters attached to each cursor stage — partitioned runs sum
     /// them at the partition boundary, and nothing here adds atomics to the
     /// execution hot path.
+    ///
+    /// The query is planned once: the trace's estimates are those of the
+    /// very plan the cursor executes, on the snapshot it executes against,
+    /// so a writer committing mid-call cannot make the trace describe a
+    /// different plan from the one that produced the rows.
     ///
     /// ```
     /// use mrpa_engine::{classic_social_graph, Traversal};
@@ -1073,26 +1078,24 @@ impl Traversal {
     /// ```
     pub fn profile(&self) -> Result<ProfiledQuery, EngineError> {
         let started = std::time::Instant::now();
-        let snapshot = self.graph.snapshot();
-        let report = plan::report(&snapshot, &self.start, self.pipeline.steps())?;
-        drop(snapshot);
-        let mut cursor = self.cursor_with_profile(true)?;
-        let snapshot = cursor.snapshot().clone();
+        let (snapshot, _, optimized) = self.planned()?;
+        let estimates = plan::estimate(&snapshot, &optimized);
+        let mut cursor = self.compile(snapshot, optimized, true);
         let mut rows = Vec::new();
         while cursor.next_chunk(&mut rows)? {}
-        let stats = cursor.stats();
         let actuals = cursor.op_actuals().unwrap_or_default();
+        let execution = cursor.finish();
         let elapsed = started.elapsed();
-        record_query_metrics(stats, elapsed);
+        record_query_metrics(execution.stats(), elapsed);
         let trace = QueryTrace::assemble(
-            &report,
+            &estimates,
             &actuals,
             self.strategy,
-            stats,
+            execution.stats(),
             elapsed.as_nanos() as u64,
         );
         Ok(ProfiledQuery {
-            result: QueryResult::new(rows, snapshot, stats),
+            result: QueryResult::new(rows, execution),
             trace,
         })
     }
@@ -1113,13 +1116,27 @@ impl Traversal {
     /// assert_eq!(cursor.count(), 2);
     /// ```
     pub fn cursor(&self) -> Result<RowCursor, EngineError> {
-        self.cursor_with_profile(false)
+        let (snapshot, _, optimized) = self.planned()?;
+        Ok(self.compile(snapshot, optimized, false))
     }
 
-    fn cursor_with_profile(&self, profile: bool) -> Result<RowCursor, EngineError> {
+    /// The one planning site behind [`Traversal::cursor`],
+    /// [`Traversal::profile`] and [`Traversal::explain`]: pins a snapshot,
+    /// plans the pipeline against it and optimizes the result, returning
+    /// the snapshot with the naive and the optimized plan. Each call feeds
+    /// one observation to the `mrpa_query_plan_us` histogram.
+    fn planned(&self) -> Result<(GraphSnapshot, LogicalPlan, LogicalPlan), EngineError> {
         let snapshot = self.graph.snapshot();
+        let started = std::time::Instant::now();
         let naive = plan::plan(&snapshot, &self.start, self.pipeline.steps())?;
         let optimized = plan::optimize(&snapshot, &naive);
+        crate::metrics::query_plan().observe(started.elapsed());
+        Ok((snapshot, naive, optimized))
+    }
+
+    /// Compiles an optimized plan into a cursor over the snapshot it was
+    /// planned against, applying this traversal's execution settings.
+    fn compile(&self, snapshot: GraphSnapshot, optimized: LogicalPlan, profile: bool) -> RowCursor {
         let mut cursor = RowCursor::compile_with_config(
             snapshot,
             optimized,
@@ -1139,7 +1156,7 @@ impl Traversal {
         if let Some(token) = &self.cancel {
             cursor.set_cancel_token(token.clone());
         }
-        Ok(cursor)
+        cursor
     }
 
     /// The first result row, or `None` — without enumerating the rest.
@@ -1162,18 +1179,19 @@ impl Traversal {
         Ok(self.first_with_stats()?.0)
     }
 
-    /// [`Traversal::first`] plus the work counters the probe performed —
-    /// lets a caller (e.g. the query server) attribute expansions to a
-    /// single request even when no row set is materialised.
-    pub fn first_with_stats(&self) -> Result<(Option<ResultRow>, ExecStats), EngineError> {
+    /// [`Traversal::first`] plus the [`Execution`] behind it: the work
+    /// counters the probe performed and the plan it ran — lets a caller
+    /// (e.g. the query server) attribute expansions to a single request even
+    /// when no row set is materialised.
+    pub fn first_with_stats(&self) -> Result<(Option<ResultRow>, Execution), EngineError> {
         let started = std::time::Instant::now();
         // the explicit limit(1) lets the optimizer's R7 rule annotate the
         // automaton, so the batch (materialized) strategy early-exits too
         let mut cursor = self.clone().limit(1).cursor()?;
         let row = cursor.next_row()?;
-        let stats = cursor.stats();
-        record_query_metrics(stats, started.elapsed());
-        Ok((row, stats))
+        let execution = cursor.finish();
+        record_query_metrics(execution.stats(), started.elapsed());
+        Ok((row, execution))
     }
 
     /// Whether the traversal produces at least one row — `first().is_some()`
@@ -1189,14 +1207,14 @@ impl Traversal {
         Ok(self.exists_with_stats()?.0)
     }
 
-    /// [`Traversal::exists`] plus the work counters the probe performed.
-    pub fn exists_with_stats(&self) -> Result<(bool, ExecStats), EngineError> {
+    /// [`Traversal::exists`] plus the [`Execution`] behind it.
+    pub fn exists_with_stats(&self) -> Result<(bool, Execution), EngineError> {
         let started = std::time::Instant::now();
         let mut cursor = self.clone().limit(1).cursor()?;
         let found = cursor.advance_row()?;
-        let stats = cursor.stats();
-        record_query_metrics(stats, started.elapsed());
-        Ok((found, stats))
+        let execution = cursor.finish();
+        record_query_metrics(execution.stats(), started.elapsed());
+        Ok((found, execution))
     }
 
     /// Number of result rows, counted off the cursor without materialising
@@ -1212,17 +1230,17 @@ impl Traversal {
         Ok(self.count_with_stats()?.0)
     }
 
-    /// [`Traversal::count`] plus the work counters the count performed.
-    pub fn count_with_stats(&self) -> Result<(usize, ExecStats), EngineError> {
+    /// [`Traversal::count`] plus the [`Execution`] behind it.
+    pub fn count_with_stats(&self) -> Result<(usize, Execution), EngineError> {
         let started = std::time::Instant::now();
         let mut cursor = self.cursor()?;
         let mut n = 0usize;
         while cursor.advance_row()? {
             n += 1;
         }
-        let stats = cursor.stats();
-        record_query_metrics(stats, started.elapsed());
-        Ok((n, stats))
+        let execution = cursor.finish();
+        record_query_metrics(execution.stats(), started.elapsed());
+        Ok((n, execution))
     }
 
     /// Plans the traversal without executing it, returning a structured
@@ -1230,8 +1248,8 @@ impl Traversal {
     /// (post-rewrite) plan, and per-op cardinality estimates derived from
     /// snapshot label frequencies.
     pub fn explain(&self) -> Result<PlanReport, EngineError> {
-        let snapshot = self.graph.snapshot();
-        plan::report(&snapshot, &self.start, self.pipeline.steps())
+        let (snapshot, naive, optimized) = self.planned()?;
+        Ok(PlanReport::new(&snapshot, naive, optimized))
     }
 }
 

@@ -557,13 +557,6 @@ impl LogicalPlan {
         &self.ops
     }
 
-    /// Decomposes the plan into its start frontier and op sequence (used by
-    /// cursor compilation to move the ops into the stage tree instead of
-    /// cloning them).
-    pub fn into_parts(self) -> (Vec<VertexId>, Vec<PlanOp>) {
-        (self.start, self.ops)
-    }
-
     /// Whether any op of the plan (recursively, through repeat bodies) ever
     /// traverses `In`/`Both` edges — i.e. whether evaluating it can touch the
     /// snapshot's reversed graph. Pure-`Out` plans never trigger the lazy
@@ -1498,6 +1491,17 @@ pub struct PlanReport {
 }
 
 impl PlanReport {
+    /// Estimates the optimized plan `after` on `snapshot` and bundles it
+    /// with the naive plan `before` it was rewritten from.
+    pub(crate) fn new(snapshot: &GraphSnapshot, before: LogicalPlan, after: LogicalPlan) -> Self {
+        let estimates = estimate(snapshot, &after);
+        PlanReport {
+            before,
+            after,
+            estimates,
+        }
+    }
+
     /// The naive plan, as lowered 1:1 from the pipeline steps.
     pub fn before(&self) -> &LogicalPlan {
         &self.before
@@ -1541,12 +1545,7 @@ pub fn report(
 ) -> Result<PlanReport, EngineError> {
     let before = plan(snapshot, start, steps)?;
     let after = optimize(snapshot, &before);
-    let estimates = estimate(snapshot, &after);
-    Ok(PlanReport {
-        before,
-        after,
-        estimates,
-    })
+    Ok(PlanReport::new(snapshot, before, after))
 }
 
 /// Estimates per-op row counts for a plan from snapshot label frequencies

@@ -2,12 +2,14 @@
 //!
 //! A [`QueryResult`] is a thin collect of the execution cursor: `execute()`
 //! drains the strategy's [`RowCursor`](crate::RowCursor) into a row vector
-//! and attaches the work counters. Consumers that do not need every row
-//! should use the cursor (or the `first`/`exists`/`count` terminals) instead.
+//! and attaches the [`Execution`] it came from. Consumers that do not need
+//! every row should use the cursor (or the `first`/`exists`/`count`
+//! terminals) instead.
 
 use mrpa_core::{Path, PathSet, VertexId};
 
 use crate::exec::ExecStats;
+use crate::plan::{self, LogicalPlan, OpEstimate};
 use crate::store::GraphSnapshot;
 
 /// One result row: where the traversal started, the path it took (ε if no
@@ -29,27 +31,88 @@ pub struct ResultRow {
     pub weight: Option<f64>,
 }
 
+/// What one execution ran: the snapshot it was pinned to, the optimized
+/// plan its cursor compiled, and the work counters it accumulated. Every
+/// terminal hands one back (inside a [`QueryResult`], or beside the answer
+/// of the `*_with_stats` terminals), so a caller can report on the plan that
+/// actually ran without planning the query a second time.
+///
+/// ```
+/// use mrpa_engine::{classic_social_graph, Traversal};
+/// let g = classic_social_graph();
+/// let t = Traversal::over(&g).v(["marko"]).match_("knows+·created");
+/// let (n, execution) = t.count_with_stats().unwrap();
+/// assert_eq!(n, 2);
+/// // the estimates EXPLAIN would report, read off the plan that ran
+/// assert_eq!(execution.estimates(), t.explain().unwrap().estimates());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Execution {
+    snapshot: GraphSnapshot,
+    plan: LogicalPlan,
+    stats: ExecStats,
+}
+
+impl Execution {
+    pub(crate) fn new(snapshot: GraphSnapshot, plan: LogicalPlan, stats: ExecStats) -> Self {
+        Execution {
+            snapshot,
+            plan,
+            stats,
+        }
+    }
+
+    /// The snapshot (generation) the execution read.
+    pub fn snapshot(&self) -> &GraphSnapshot {
+        &self.snapshot
+    }
+
+    /// The optimized plan the execution ran.
+    pub fn plan(&self) -> &LogicalPlan {
+        &self.plan
+    }
+
+    /// Work counters for the execution (e.g. the number of adjacency entries
+    /// the expansion ops visited).
+    pub fn stats(&self) -> ExecStats {
+        self.stats
+    }
+
+    /// The planner's per-op estimates for the executed plan on the executed
+    /// snapshot ([`plan::estimate`]), computed on demand: no re-plan, and
+    /// no cost unless asked for.
+    pub fn estimates(&self) -> Vec<OpEstimate> {
+        plan::estimate(&self.snapshot, &self.plan)
+    }
+}
+
 /// The result of executing a traversal.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     rows: Vec<ResultRow>,
-    snapshot: GraphSnapshot,
-    stats: ExecStats,
+    execution: Execution,
 }
 
 impl QueryResult {
-    pub(crate) fn new(rows: Vec<ResultRow>, snapshot: GraphSnapshot, stats: ExecStats) -> Self {
-        QueryResult {
-            rows,
-            snapshot,
-            stats,
-        }
+    pub(crate) fn new(rows: Vec<ResultRow>, execution: Execution) -> Self {
+        QueryResult { rows, execution }
     }
 
     /// Work counters for the execution that produced this result (e.g. the
     /// number of adjacency entries the expansion ops visited).
     pub fn stats(&self) -> ExecStats {
-        self.stats
+        self.execution.stats
+    }
+
+    /// The execution that produced this result: snapshot, executed plan and
+    /// work counters.
+    pub fn execution(&self) -> &Execution {
+        &self.execution
+    }
+
+    /// Drops the rows, keeping the [`Execution`] that produced them.
+    pub fn into_execution(self) -> Execution {
+        self.execution
     }
 
     /// The result rows in executor order.
@@ -91,7 +154,7 @@ impl QueryResult {
     pub fn head_names(&self) -> Vec<String> {
         self.rows
             .iter()
-            .map(|r| self.snapshot.render_vertex(r.head))
+            .map(|r| self.execution.snapshot.render_vertex(r.head))
             .collect()
     }
 
@@ -116,9 +179,9 @@ impl QueryResult {
             .map(|r| {
                 format!(
                     "{} -[{} edges]-> {}",
-                    self.snapshot.render_vertex(r.source),
+                    self.execution.snapshot.render_vertex(r.source),
                     r.path.len(),
-                    self.snapshot.render_vertex(r.head)
+                    self.execution.snapshot.render_vertex(r.head)
                 )
             })
             .collect()
@@ -126,7 +189,7 @@ impl QueryResult {
 
     /// The snapshot the query ran against.
     pub fn snapshot(&self) -> &GraphSnapshot {
-        &self.snapshot
+        &self.execution.snapshot
     }
 }
 

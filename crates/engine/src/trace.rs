@@ -4,9 +4,10 @@
 //! [`TraceNode`] per plan op plus one for the start frontier, linked
 //! downstream-op-as-parent (the root is the last op; the sole leaf is the
 //! start). Each node joins the planner's cardinality *estimate* (from
-//! [`crate::PlanReport`]) with the executor's *actuals* — rows in/out, pull
-//! and chunk counts, monotonic wall time, expansions, and arena appends — so
-//! estimate-vs-actual drift is visible per operation.
+//! [`crate::plan::estimate`] of the plan that ran) with the executor's
+//! *actuals* — rows in/out, pull and chunk counts, monotonic wall time,
+//! expansions, and arena appends — so estimate-vs-actual drift is visible
+//! per operation.
 //!
 //! Actuals are recorded by per-thread plain counters (`Cell`, like
 //! [`crate::exec::ExecStats`]'s `Counters`) attached to each cursor stage
@@ -25,7 +26,7 @@
 //!   its wall time is the op's batch application time.
 
 use crate::exec::{ExecStats, ExecutionStrategy};
-use crate::plan::PlanReport;
+use crate::plan::OpEstimate;
 use crate::query::QueryResult;
 
 /// Per-op actuals accumulated during a profiled run, in source-first plan
@@ -121,15 +122,16 @@ pub struct QueryTrace {
 
 impl QueryTrace {
     /// Joins planner estimates with executor actuals into the trace tree.
-    /// `actuals` is source-first and aligned with `report.estimates()`.
+    /// Both are source-first and describe the same plan on the same
+    /// snapshot: `estimates` is [`crate::plan::estimate`] of the plan whose
+    /// cursor produced `actuals`.
     pub(crate) fn assemble(
-        report: &PlanReport,
+        estimates: &[OpEstimate],
         actuals: &[OpActuals],
         strategy: ExecutionStrategy,
         stats: ExecStats,
         total_time_ns: u64,
     ) -> QueryTrace {
-        let estimates = report.estimates();
         let mut node: Option<TraceNode> = None;
         let mut upstream_ns = 0u64;
         let mut upstream_rows = 0u64;

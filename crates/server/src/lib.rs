@@ -37,8 +37,8 @@
 //! The `metrics` op exposes the process-wide metrics registry; the `slowlog`
 //! op reads the ring buffer of queries slower than
 //! [`ServerConfig::slowlog_threshold`], each entry naming its top-3
-//! costliest ops (measured, or estimate-ranked when the query was not
-//! profiled).
+//! costliest ops (measured, or ranked by the planner's estimates of the plan
+//! that ran when the query was not profiled).
 //!
 //! Failures come back as `ok: false` with an `error` object whose `kind` is
 //! `"parse"` (MRPA-QL syntax errors, with a byte `span` and a rendered caret
@@ -116,8 +116,8 @@ use std::time::{Duration, Instant};
 use mrpa_engine::exec::{ExecStats, ExecutionStrategy};
 use mrpa_engine::metrics::{registry, MetricSnapshot, MetricValue, BUCKET_BOUNDS_US};
 use mrpa_engine::{
-    CancelToken, EngineError, PropertyGraph, QueryTrace, ResultRow, TraceNode, Traversal,
-    Value as GraphValue,
+    CancelToken, EngineError, Execution, PropertyGraph, QueryTrace, ResultRow, TraceNode,
+    Traversal, Value as GraphValue,
 };
 use mrpa_query::{LoweredQuery, QueryError, Terminal};
 
@@ -1059,23 +1059,30 @@ impl<'a> QueryRunner<'a> {
         }
 
         let started = Instant::now();
-        let (payload, top_ops) = if lowered.profile {
-            self.run_profiled(&lowered, &traversal)?
+        if lowered.profile {
+            let (payload, top_ops) = self.run_profiled(&lowered, &traversal)?;
+            self.record_slow(text, started.elapsed(), &traversal, || {
+                ("self_time", top_ops)
+            });
+            Ok(payload)
         } else {
-            (self.run_plain(&lowered, &traversal)?, None)
-        };
-        self.record_slow(text, started.elapsed(), &traversal, top_ops);
-        Ok(payload)
+            let (payload, execution) = self.run_plain(&lowered, &traversal)?;
+            self.record_slow(text, started.elapsed(), &traversal, || {
+                ("estimated_rows", top_estimates(&execution))
+            });
+            Ok(payload)
+        }
     }
 
     /// Executes a non-`PROFILE` query, attaching per-query [`ExecStats`] to
-    /// every terminal's payload.
+    /// every terminal's payload. Also returns the [`Execution`] — snapshot
+    /// and optimized plan — that produced it, for the slow-query log.
     fn run_plain(
         &mut self,
         lowered: &LoweredQuery,
         traversal: &Traversal,
-    ) -> Result<Vec<(&'static str, Value)>, Failure> {
-        match lowered.terminal {
+    ) -> Result<(Payload, Execution), Failure> {
+        let (mut payload, execution) = match lowered.terminal {
             Terminal::Rows => {
                 // execute() (rather than a raw cursor) so the terminal feeds
                 // the process-wide metrics registry like every other arm
@@ -1086,28 +1093,19 @@ impl<'a> QueryRunner<'a> {
                     .map(|r| render_row(r, result.snapshot()))
                     .collect();
                 self.rows += rows.len() as u64;
-                Ok(vec![
-                    ("rows", Value::Array(rows)),
-                    ("stats", render_stats(result.stats())),
-                ])
+                (vec![("rows", Value::Array(rows))], result.into_execution())
             }
             Terminal::Count => {
-                let (n, stats) = traversal
+                let (n, execution) = traversal
                     .count_with_stats()
                     .map_err(|e| Failure::from_engine(&e))?;
-                Ok(vec![
-                    ("count", Value::from(n)),
-                    ("stats", render_stats(stats)),
-                ])
+                (vec![("count", Value::from(n))], execution)
             }
             Terminal::Exists => {
-                let (yes, stats) = traversal
+                let (yes, execution) = traversal
                     .exists_with_stats()
                     .map_err(|e| Failure::from_engine(&e))?;
-                Ok(vec![
-                    ("exists", Value::from(yes)),
-                    ("stats", render_stats(stats)),
-                ])
+                (vec![("exists", Value::from(yes))], execution)
             }
             Terminal::First => {
                 // the traversal is already limit(1)-ed by op_query, so
@@ -1120,12 +1118,11 @@ impl<'a> QueryRunner<'a> {
                 let rendered = row
                     .map(|r| render_row(r, result.snapshot()))
                     .unwrap_or(Value::Null);
-                Ok(vec![
-                    ("row", rendered),
-                    ("stats", render_stats(result.stats())),
-                ])
+                (vec![("row", rendered)], result.into_execution())
             }
-        }
+        };
+        payload.push(("stats", render_stats(execution.stats())));
+        Ok((payload, execution))
     }
 
     /// Executes a `PROFILE` query: the terminal's usual payload plus the
@@ -1135,7 +1132,7 @@ impl<'a> QueryRunner<'a> {
         &mut self,
         lowered: &LoweredQuery,
         traversal: &Traversal,
-    ) -> Result<(Payload, Option<Vec<Value>>), Failure> {
+    ) -> Result<(Payload, Vec<Value>), Failure> {
         let profiled = traversal.profile().map_err(|e| Failure::from_engine(&e))?;
         let rows = profiled.result.rows();
         let snapshot = profiled.result.snapshot();
@@ -1175,19 +1172,22 @@ impl<'a> QueryRunner<'a> {
                 ])
             })
             .collect();
-        Ok((payload, Some(top)))
+        Ok((payload, top))
     }
 
     /// Records a slow-log entry if the query crossed the configured
-    /// threshold. `top_ops` carries measured actuals when the query was
-    /// profiled; otherwise the entry falls back to the planner's estimates —
-    /// the extra explain pass runs only on the already-slow path.
+    /// threshold. `top_ops` names how the entry's top-3 ops are ranked and
+    /// lists them: measured self times when the query was profiled,
+    /// otherwise the planner's estimates of the plan that ran, on the
+    /// generation it ran against (see [`top_estimates`]). It is called only
+    /// on the slow path, so a query under the threshold pays nothing for
+    /// it, and a slow one pays no second planning pass.
     fn record_slow(
         &self,
         text: &str,
         elapsed: Duration,
         traversal: &Traversal,
-        top_ops: Option<Vec<Value>>,
+        top_ops: impl FnOnce() -> (&'static str, Vec<Value>),
     ) {
         let config = &self.shared.config;
         let Some(threshold) = config.slowlog_threshold else {
@@ -1196,27 +1196,7 @@ impl<'a> QueryRunner<'a> {
         if elapsed < threshold || config.slowlog_capacity == 0 {
             return;
         }
-        let (ranked_by, top_ops) = match top_ops {
-            Some(ops) => ("self_time", ops),
-            None => {
-                let mut ests = traversal
-                    .explain()
-                    .map(|report| report.estimates().to_vec())
-                    .unwrap_or_default();
-                ests.sort_by(|a, b| b.rows.total_cmp(&a.rows));
-                let ops = ests
-                    .iter()
-                    .take(3)
-                    .map(|e| {
-                        object([
-                            ("op", Value::from(e.op.as_str())),
-                            ("estimated_rows", Value::from(e.rows)),
-                        ])
-                    })
-                    .collect();
-                ("estimated_rows", ops)
-            }
-        };
+        let (ranked_by, top_ops) = top_ops();
         let entry = SlowEntry {
             query: text.to_owned(),
             duration_us: elapsed.as_micros() as u64,
@@ -1235,6 +1215,22 @@ impl<'a> QueryRunner<'a> {
         }
         log.push_back(entry);
     }
+}
+
+/// The top-3 ops of an execution by the planner's estimated row count:
+/// [`Execution::estimates`] of the executed plan on the executed snapshot.
+fn top_estimates(execution: &Execution) -> Vec<Value> {
+    let mut ests = execution.estimates();
+    ests.sort_by(|a, b| b.rows.total_cmp(&a.rows));
+    ests.iter()
+        .take(3)
+        .map(|e| {
+            object([
+                ("op", Value::from(e.op.as_str())),
+                ("estimated_rows", Value::from(e.rows)),
+            ])
+        })
+        .collect()
 }
 
 impl<'a> Session<'a> {
