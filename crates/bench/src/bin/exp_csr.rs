@@ -1,4 +1,4 @@
-//! CSR + chunked execution benchmark: vectorized scans vs hashmap-scalar.
+//! CSR adjacency benchmark: CSR segment scans vs hashmap bucket probes.
 //!
 //! Two layers of measurement, written to `BENCH_csr.json`:
 //!
@@ -10,12 +10,14 @@
 //!    checksum; CI asserts the CSR clears **5×** here, so regressions in the
 //!    layout or its scan path fail loudly.
 //! 2. **End-to-end queries** — the same traversals with `vectorize(false)`
-//!    (hash-bucket probes, row-at-a-time scalar pulls) vs the default
-//!    vectorized machinery. Row sequences are cross-checked for exact
-//!    equality before anything is timed. Gains here are deliberately modest:
-//!    per-row result-path interning, which both paths share, dominates
-//!    dense enumeration — the table quantifies that honestly rather than
-//!    inflating the headline.
+//!    (hash-bucket probes) vs the default CSR adjacency. `vectorize` swaps
+//!    only the adjacency source: both sides run the same chunked stage
+//!    protocol, so the difference is the scan alone. (The JSON key
+//!    `scalar_ms` names the hashmap-adjacency run.) Row sequences are
+//!    cross-checked for exact equality before anything is timed. Gains here
+//!    are deliberately modest: per-row result-path interning, which both
+//!    paths share, dominates dense enumeration — the table quantifies that
+//!    honestly rather than inflating the headline.
 
 use mrpa_bench::{fmt_f, time_median, time_min, Table};
 use mrpa_core::{LabelId, VertexId};

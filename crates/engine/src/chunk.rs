@@ -1,24 +1,19 @@
-//! Chunked (vectorized) row transport for the pull-based cursor protocol.
+//! Chunked (vectorized) row transport: the unit of the cursor's one stage
+//! protocol.
 //!
-//! The scalar cursor protocol ([`crate::cursor`]) moves one arena row per
-//! `pull` — the right granularity for `limit(k)`/`first()` early exit, but a
-//! full drain pays per-row virtual dispatch, per-row budget checks, and (for
-//! `Expand`) one arena-writer acquisition per input row. The chunked path
-//! widens the protocol: `Stage::pull_chunk` appends **up to ~[`DEFAULT_CHUNK_SIZE`]
-//! rows per call** into a caller-provided [`RowChunk`] buffer, amortizing
-//! dispatch over the whole batch and letting expansion stages run their
-//! cache-linear CSR scans (see [`crate::csr`]) over entire frontiers under a
-//! single arena writer.
-//!
-//! The scalar `pull` remains the only protocol for early-exit consumption
-//! (`first()`, `exists()`, external iteration, `limit` terminals), so
-//! suspension semantics, `CancelToken` deadlines, and the
-//! expansion-counter guarantees of streaming early exit are untouched;
-//! full-drain terminals (`Traversal::execute`, `exec::execute`) switch to
-//! chunks. Both paths produce identical row sequences — proven row-for-row
-//! (rows, weights, expansion counts) by `tests/vectorized_equivalence.rs`.
-
-use crate::exec::ArenaRow;
+//! Every cursor stage yields rows through one call,
+//! `Stage::pull_chunk(target, out)`, that appends between 1 and `target`
+//! arena rows to a caller-owned buffer (see [`crate::cursor`] for the full
+//! contract). A one-row call is the early-exit granularity of
+//! `first()`/`exists()`/`count()`, external iteration and `limit(k)`; a
+//! full drain (`Traversal::execute`, `exec::execute`) asks for
+//! [`DEFAULT_CHUNK_SIZE`] rows per call, amortizing dispatch over the whole
+//! batch and letting expansion stages scan whole input chunks under a single
+//! arena writer. No stage hands out more than it was asked for, so a
+//! `chunk_size(1)` drain does exactly the work of a `next_row` drain, and a
+//! larger chunk can run ahead of its consumer by at most the input rows it
+//! asked for — `tests/streaming_early_exit.rs` and
+//! `tests/vectorized_equivalence.rs` pin rows and expansion counts.
 
 /// Target rows per chunk pull. ~2048 rows keeps a chunk of 32-byte arena
 /// rows around 64 KiB — comfortably L2-resident while still amortizing
@@ -26,69 +21,18 @@ use crate::exec::ArenaRow;
 /// executor uses). Override per traversal with `Traversal::chunk_size`.
 pub const DEFAULT_CHUNK_SIZE: usize = 2048;
 
-/// Outcome of one chunked pull (`Stage::pull_chunk`).
+/// Outcome of one stage pull (`Stage::pull_chunk`).
 ///
-/// The contract mirrors the scalar protocol's three outcomes, lifted to
-/// batches: a stage appends as many rows as it can toward the caller's
-/// target (overshoot is allowed — composite walkers finish their current
-/// layer), and only reports `Done`/`Starved` on calls that append nothing.
+/// A stage appends between 1 and the caller's target rows and reports
+/// `Rows`, or appends nothing and reports `Done`/`Starved`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChunkPull {
     /// At least one row was appended; pull again for more.
     Rows,
-    /// Nothing was appended and nothing ever will be (the scalar protocol's
-    /// `Break`): the stage and everything upstream is exhausted.
+    /// Nothing was appended and nothing ever will be: the stage and
+    /// everything upstream is exhausted.
     Done,
     /// Nothing was appended but rows may still arrive (a `Feed` source
     /// awaiting its next batch; only reachable in fed pipelines).
     Starved,
-}
-
-/// A reusable buffer of arena rows moved through `pull_chunk` — the chunked
-/// protocol's unit of transport. Cleared and refilled per pull by the
-/// cursor's chunked drain, so a full traversal allocates one chunk, not one
-/// per batch.
-#[derive(Debug, Default)]
-pub struct RowChunk {
-    pub(crate) rows: Vec<ArenaRow>,
-}
-
-impl RowChunk {
-    /// An empty chunk with capacity for `target` rows.
-    pub fn with_target(target: usize) -> RowChunk {
-        RowChunk {
-            rows: Vec::with_capacity(target),
-        }
-    }
-
-    /// Number of rows currently in the chunk.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the chunk holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Empties the chunk, keeping its allocation for the next pull.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chunk_reuses_allocation_across_clears() {
-        let mut c = RowChunk::with_target(DEFAULT_CHUNK_SIZE);
-        assert!(c.is_empty());
-        assert!(c.rows.capacity() >= DEFAULT_CHUNK_SIZE);
-        let cap = c.rows.capacity();
-        c.clear();
-        assert_eq!(c.rows.capacity(), cap);
-        assert_eq!(c.len(), 0);
-    }
 }

@@ -1,28 +1,35 @@
 //! Demand-driven execution: the pull-based [`RowCursor`] protocol.
 //!
-//! Every [`PlanOp`] compiles to a *stage* that yields rows on demand. A pull
-//! returns one of three things, modelled as
-//! `ControlFlow<(), Option<ArenaRow>>`:
+//! Every [`PlanOp`] compiles to a *stage* that yields rows on demand through
+//! one call, `Stage::pull_chunk(target, out)`. A call either appends between
+//! 1 and `target` rows to `out` and returns `Rows`, or appends nothing and
+//! returns
 //!
-//! * `Continue(Some(row))` — a row;
-//! * `Break(())` — the stage will never produce another row, no matter what.
-//!   `Break` propagates *downstream* to the consumer, and — because a broken
-//!   consumer simply stops pulling — acts *upstream* as cancellation: a
-//!   saturated `Limit` never pulls its input again, so an in-flight
-//!   product-automaton frontier suspended mid-layer is dropped without
-//!   finishing the walk;
-//! * `Continue(None)` — the stage is starved: its source is a feedable queue
-//!   (parallel suffix evaluation) that has no rows *right now*. Ordinary
-//!   source-backed pipelines never produce this.
+//! * `Done` — the stage will never produce another row. Because a finished
+//!   consumer simply stops calling, this also acts *upstream* as
+//!   cancellation: a saturated `Limit` never pulls its input again, so an
+//!   in-flight product-automaton frontier suspended mid-layer is dropped
+//!   without finishing the walk;
+//! * `Starved` — the stage's source is a feedable queue (parallel suffix
+//!   evaluation) that has no rows *right now*. Ordinary source-backed
+//!   pipelines never produce this.
+//!
+//! A stage never hands out more than it was asked for: work that overshoots
+//! the target stays inside the stage for the next call. `Expand` keeps its
+//! unexpanded input rows and the extra output rows of the row it was
+//! expanding; the walkers keep extra emissions in their `pending` queue.
+//! So the work a consumer causes depends only on how many rows it takes,
+//! not on how it asks for them: `next_row` (a one-row call), `count` and a
+//! chunked `execute` of `limit(k)` perform the same expansions.
 //!
 //! Composite ops keep resumable per-input-row state. The automaton stage
 //! holds an `AutoWalk`: the current `(row, dfa-state)` frontier layer, the
 //! index of the next entry to expand (the mid-layer suspension point), the
-//! half-built next layer, and a queue of emissions awaiting delivery — one
-//! `next()` expands at most one frontier entry beyond what it needs to hand
-//! out a row. The same walker, drained to exhaustion, is the materialized
-//! executor's batch evaluation, so both granularities share one definition of
-//! the walk (order, caps, semantics, emission limits).
+//! half-built next layer, and the emissions awaiting delivery. One call
+//! expands frontier entries until it has its target, stopping after the
+//! entry that reaches it. The same walker, run with no target, is the
+//! materialized executor's batch evaluation, so both share one definition
+//! of the walk (order, caps, semantics, emission limits).
 //!
 //! `max_intermediate` is enforced per stage: each stage counts the rows it
 //! has emitted over its lifetime and fails once the count exceeds the cap.
@@ -32,14 +39,13 @@
 
 use std::cell::Cell;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
-use std::ops::ControlFlow;
 use std::time::Instant;
 
 use mrpa_core::fxhash::FxHashSet;
 use mrpa_core::{ArenaWriter, Edge, IdForwarder, PathArena, VertexId};
 
 use crate::cancel::{CancelToken, Liveness};
-use crate::chunk::{ChunkPull, RowChunk};
+use crate::chunk::ChunkPull;
 use crate::error::EngineError;
 use crate::exec::{
     apply_ops, check_cap, eval_until, for_each_expansion_edge, in_set, initial_rows, materialized,
@@ -55,9 +61,6 @@ use crate::value::Predicate;
 
 use mrpa_core::LabelId;
 
-/// One pull from a stage. See the module docs for the three outcomes.
-pub(crate) type Pull = ControlFlow<(), Option<ArenaRow>>;
-
 /// Consumes one unit of an optional emission budget. Returns whether the
 /// emission is allowed.
 fn take_budget(remaining: &mut Option<usize>) -> bool {
@@ -69,6 +72,13 @@ fn take_budget(remaining: &mut Option<usize>) -> bool {
             true
         }
     }
+}
+
+/// Moves queued rows into `out` until it holds `goal` rows (batch
+/// evaluation passes `usize::MAX`: everything).
+fn drain_to(queue: &mut VecDeque<ArenaRow>, out: &mut Vec<ArenaRow>, goal: usize) {
+    let n = goal.saturating_sub(out.len()).min(queue.len());
+    out.extend(queue.drain(..n));
 }
 
 // ---------------------------------------------------------------------------
@@ -143,15 +153,9 @@ impl AutoWalk {
         }
     }
 
-    /// Takes the next emission awaiting delivery, if any.
-    pub(crate) fn pop(&mut self) -> Option<ArenaRow> {
-        self.pending.pop_front()
-    }
-
-    /// Moves every pending emission into `out` in one bulk drain (batch
-    /// evaluation's fast path).
-    pub(crate) fn drain_pending_into(&mut self, out: &mut Vec<ArenaRow>) {
-        out.extend(self.pending.drain(..));
+    /// Moves pending emissions into `out` until it holds `goal` rows.
+    pub(crate) fn drain_pending_into(&mut self, out: &mut Vec<ArenaRow>, goal: usize) {
+        drain_to(&mut self.pending, out, goal);
     }
 
     /// Whether the walk can produce no further emissions.
@@ -194,96 +198,14 @@ impl AutoWalk {
         Ok(())
     }
 
-    /// Expands one frontier entry (or rolls the layer over), pushing any
-    /// emissions into the pending queue. The incremental (cursor) entry
-    /// point: acquires a short-lived arena writer per entry so no lock is
-    /// held across pulls. Batch evaluation instead drives
-    /// [`AutoWalk::step_entry`] directly under one long-lived writer.
-    /// `remaining` is the op-level R7 emission budget; reaching zero halts
-    /// the walk.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn advance(
-        &mut self,
-        ctx: &ExecCtx<'_>,
-        arena: &PathArena,
-        spec: &AutomatonSpec,
-        to: &Option<HashSet<VertexId>>,
-        delivered: usize,
-        remaining: &mut Option<usize>,
-        seen: Option<&mut SeenSet>,
-    ) -> Result<(), EngineError> {
-        if self.needs_roll() {
-            return self.roll(ctx, spec, delivered);
-        }
-        let mut writer = arena.writer();
-        self.step_entry(ctx, &mut writer, spec, to, remaining, seen);
-        Ok(())
-    }
-
-    /// Expands exactly one frontier entry under the caller's writer. Must not
-    /// be called when [`AutoWalk::needs_roll`] — entries only exist mid-layer.
-    ///
-    /// Kept in lockstep with [`AutoWalk::run_layer`] (the batch fast path);
-    /// the `cursor ≡ materialized` property suites pin their equivalence.
-    pub(crate) fn step_entry(
-        &mut self,
-        ctx: &ExecCtx<'_>,
-        writer: &mut ArenaWriter<'_>,
-        spec: &AutomatonSpec,
-        to: &Option<HashSet<VertexId>>,
-        remaining: &mut Option<usize>,
-        mut seen: Option<&mut SeenSet>,
-    ) {
-        let (row, state) = self.frontier[self.idx];
-        self.idx += 1;
-        let adj = ctx.adjacency(spec.direction());
-        for &m in spec.moves(state) {
-            // a row only joins the next frontier if it can still make
-            // progress: there are hops left and the target state moves
-            // (both facts precomputed into the move table at compile time)
-            let survives = self.hop < spec.max_hops() && m.target_live;
-            for e in adj.labeled(row.head, m.label) {
-                ctx.count_expansion();
-                if let Some(seen) = seen.as_deref_mut() {
-                    if !seen.insert((e.head, m.target)) {
-                        continue;
-                    }
-                }
-                let produced = ArenaRow {
-                    source: row.source,
-                    path: writer.append(row.path, e),
-                    head: e.head,
-                    weight: row.weight,
-                };
-                if m.accepts && in_set(to, e.head) {
-                    if take_budget(remaining) {
-                        self.pending.push_back(produced);
-                        if matches!(remaining, Some(0)) {
-                            self.halt();
-                            return;
-                        }
-                    } else {
-                        self.halt();
-                        return;
-                    }
-                }
-                if survives {
-                    self.next.push((produced, m.target));
-                }
-            }
-        }
-    }
-
-    /// Expands the **entire current layer** in one tight batch loop, pushing
-    /// emissions straight into `out` — the materialized executor's fast path
-    /// (the ~10–15% the per-entry dispatch of [`AutoWalk::step_entry`] costs
-    /// on dense full-enumeration scans came from per-entry calls plus
-    /// pending-queue traffic; this recovers it without giving up the
-    /// cursor's mid-layer suspension points, which keep using `step_entry`).
-    ///
-    /// Semantically identical to driving `step_entry` until
-    /// [`AutoWalk::needs_roll`] and draining `pending` after each entry:
-    /// same emission order, same budget halting, same seen-set discipline.
+    /// Expands the current layer's frontier entries in order, pushing
+    /// emissions into `out`, until the layer is exhausted or `out` holds
+    /// `goal` rows. It stops after the entry that reaches the goal; that
+    /// entry's extra emissions move to the pending queue. The materialized
+    /// executor passes `usize::MAX` and so expands the whole layer; a cursor
+    /// stage passes its target, so a one-row pull expands no further than
+    /// the first entry that emits. Must not be called when
+    /// [`AutoWalk::needs_roll`] — entries only exist mid-layer.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_layer(
         &mut self,
@@ -294,13 +216,17 @@ impl AutoWalk {
         remaining: &mut Option<usize>,
         mut seen: Option<&mut SeenSet>,
         out: &mut Vec<ArenaRow>,
+        goal: usize,
     ) {
         let adj = ctx.adjacency(spec.direction());
         let max_hops = spec.max_hops();
-        while self.idx < self.frontier.len() {
+        'entries: while self.idx < self.frontier.len() && out.len() < goal {
             let (row, state) = self.frontier[self.idx];
             self.idx += 1;
             for &m in spec.moves(state) {
+                // a row only joins the next frontier if it can still make
+                // progress: there are hops left and the target state moves
+                // (both facts precomputed into the move table at compile time)
                 let survives = self.hop < max_hops && m.target_live;
                 for e in adj.labeled(row.head, m.label) {
                     ctx.count_expansion();
@@ -320,11 +246,11 @@ impl AutoWalk {
                             out.push(produced);
                             if matches!(remaining, Some(0)) {
                                 self.halt();
-                                return;
+                                break 'entries;
                             }
                         } else {
                             self.halt();
-                            return;
+                            break 'entries;
                         }
                     }
                     if survives {
@@ -332,6 +258,9 @@ impl AutoWalk {
                     }
                 }
             }
+        }
+        if out.len() > goal {
+            self.pending.extend(out.drain(goal..));
         }
     }
 }
@@ -366,18 +295,13 @@ impl RepeatWalk {
         }
     }
 
-    pub(crate) fn pop(&mut self) -> Option<ArenaRow> {
-        self.pending.pop_front()
-    }
-
     pub(crate) fn finished(&self) -> bool {
         self.pending.is_empty() && self.done
     }
 
-    /// Moves every pending emission into `out` in one bulk drain (batch
-    /// evaluation's fast path).
-    pub(crate) fn drain_pending_into(&mut self, out: &mut Vec<ArenaRow>) {
-        out.extend(self.pending.drain(..));
+    /// Moves pending emissions into `out` until it holds `goal` rows.
+    pub(crate) fn drain_pending_into(&mut self, out: &mut Vec<ArenaRow>, goal: usize) {
+        drain_to(&mut self.pending, out, goal);
     }
 
     /// One iteration step, replicating the materialized order exactly:
@@ -527,14 +451,9 @@ impl WeightedWalk {
         }
     }
 
-    /// Takes the next emission awaiting delivery, if any.
-    pub(crate) fn pop(&mut self) -> Option<ArenaRow> {
-        self.pending.pop_front()
-    }
-
-    /// Moves every pending emission into `out` in one bulk drain.
-    pub(crate) fn drain_pending_into(&mut self, out: &mut Vec<ArenaRow>) {
-        out.extend(self.pending.drain(..));
+    /// Moves pending emissions into `out` until it holds `goal` rows.
+    pub(crate) fn drain_pending_into(&mut self, out: &mut Vec<ArenaRow>, goal: usize) {
+        drain_to(&mut self.pending, out, goal);
     }
 
     /// Whether the walk can produce no further emissions.
@@ -692,7 +611,11 @@ enum StageOp {
         labels: Option<Vec<LabelId>>,
         from: Option<HashSet<VertexId>>,
         to: Option<HashSet<VertexId>>,
-        buf: VecDeque<ArenaRow>,
+        /// The last input chunk, expanded up to `next_input`.
+        input_rows: Vec<ArenaRow>,
+        next_input: usize,
+        /// Expansions of the last expanded row past the caller's target.
+        surplus: VecDeque<ArenaRow>,
     },
     Automaton {
         input: Box<Stage>,
@@ -866,7 +789,9 @@ impl Stage {
                     labels,
                     from,
                     to,
-                    buf: VecDeque::new(),
+                    input_rows: Vec::new(),
+                    next_input: 0,
+                    surplus: VecDeque::new(),
                 },
                 PlanOp::ExpandAutomaton {
                     spec,
@@ -969,278 +894,19 @@ impl Stage {
     }
 
     /// Marks the feedable source as complete: once its queue drains, the
-    /// pipeline reports `Break` instead of starvation.
+    /// pipeline reports `Done` instead of `Starved`.
     pub(crate) fn close_feed(&mut self) {
         if let StageOp::Feed { closed, .. } = &mut self.source_mut().op {
             *closed = true;
         }
     }
 
-    /// Pulls one row, counting the stage's lifetime output against the cap.
-    /// Every pull is a cancellation point: an expired deadline or a fired
+    /// Asks the stage for up to `target` rows (`target ≥ 1`), appended to
+    /// `out`: the one stage protocol (see the module docs). Counts the
+    /// appended rows against the stage's lifetime cap. Every call is a
+    /// cancellation point: an expired deadline or a fired
     /// [`CancelToken`](crate::CancelToken) surfaces here as
     /// [`EngineError::Cancelled`], killing suspended frontiers cleanly.
-    pub(crate) fn pull(
-        &mut self,
-        ctx: &ExecCtx<'_>,
-        arena: &PathArena,
-    ) -> Result<Pull, EngineError> {
-        ctx.ensure_alive()?;
-        let pulled = if self.trace.is_some() {
-            let before = ctx.counters.stats();
-            let started = Instant::now();
-            let res = Self::pull_op(&mut self.op, self.out_count, ctx, arena);
-            let elapsed = started.elapsed().as_nanos() as u64;
-            let after = ctx.counters.stats();
-            let tr = self.trace.as_deref().expect("checked above");
-            tr.pulls.set(tr.pulls.get() + 1);
-            tr.nanos.set(tr.nanos.get() + elapsed);
-            tr.expansions
-                .set(tr.expansions.get() + (after.expansions - before.expansions));
-            tr.interned
-                .set(tr.interned.get() + (after.interned_nodes - before.interned_nodes));
-            res?
-        } else {
-            Self::pull_op(&mut self.op, self.out_count, ctx, arena)?
-        };
-        if matches!(pulled, ControlFlow::Continue(Some(_))) {
-            self.out_count += 1;
-            check_cap(self.out_count, ctx.cap)?;
-        }
-        Ok(pulled)
-    }
-
-    fn pull_op(
-        op: &mut StageOp,
-        delivered: usize,
-        ctx: &ExecCtx<'_>,
-        arena: &PathArena,
-    ) -> Result<Pull, EngineError> {
-        match op {
-            StageOp::Source { rows, idx } => {
-                if *idx < rows.len() {
-                    *idx += 1;
-                    Ok(ControlFlow::Continue(Some(rows[*idx - 1])))
-                } else {
-                    Ok(ControlFlow::Break(()))
-                }
-            }
-            StageOp::Feed { queue, closed } => match queue.pop_front() {
-                Some(row) => Ok(ControlFlow::Continue(Some(row))),
-                None if *closed => Ok(ControlFlow::Break(())),
-                None => Ok(ControlFlow::Continue(None)),
-            },
-            StageOp::Expand {
-                input,
-                direction,
-                labels,
-                from,
-                to,
-                buf,
-            } => loop {
-                if let Some(row) = buf.pop_front() {
-                    return Ok(ControlFlow::Continue(Some(row)));
-                }
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Break(()) => return Ok(ControlFlow::Break(())),
-                    ControlFlow::Continue(None) => return Ok(ControlFlow::Continue(None)),
-                    ControlFlow::Continue(Some(row)) => {
-                        if !in_set(from, row.head) {
-                            continue;
-                        }
-                        // collect this row's expansions under one lock
-                        // acquisition; they stream out one pull at a time
-                        let mut writer = arena.writer();
-                        for_each_expansion_edge(ctx, *direction, row.head, labels, |e| {
-                            ctx.count_expansion();
-                            if !in_set(to, e.head) {
-                                return;
-                            }
-                            buf.push_back(ArenaRow {
-                                source: row.source,
-                                path: writer.append(row.path, e),
-                                head: e.head,
-                                weight: row.weight,
-                            });
-                        });
-                        if ctx.budgeted() {
-                            ctx.charge_arena_growth(writer.node_count())?;
-                            ctx.charge_bytes(buf.len() as u64 * crate::exec::ROW_BYTES)?;
-                        }
-                    }
-                }
-            },
-            StageOp::Automaton {
-                input,
-                spec,
-                from,
-                to,
-                remaining,
-                walk,
-                seen,
-            } => loop {
-                if let Some(w) = walk {
-                    if let Some(row) = w.pop() {
-                        return Ok(ControlFlow::Continue(Some(row)));
-                    }
-                    if w.finished() {
-                        *walk = None;
-                        continue;
-                    }
-                    ctx.ensure_alive()?;
-                    w.advance(ctx, arena, spec, to, delivered, remaining, seen.as_mut())?;
-                    if ctx.budgeted() {
-                        ctx.charge_arena_growth(arena.node_count())?;
-                    }
-                    continue;
-                }
-                if matches!(remaining, Some(0)) {
-                    return Ok(ControlFlow::Break(()));
-                }
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Break(()) => return Ok(ControlFlow::Break(())),
-                    ControlFlow::Continue(None) => return Ok(ControlFlow::Continue(None)),
-                    ControlFlow::Continue(Some(row)) => {
-                        if !in_set(from, row.head) {
-                            continue;
-                        }
-                        if spec.semantics() == Semantics::Reachable {
-                            // per-row reachability: fresh dedup state per walk
-                            *seen = Some(SeenSet::default());
-                        }
-                        *walk = Some(AutoWalk::start(spec, to, row, remaining, seen.as_mut()));
-                    }
-                }
-            },
-            StageOp::Weighted {
-                input,
-                spec,
-                semiring,
-                weight,
-                from,
-                to,
-                remaining,
-                walk,
-            } => loop {
-                if let Some(w) = walk {
-                    if let Some(row) = w.pop() {
-                        return Ok(ControlFlow::Continue(Some(row)));
-                    }
-                    if w.finished() {
-                        *walk = None;
-                        continue;
-                    }
-                    ctx.ensure_alive()?;
-                    w.advance(
-                        ctx, arena, spec, *semiring, weight, to, delivered, remaining,
-                    )?;
-                    if ctx.budgeted() {
-                        ctx.charge_arena_growth(arena.node_count())?;
-                    }
-                    continue;
-                }
-                if matches!(remaining, Some(0)) {
-                    return Ok(ControlFlow::Break(()));
-                }
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Break(()) => return Ok(ControlFlow::Break(())),
-                    ControlFlow::Continue(None) => return Ok(ControlFlow::Continue(None)),
-                    ControlFlow::Continue(Some(row)) => {
-                        if !in_set(from, row.head) {
-                            continue;
-                        }
-                        *walk = Some(WeightedWalk::start(spec, *semiring, row));
-                    }
-                }
-            },
-            StageOp::Repeat {
-                input,
-                body,
-                min,
-                max,
-                until,
-                walk,
-            } => loop {
-                if let Some(w) = walk {
-                    if let Some(row) = w.pop() {
-                        return Ok(ControlFlow::Continue(Some(row)));
-                    }
-                    if w.finished() {
-                        *walk = None;
-                        continue;
-                    }
-                    ctx.ensure_alive()?;
-                    w.advance(
-                        ctx,
-                        arena,
-                        RepeatSpec {
-                            body,
-                            min: *min,
-                            max: *max,
-                            until: until.as_ref(),
-                        },
-                        delivered,
-                    )?;
-                    if ctx.budgeted() {
-                        ctx.charge_arena_growth(arena.node_count())?;
-                    }
-                    continue;
-                }
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Break(()) => return Ok(ControlFlow::Break(())),
-                    ControlFlow::Continue(None) => return Ok(ControlFlow::Continue(None)),
-                    ControlFlow::Continue(Some(row)) => *walk = Some(RepeatWalk::new(row)),
-                }
-            },
-            StageOp::RestrictVertices { input, vs } => loop {
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Continue(Some(row)) if !vs.contains(&row.head) => continue,
-                    other => return Ok(other),
-                }
-            },
-            StageOp::RestrictProperty {
-                input,
-                key,
-                predicate,
-            } => loop {
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Continue(Some(row))
-                        if !predicate.eval(ctx.snapshot.vertex_property(row.head, key)) =>
-                    {
-                        continue
-                    }
-                    other => return Ok(other),
-                }
-            },
-            StageOp::Dedup { input, seen } => loop {
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Continue(Some(row)) if !seen.insert(row.head) => continue,
-                    other => return Ok(other),
-                }
-            },
-            StageOp::Limit { input, remaining } => {
-                if *remaining == 0 {
-                    // saturated: never pull upstream again — this is the
-                    // ControlFlow::Break that cancels suspended walks above
-                    return Ok(ControlFlow::Break(()));
-                }
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Continue(Some(row)) => {
-                        *remaining -= 1;
-                        Ok(ControlFlow::Continue(Some(row)))
-                    }
-                    other => Ok(other),
-                }
-            }
-        }
-    }
-
-    /// The chunked pull: appends up to ~`target` rows to `out` (overshoot is
-    /// allowed — composite walkers finish their current frontier layer), in
-    /// exactly the scalar protocol's row order. Only full-drain terminals use
-    /// this path; early-exit consumption stays on [`Stage::pull`]. Counts the
-    /// appended rows against the stage's lifetime cap, and remains a
-    /// cancellation point per call (and per walker layer).
     pub(crate) fn pull_chunk(
         &mut self,
         ctx: &ExecCtx<'_>,
@@ -1248,16 +914,18 @@ impl Stage {
         target: usize,
         out: &mut Vec<ArenaRow>,
     ) -> Result<ChunkPull, EngineError> {
+        debug_assert!(target >= 1, "a pull asks for at least one row");
         ctx.ensure_alive()?;
         let base = out.len();
         let res = if self.trace.is_some() {
             let before = ctx.counters.stats();
             let started = Instant::now();
-            let res = Self::pull_op_chunk(&mut self.op, self.out_count, ctx, arena, target, out);
+            let res = Self::pull_op(&mut self.op, self.out_count, ctx, arena, target, out);
             let elapsed = started.elapsed().as_nanos() as u64;
             let after = ctx.counters.stats();
             let tr = self.trace.as_deref().expect("checked above");
-            tr.chunks.set(tr.chunks.get() + 1);
+            let calls = if target == 1 { &tr.pulls } else { &tr.chunks };
+            calls.set(calls.get() + 1);
             tr.nanos.set(tr.nanos.get() + elapsed);
             tr.expansions
                 .set(tr.expansions.get() + (after.expansions - before.expansions));
@@ -1265,18 +933,20 @@ impl Stage {
                 .set(tr.interned.get() + (after.interned_nodes - before.interned_nodes));
             res?
         } else {
-            Self::pull_op_chunk(&mut self.op, self.out_count, ctx, arena, target, out)?
+            Self::pull_op(&mut self.op, self.out_count, ctx, arena, target, out)?
         };
         let appended = out.len() - base;
-        if appended > 0 {
-            self.out_count += appended;
-            check_cap(self.out_count, ctx.cap)?;
-            return Ok(ChunkPull::Rows);
-        }
+        debug_assert!(
+            appended <= target,
+            "a stage returned more than it was asked for"
+        );
+        debug_assert_eq!(appended > 0, res == ChunkPull::Rows);
+        self.out_count += appended;
+        check_cap(self.out_count, ctx.cap)?;
         Ok(res)
     }
 
-    fn pull_op_chunk(
+    fn pull_op(
         op: &mut StageOp,
         delivered: usize,
         ctx: &ExecCtx<'_>,
@@ -1284,22 +954,14 @@ impl Stage {
         target: usize,
         out: &mut Vec<ArenaRow>,
     ) -> Result<ChunkPull, EngineError> {
-        // `Rows` if this call appended anything, otherwise `empty`
-        fn flush(out_len: usize, base: usize, empty: ChunkPull) -> ChunkPull {
-            if out_len > base {
-                ChunkPull::Rows
-            } else {
-                empty
-            }
-        }
         let base = out.len();
-        let goal = base + target.max(1);
+        let goal = base + target;
         match op {
             StageOp::Source { rows, idx } => {
                 if *idx >= rows.len() {
                     return Ok(ChunkPull::Done);
                 }
-                let end = rows.len().min(goal - base + *idx);
+                let end = rows.len().min(*idx + target);
                 out.extend_from_slice(&rows[*idx..end]);
                 *idx = end;
                 Ok(ChunkPull::Rows)
@@ -1312,7 +974,7 @@ impl Stage {
                         ChunkPull::Starved
                     });
                 }
-                let n = queue.len().min(goal - base);
+                let n = queue.len().min(target);
                 out.extend(queue.drain(..n));
                 Ok(ChunkPull::Rows)
             }
@@ -1322,24 +984,26 @@ impl Stage {
                 labels,
                 from,
                 to,
-                buf,
+                input_rows,
+                next_input,
+                surplus,
             } => {
-                // rows buffered by an earlier scalar pull drain first
-                out.extend(buf.drain(..));
-                let mut inbuf: Vec<ArenaRow> = Vec::new();
+                drain_to(surplus, out, goal);
                 while out.len() < goal {
-                    inbuf.clear();
-                    match input.pull_chunk(ctx, arena, target, &mut inbuf)? {
-                        ChunkPull::Rows => {}
-                        ChunkPull::Done => return Ok(flush(out.len(), base, ChunkPull::Done)),
-                        ChunkPull::Starved => {
-                            return Ok(flush(out.len(), base, ChunkPull::Starved))
+                    if *next_input == input_rows.len() {
+                        input_rows.clear();
+                        *next_input = 0;
+                        match input.pull_chunk(ctx, arena, goal - out.len(), input_rows)? {
+                            ChunkPull::Rows => {}
+                            end => return Ok(flush(out.len(), base, end)),
                         }
                     }
-                    // one writer acquisition for the whole input chunk — the
-                    // scalar path pays one per input row
+                    // one writer acquisition for the input rows this call
+                    // expands
                     let mut writer = arena.writer();
-                    for row in &inbuf {
+                    while *next_input < input_rows.len() && out.len() < goal {
+                        let row = input_rows[*next_input];
+                        *next_input += 1;
                         if !in_set(from, row.head) {
                             continue;
                         }
@@ -1356,8 +1020,14 @@ impl Stage {
                             });
                         });
                     }
+                    // the last row's expansions past the goal wait for the
+                    // next call (the surplus was drained, so it is empty here)
+                    if out.len() > goal {
+                        surplus.extend(out.drain(goal..));
+                    }
                     if ctx.budgeted() {
                         ctx.charge_arena_growth(writer.node_count())?;
+                        ctx.charge_bytes(surplus.len() as u64 * crate::exec::ROW_BYTES)?;
                     }
                 }
                 Ok(ChunkPull::Rows)
@@ -1372,60 +1042,55 @@ impl Stage {
                 seen,
             } => loop {
                 if let Some(w) = walk {
-                    w.drain_pending_into(out);
-                    {
-                        // the batch fast path: whole layers under one writer,
-                        // emissions straight into the chunk
-                        let mut writer = arena.writer();
-                        while !w.finished() && out.len() < goal {
-                            ctx.ensure_alive()?;
-                            if w.needs_roll() {
-                                w.roll(ctx, spec, delivered + (out.len() - base))?;
-                            } else {
-                                w.run_layer(
-                                    ctx,
-                                    &mut writer,
-                                    spec,
-                                    to,
-                                    remaining,
-                                    seen.as_mut(),
-                                    out,
-                                );
-                            }
-                            // per-layer budget check (mirrors the batch
-                            // executor): dense frontiers die mid-walk
-                            if ctx.budgeted() {
-                                ctx.charge_arena_growth(writer.node_count())?;
-                            }
-                        }
+                    w.drain_pending_into(out, goal);
+                    if out.len() >= goal {
+                        return Ok(ChunkPull::Rows);
                     }
                     if w.finished() {
                         *walk = None;
                         continue;
                     }
-                    return Ok(ChunkPull::Rows);
+                    ctx.ensure_alive()?;
+                    if w.needs_roll() {
+                        w.roll(ctx, spec, delivered + (out.len() - base))?;
+                    } else {
+                        let mut writer = arena.writer();
+                        w.run_layer(
+                            ctx,
+                            &mut writer,
+                            spec,
+                            to,
+                            remaining,
+                            seen.as_mut(),
+                            out,
+                            goal,
+                        );
+                        // per-layer budget check (mirrors the batch
+                        // executor): dense frontiers die mid-walk
+                        if ctx.budgeted() {
+                            ctx.charge_arena_growth(writer.node_count())?;
+                        }
+                    }
+                    continue;
                 }
                 if matches!(remaining, Some(0)) {
                     return Ok(flush(out.len(), base, ChunkPull::Done));
                 }
-                // input rows arrive one at a time: per-input-row walk work
-                // dwarfs pull dispatch, and scalar pulls keep the suspension
-                // protocol identical on the boundary
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Break(()) => return Ok(flush(out.len(), base, ChunkPull::Done)),
-                    ControlFlow::Continue(None) => {
-                        return Ok(flush(out.len(), base, ChunkPull::Starved))
-                    }
-                    ControlFlow::Continue(Some(row)) => {
-                        if !in_set(from, row.head) {
-                            continue;
-                        }
-                        if spec.semantics() == Semantics::Reachable {
-                            *seen = Some(SeenSet::default());
-                        }
-                        *walk = Some(AutoWalk::start(spec, to, row, remaining, seen.as_mut()));
-                    }
+                // input rows arrive one at a time: each starts a walk whose
+                // work dwarfs the call
+                match input.pull_chunk(ctx, arena, 1, out)? {
+                    ChunkPull::Rows => {}
+                    end => return Ok(flush(out.len(), base, end)),
                 }
+                let row = out.pop().expect("a one-row pull appends one row");
+                if !in_set(from, row.head) {
+                    continue;
+                }
+                if spec.semantics() == Semantics::Reachable {
+                    // per-row reachability: fresh dedup state per walk
+                    *seen = Some(SeenSet::default());
+                }
+                *walk = Some(AutoWalk::start(spec, to, row, remaining, seen.as_mut()));
             },
             StageOp::Weighted {
                 input,
@@ -1438,13 +1103,13 @@ impl Stage {
                 walk,
             } => loop {
                 if let Some(w) = walk {
-                    w.drain_pending_into(out);
+                    w.drain_pending_into(out, goal);
+                    if out.len() >= goal {
+                        return Ok(ChunkPull::Rows);
+                    }
                     if w.finished() {
                         *walk = None;
                         continue;
-                    }
-                    if out.len() >= goal {
-                        return Ok(ChunkPull::Rows);
                     }
                     ctx.ensure_alive()?;
                     w.advance(
@@ -1465,18 +1130,15 @@ impl Stage {
                 if matches!(remaining, Some(0)) {
                     return Ok(flush(out.len(), base, ChunkPull::Done));
                 }
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Break(()) => return Ok(flush(out.len(), base, ChunkPull::Done)),
-                    ControlFlow::Continue(None) => {
-                        return Ok(flush(out.len(), base, ChunkPull::Starved))
-                    }
-                    ControlFlow::Continue(Some(row)) => {
-                        if !in_set(from, row.head) {
-                            continue;
-                        }
-                        *walk = Some(WeightedWalk::start(spec, *semiring, row));
-                    }
+                match input.pull_chunk(ctx, arena, 1, out)? {
+                    ChunkPull::Rows => {}
+                    end => return Ok(flush(out.len(), base, end)),
                 }
+                let row = out.pop().expect("a one-row pull appends one row");
+                if !in_set(from, row.head) {
+                    continue;
+                }
+                *walk = Some(WeightedWalk::start(spec, *semiring, row));
             },
             StageOp::Repeat {
                 input,
@@ -1487,13 +1149,13 @@ impl Stage {
                 walk,
             } => loop {
                 if let Some(w) = walk {
-                    w.drain_pending_into(out);
+                    w.drain_pending_into(out, goal);
+                    if out.len() >= goal {
+                        return Ok(ChunkPull::Rows);
+                    }
                     if w.finished() {
                         *walk = None;
                         continue;
-                    }
-                    if out.len() >= goal {
-                        return Ok(ChunkPull::Rows);
                     }
                     ctx.ensure_alive()?;
                     w.advance(
@@ -1512,13 +1174,12 @@ impl Stage {
                     }
                     continue;
                 }
-                match input.pull(ctx, arena)? {
-                    ControlFlow::Break(()) => return Ok(flush(out.len(), base, ChunkPull::Done)),
-                    ControlFlow::Continue(None) => {
-                        return Ok(flush(out.len(), base, ChunkPull::Starved))
-                    }
-                    ControlFlow::Continue(Some(row)) => *walk = Some(RepeatWalk::new(row)),
+                match input.pull_chunk(ctx, arena, 1, out)? {
+                    ChunkPull::Rows => {}
+                    end => return Ok(flush(out.len(), base, end)),
                 }
+                let row = out.pop().expect("a one-row pull appends one row");
+                *walk = Some(RepeatWalk::new(row));
             },
             StageOp::RestrictVertices { input, vs } => {
                 Self::filtered_chunk(input, ctx, arena, goal, out, |row, _| {
@@ -1537,26 +1198,18 @@ impl Stage {
             }
             StageOp::Limit { input, remaining } => {
                 if *remaining == 0 {
+                    // saturated: never pull upstream again — this is the
+                    // `Done` that cancels suspended walks above
                     return Ok(ChunkPull::Done);
                 }
-                let start = out.len();
-                let res = input.pull_chunk(ctx, arena, target.max(1).min(*remaining), out)?;
-                let mut appended = out.len() - start;
-                if appended > *remaining {
-                    // the upstream chunk overshot the limit: the surplus rows
-                    // are dropped here (their expansions already counted —
-                    // the documented chunked-vs-scalar stats divergence on
-                    // non-pushed limits; emitted rows are identical)
-                    out.truncate(start + *remaining);
-                    appended = *remaining;
-                }
-                *remaining -= appended;
-                Ok(flush(out.len(), start, res))
+                let res = input.pull_chunk(ctx, arena, target.min(*remaining), out)?;
+                *remaining -= out.len() - base;
+                Ok(res)
             }
         }
     }
 
-    /// Shared chunk driver for the per-row filter stages
+    /// Shared loop for the per-row filter stages
     /// (`RestrictVertices`/`RestrictProperty`/`Dedup`): pulls input chunks
     /// and compacts survivors in place (arena rows are `Copy`), looping until
     /// the goal is met or the input runs out.
@@ -1569,7 +1222,7 @@ impl Stage {
         mut keep: impl FnMut(&ArenaRow, &ExecCtx<'_>) -> bool,
     ) -> Result<ChunkPull, EngineError> {
         let base = out.len();
-        loop {
+        while out.len() < goal {
             let start = out.len();
             let res = input.pull_chunk(ctx, arena, goal - start, out)?;
             let mut kept = start;
@@ -1580,28 +1233,20 @@ impl Stage {
                 }
             }
             out.truncate(kept);
-            match res {
-                ChunkPull::Rows => {
-                    if out.len() >= goal {
-                        return Ok(ChunkPull::Rows);
-                    }
-                }
-                ChunkPull::Done => {
-                    return Ok(if out.len() > base {
-                        ChunkPull::Rows
-                    } else {
-                        ChunkPull::Done
-                    })
-                }
-                ChunkPull::Starved => {
-                    return Ok(if out.len() > base {
-                        ChunkPull::Rows
-                    } else {
-                        ChunkPull::Starved
-                    })
-                }
+            if res != ChunkPull::Rows {
+                return Ok(flush(out.len(), base, res));
             }
         }
+        Ok(ChunkPull::Rows)
+    }
+}
+
+/// `Rows` if the call appended anything past `base`, otherwise `empty`.
+fn flush(out_len: usize, base: usize, empty: ChunkPull) -> ChunkPull {
+    if out_len > base {
+        ChunkPull::Rows
+    } else {
+        empty
     }
 }
 
@@ -1613,14 +1258,15 @@ impl Stage {
 /// protocol behind [`Traversal::cursor`](crate::Traversal::cursor) and the
 /// non-materializing terminals (`first`, `exists`, `count`).
 ///
-/// Each `next_row` pull performs only the work needed to surface one row —
+/// Each `next_row` performs only the work needed to surface one row —
 /// composite ops (`match_` product automata, `repeat`) suspend their frontier
 /// mid-layer between pulls — so `limit(k)`, `first()` and external
 /// [`Iterator`] consumption early-exit dense expansions instead of
 /// enumerating them. The cursor honours the traversal's
 /// [`ExecutionStrategy`]:
 ///
-/// * `Streaming` — fully incremental (the protocol's native granularity);
+/// * `Streaming` — fully incremental: `next_row` asks the stage pipeline
+///   for one row, [`RowCursor::next_chunk`] for a chunk of rows;
 /// * `Materialized` — evaluates the plan level-at-a-time on the first pull
 ///   and then yields from the buffer (early exit comes from the optimizer's
 ///   limit-pushdown annotation, not from the pull protocol);
@@ -1645,13 +1291,9 @@ pub struct RowCursor {
     budget: Option<u64>,
     inner: Inner,
     config: ExecConfig,
-    /// Whether the compiled plan has at least one expansion op — plans that
-    /// are pure filters gain nothing from batching, so [`RowCursor::next_chunk`]
-    /// falls back to the scalar pull for them.
-    chunkable: bool,
-    /// Reused transport buffer for the chunked drain (one allocation per
-    /// cursor, not per batch).
-    chunk_buf: RowChunk,
+    /// Reused transport buffer for the rows a streaming pipeline hands out
+    /// (one allocation per cursor, not per call).
+    chunk_buf: Vec<ArenaRow>,
     fused: bool,
 }
 
@@ -1705,7 +1347,6 @@ impl RowCursor {
         match strategy {
             ExecutionStrategy::Materialized => Self::batch(snapshot, plan, cap, config),
             ExecutionStrategy::Streaming => {
-                let chunkable = plan.chunk_capable();
                 let mut root = Stage::pipeline(initial_rows(plan.start()), plan.ops().to_vec());
                 if config.profile {
                     root.enable_trace();
@@ -1722,8 +1363,7 @@ impl RowCursor {
                         root: Box::new(root),
                     },
                     config,
-                    chunkable,
-                    chunk_buf: RowChunk::default(),
+                    chunk_buf: Vec::new(),
                     fused: false,
                 }
             }
@@ -1751,8 +1391,7 @@ impl RowCursor {
                 trace: None,
             },
             config,
-            chunkable: false,
-            chunk_buf: RowChunk::default(),
+            chunk_buf: Vec::new(),
             fused: false,
         }
     }
@@ -1830,7 +1469,7 @@ impl RowCursor {
                     arena: PathArena::new(),
                     root,
                     counters: Counters::default(),
-                    rows: VecDeque::new(),
+                    rows: Vec::new(),
                     finished: VecDeque::new(),
                     materialise: !has_suffix,
                     forward: IdForwarder::new(),
@@ -1849,6 +1488,7 @@ impl RowCursor {
             Some(SuffixPipe {
                 arena: PathArena::new(),
                 root,
+                rows: Vec::new(),
             })
         };
         RowCursor {
@@ -1868,44 +1508,24 @@ impl RowCursor {
                 boundary_interned: 0,
             })),
             config,
-            chunkable: false,
-            chunk_buf: RowChunk::default(),
+            chunk_buf: Vec::new(),
             fused: false,
         }
     }
 
     /// Pulls the next result row, or `None` when the traversal is exhausted
-    /// (or a `Limit` upstream broke the pipeline). After an error the cursor
-    /// is fused and returns `Ok(None)`.
+    /// (or a `Limit` upstream finished the pipeline). After an error the
+    /// cursor is fused and returns `Ok(None)`.
     pub fn next_row(&mut self) -> Result<Option<ResultRow>, EngineError> {
-        if self.fused {
-            return Ok(None);
-        }
-        let out = self.advance_inner(true);
-        match out {
-            Ok(Some(RowDelivery::Materialised(row))) => Ok(Some(row)),
-            Ok(Some(RowDelivery::Counted)) => unreachable!("materialise requested"),
-            Ok(None) => Ok(None),
-            Err(e) => {
-                self.fused = true;
-                Err(e)
-            }
-        }
+        let mut row = Vec::with_capacity(1);
+        self.deliver(1, Some(&mut row))?;
+        Ok(row.pop())
     }
 
     /// Advances past one row without materialising its path (the `count`
     /// terminal). Returns whether a row was consumed.
     pub(crate) fn advance_row(&mut self) -> Result<bool, EngineError> {
-        if self.fused {
-            return Ok(false);
-        }
-        match self.advance_inner(false) {
-            Ok(opt) => Ok(opt.is_some()),
-            Err(e) => {
-                self.fused = true;
-                Err(e)
-            }
-        }
+        Ok(self.deliver(1, None)? > 0)
     }
 
     /// The snapshot this cursor executes against (pinned at compile time; a
@@ -1937,65 +1557,35 @@ impl RowCursor {
 
     /// Pulls the next batch of result rows into `out` (appending), returning
     /// whether anything was appended — the full-drain counterpart of
-    /// [`RowCursor::next_row`]. Streaming pipelines with expansion work move
-    /// whole row chunks through the stage tree per call (see [`crate::chunk`]);
-    /// other strategies and pure-filter plans fall back to repeated scalar
-    /// pulls, so every cursor supports this entry point. After an error the
-    /// cursor is fused, exactly like the scalar protocol.
+    /// [`RowCursor::next_row`], asking for the traversal's chunk size
+    /// (`Traversal::chunk_size`) instead of one row. Streaming pipelines move
+    /// whole row chunks through the stage tree per call (see
+    /// [`crate::chunk`]). After an error the cursor is fused, exactly like
+    /// `next_row`.
     pub fn next_chunk(&mut self, out: &mut Vec<ResultRow>) -> Result<bool, EngineError> {
-        if self.fused {
-            return Ok(false);
-        }
-        let target = self.config.chunk.max(1);
-        if !self.chunkable || !matches!(self.inner, Inner::Pipe { .. }) {
-            let before = out.len();
-            for _ in 0..target {
-                match self.next_row()? {
-                    Some(row) => out.push(row),
-                    None => break,
-                }
-            }
-            return Ok(out.len() > before);
-        }
-        let ctx = ExecCtx {
-            snapshot: &self.snapshot,
-            cap: self.cap,
-            counters: &self.counters,
-            alive: self.alive.active(),
-            use_csr: self.config.use_csr,
-            budget: self.budget,
-        };
-        let Inner::Pipe { arena, root } = &mut self.inner else {
-            unreachable!("checked above");
-        };
-        self.chunk_buf.clear();
-        match root.pull_chunk(&ctx, arena, target, &mut self.chunk_buf.rows) {
-            Ok(ChunkPull::Rows) => {
-                if ctx.budgeted() {
-                    if let Err(e) =
-                        ctx.charge_bytes(self.chunk_buf.rows.len() as u64 * crate::exec::ROW_BYTES)
-                    {
-                        self.fused = true;
-                        return Err(e);
-                    }
-                }
-                out.extend(self.chunk_buf.rows.iter().map(|row| ResultRow {
-                    source: row.source,
-                    path: arena.to_path(row.path),
-                    head: row.head,
-                    weight: row.weight,
-                }));
-                Ok(true)
-            }
-            Ok(ChunkPull::Done | ChunkPull::Starved) => Ok(false),
-            Err(e) => {
-                self.fused = true;
-                Err(e)
-            }
-        }
+        Ok(self.deliver(self.config.chunk, Some(out))? > 0)
     }
 
-    fn advance_inner(&mut self, materialise: bool) -> Result<Option<RowDelivery>, EngineError> {
+    /// Delivers up to `target` rows, materialised into `out` or only counted
+    /// when `out` is `None`, and returns how many were delivered. An error
+    /// fuses the cursor.
+    fn deliver(
+        &mut self,
+        target: usize,
+        out: Option<&mut Vec<ResultRow>>,
+    ) -> Result<usize, EngineError> {
+        if self.fused {
+            return Ok(0);
+        }
+        self.deliver_inner(target, out)
+            .inspect_err(|_| self.fused = true)
+    }
+
+    fn deliver_inner(
+        &mut self,
+        target: usize,
+        mut out: Option<&mut Vec<ResultRow>>,
+    ) -> Result<usize, EngineError> {
         let profile = self.config.profile;
         let ctx = ExecCtx {
             snapshot: &self.snapshot,
@@ -2006,19 +1596,25 @@ impl RowCursor {
             budget: self.budget,
         };
         match &mut self.inner {
-            Inner::Pipe { arena, root } => match root.pull(&ctx, arena)? {
-                ControlFlow::Continue(Some(row)) => Ok(Some(if materialise {
-                    RowDelivery::Materialised(ResultRow {
+            Inner::Pipe { arena, root } => {
+                let rows = &mut self.chunk_buf;
+                rows.clear();
+                if root.pull_chunk(&ctx, arena, target, rows)? != ChunkPull::Rows {
+                    return Ok(0);
+                }
+                if ctx.budgeted() {
+                    ctx.charge_bytes(rows.len() as u64 * crate::exec::ROW_BYTES)?;
+                }
+                if let Some(out) = out {
+                    out.extend(rows.iter().map(|row| ResultRow {
                         source: row.source,
                         path: arena.to_path(row.path),
                         head: row.head,
                         weight: row.weight,
-                    })
-                } else {
-                    RowDelivery::Counted
-                })),
-                ControlFlow::Continue(None) | ControlFlow::Break(()) => Ok(None),
-            },
+                    }));
+                }
+                Ok(rows.len())
+            }
             Inner::Batch { buffered, trace } => {
                 if buffered.is_none() {
                     let (start, ops) = (self.plan.start(), self.plan.ops());
@@ -2031,12 +1627,29 @@ impl RowCursor {
                     };
                     *buffered = Some(rows.into_iter());
                 }
-                Ok(buffered
-                    .as_mut()
-                    .and_then(|it| it.next())
-                    .map(RowDelivery::Materialised))
+                let rows = buffered.as_mut().expect("filled above").take(target);
+                Ok(match out {
+                    Some(out) => {
+                        let before = out.len();
+                        out.extend(rows);
+                        out.len() - before
+                    }
+                    None => rows.count(),
+                })
             }
-            Inner::Parallel(state) => Ok(state.next_row(&ctx)?.map(RowDelivery::Materialised)),
+            Inner::Parallel(state) => {
+                let mut delivered = 0;
+                while delivered < target {
+                    let Some(row) = state.next_row(&ctx)? else {
+                        break;
+                    };
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(row);
+                    }
+                    delivered += 1;
+                }
+                Ok(delivered)
+            }
         }
     }
 
@@ -2114,11 +1727,6 @@ impl RowCursor {
     }
 }
 
-enum RowDelivery {
-    Materialised(ResultRow),
-    Counted,
-}
-
 /// External iteration: yields `Err` once on failure, then fuses.
 impl Iterator for RowCursor {
     type Item = Result<ResultRow, EngineError>;
@@ -2146,7 +1754,7 @@ struct Partition {
     root: Stage,
     counters: Counters,
     /// Rows awaiting the suffix boundary (id-forwarding plans).
-    rows: VecDeque<ArenaRow>,
+    rows: Vec<ArenaRow>,
     /// Rows materialised on the worker thread (suffix-free plans).
     finished: VecDeque<ResultRow>,
     /// Whether this partition's rows are final output (no suffix pipeline):
@@ -2166,8 +1774,8 @@ impl Partition {
         self.rows.len() + self.finished.len()
     }
 
-    /// Pulls up to `batch` rows from the partition's prefix pipeline (runs on
-    /// a scoped worker thread). Suffix-free plans materialise here — path
+    /// Asks the partition's prefix pipeline for up to `batch` rows in one
+    /// call (runs on a scoped worker thread). Suffix-free plans materialise here — path
     /// reconstruction runs in parallel across partitions; plans with a
     /// stateful suffix keep [`ArenaRow`]s for the consumer's id forwarder.
     fn pull_batch(
@@ -2186,27 +1794,24 @@ impl Partition {
             use_csr,
             budget: self.budget,
         };
-        let mut produced = 0u64;
-        for _ in 0..batch {
-            match self.root.pull(&ctx, &self.arena)? {
-                ControlFlow::Continue(Some(row)) => {
-                    produced += 1;
-                    if self.materialise {
-                        self.finished.push_back(ResultRow {
-                            source: row.source,
-                            path: self.arena.to_path(row.path),
-                            head: row.head,
-                            weight: row.weight,
-                        });
-                    } else {
-                        self.rows.push_back(row);
-                    }
-                }
-                ControlFlow::Continue(None) | ControlFlow::Break(()) => {
-                    self.done = true;
-                    break;
-                }
-            }
+        let base = self.rows.len();
+        if self
+            .root
+            .pull_chunk(&ctx, &self.arena, batch, &mut self.rows)?
+            != ChunkPull::Rows
+        {
+            self.done = true;
+        }
+        let produced = (self.rows.len() - base) as u64;
+        if self.materialise {
+            let arena = &self.arena;
+            self.finished
+                .extend(self.rows.drain(base..).map(|row| ResultRow {
+                    source: row.source,
+                    path: arena.to_path(row.path),
+                    head: row.head,
+                    weight: row.weight,
+                }));
         }
         if ctx.budgeted() {
             // per-batch backstop for the queued rows (arena growth was
@@ -2221,6 +1826,8 @@ impl Partition {
 struct SuffixPipe {
     arena: PathArena,
     root: Stage,
+    /// Reused buffer for the suffix's one-row pulls.
+    rows: Vec<ArenaRow>,
 }
 
 /// Start-partitioned parallel evaluation as a cursor.
@@ -2234,7 +1841,7 @@ struct SuffixPipe {
 /// row to a contiguous run of output rows) — feeding the stateful suffix
 /// pipeline, which runs globally, single-threaded. The result is row-for-row
 /// identical to the materialized strategy; when the suffix reports
-/// `ControlFlow::Break` (a saturated `Limit`), the partition cursors are
+/// `Done` (a saturated `Limit`), the partition cursors are
 /// simply never pulled again, so at most one speculative batch per partition
 /// is wasted.
 ///
@@ -2264,17 +1871,19 @@ impl ParallelState {
         loop {
             // 1. serve from the suffix pipeline if there is one
             if let Some(sfx) = &mut self.suffix {
-                match sfx.root.pull(ctx, &sfx.arena)? {
-                    ControlFlow::Break(()) => return Ok(None),
-                    ControlFlow::Continue(Some(row)) => {
+                sfx.rows.clear();
+                match sfx.root.pull_chunk(ctx, &sfx.arena, 1, &mut sfx.rows)? {
+                    ChunkPull::Done => return Ok(None),
+                    ChunkPull::Rows => {
+                        let row = sfx.rows[0];
                         return Ok(Some(ResultRow {
                             source: row.source,
                             path: sfx.arena.to_path(row.path),
                             head: row.head,
                             weight: row.weight,
-                        }))
+                        }));
                     }
-                    ControlFlow::Continue(None) => {} // starved: feed below
+                    ChunkPull::Starved => {} // feed below
                 }
             } else if self.current < self.partitions.len() {
                 // suffix-free plans: the worker threads already materialised

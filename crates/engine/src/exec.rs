@@ -11,19 +11,20 @@
 //!   reference implementation. Under `limit(k)` it early-exits only through
 //!   the optimizer's R7 annotation (the automaton emission cap).
 //! * [`ExecutionStrategy::Streaming`] — the demand-driven cursor: every plan
-//!   op compiles to a pull-based stage ([`crate::cursor`]), rows flow one at
-//!   a time, and a downstream `Limit`/`first()` propagates
-//!   `ControlFlow::Break` upstream — including suspending an in-flight
-//!   `(vertex, dfa-state)` product-automaton frontier mid-layer and dropping
-//!   it without finishing the walk.
+//!   op compiles to a pull-based stage ([`crate::cursor`]) that hands out at
+//!   most the rows it is asked for — one for `next_row`/`first()`, a chunk
+//!   for a full drain — and keeps the rest of its work suspended. A
+//!   saturated `Limit` stops pulling, so an in-flight `(vertex, dfa-state)`
+//!   product-automaton frontier is dropped mid-layer without finishing the
+//!   walk.
 //! * [`ExecutionStrategy::Parallel`] — partitions the start frontier across
 //!   threads; each partition evaluates the plan's stateless prefix
 //!   (everything before the first `Dedup`/`Limit`) through its own cursor,
 //!   pulled in growing batches by scoped threads, and the stateful suffix
 //!   consumes the batches globally *in partition order* — so the output is
-//!   row-for-row identical to the materialized strategy, and an early
-//!   `ControlFlow::Break` from the suffix stops all partition cursors with
-//!   only their last speculative batch wasted.
+//!   row-for-row identical to the materialized strategy, and a suffix that
+//!   finishes early stops all partition cursors with only their last
+//!   speculative batch wasted.
 //!
 //! Expansion is **frontier-driven**: each row's next edges come straight from
 //! `graph.out_edges(head)` / `out_edges_labeled(head, α)` adjacency (the
@@ -143,9 +144,11 @@ impl Counters {
 /// (`Traversal::vectorize` / `Traversal::chunk_size`) into the cursor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ExecConfig {
-    /// Read per-label adjacency from the per-generation CSR (default: on).
+    /// Read per-label adjacency from the per-generation CSR (default: on);
+    /// off reads the hashmap adjacency. It selects only the adjacency
+    /// source: the row transport is the same either way.
     pub(crate) use_csr: bool,
-    /// Target rows per chunked pull on full drains (default:
+    /// Rows [`RowCursor::next_chunk`] asks the cursor for per call (default:
     /// [`crate::chunk::DEFAULT_CHUNK_SIZE`]).
     pub(crate) chunk: usize,
     /// Record per-stage execution traces (`Traversal::profile`; default:
@@ -179,8 +182,10 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) alive: Option<&'a Liveness>,
     /// Whether per-label expansion reads the per-generation CSR instead of
     /// the hashmap adjacency (the `Traversal::vectorize` knob; on by
-    /// default). Wildcard expansion always stays on the hashmap — the CSR's
-    /// label-sorted layout would reorder interleaved insertion order.
+    /// default). Only the adjacency source changes; stages, chunking and
+    /// early exit do not. Wildcard expansion always stays on the hashmap —
+    /// the CSR's label-sorted layout would reorder interleaved insertion
+    /// order.
     pub(crate) use_csr: bool,
     /// Byte budget for this accounting domain; `None` disables all memory
     /// accounting (the unbudgeted hot path pays one branch per charge site).
@@ -385,8 +390,7 @@ pub fn execute_with_threads(
         max_intermediate,
         threads,
     );
-    // full drain: move whole chunks per call (scalar fallback where the
-    // strategy or plan shape doesn't batch — see `RowCursor::next_chunk`)
+    // full drain: ask for whole chunks per call
     let mut rows = Vec::new();
     while cursor.next_chunk(&mut rows)? {}
     Ok(QueryResult::new(rows, cursor.finish()))
@@ -550,8 +554,7 @@ pub(crate) fn apply_op(
             // row-major; `remaining` is the R7 emission cap shared across
             // input rows. One write-lock acquisition for the whole op —
             // dropped around layer rollovers, which hold no writer. Each
-            // layer runs through the batch-stepping fast path
-            // (`AutoWalk::run_layer`) instead of per-entry dispatch.
+            // layer runs whole through `AutoWalk::run_layer` (no goal).
             let mut emitted: Vec<ArenaRow> = Vec::new();
             let mut row_mark = 0usize;
             let mut remaining = *limit;
@@ -571,7 +574,7 @@ pub(crate) fn apply_op(
                     seen = Some(SeenSet::default());
                 }
                 let mut walk = AutoWalk::start(spec, to, row, &mut remaining, seen.as_mut());
-                walk.drain_pending_into(&mut emitted);
+                walk.drain_pending_into(&mut emitted, usize::MAX);
                 loop {
                     ctx.ensure_alive()?;
                     if walk.finished() {
@@ -588,6 +591,7 @@ pub(crate) fn apply_op(
                             &mut remaining,
                             seen.as_mut(),
                             &mut emitted,
+                            usize::MAX,
                         );
                     }
                     // per-layer budget check: a dense product-automaton
@@ -626,7 +630,7 @@ pub(crate) fn apply_op(
                 let mut walk = WeightedWalk::start(spec, *semiring, row);
                 loop {
                     ctx.ensure_alive()?;
-                    walk.drain_pending_into(&mut emitted);
+                    walk.drain_pending_into(&mut emitted, usize::MAX);
                     if walk.finished() {
                         break;
                     }
@@ -663,7 +667,7 @@ pub(crate) fn apply_op(
                 let mut walk = RepeatWalk::new(row);
                 loop {
                     ctx.ensure_alive()?;
-                    walk.drain_pending_into(&mut emitted);
+                    walk.drain_pending_into(&mut emitted, usize::MAX);
                     if walk.finished() {
                         break;
                     }

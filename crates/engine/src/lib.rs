@@ -66,7 +66,7 @@ pub mod value;
 pub mod wal;
 
 pub use cancel::CancelToken;
-pub use chunk::{RowChunk, DEFAULT_CHUNK_SIZE};
+pub use chunk::DEFAULT_CHUNK_SIZE;
 pub use csr::CsrTopology;
 pub use cursor::RowCursor;
 pub use error::{EngineError, StoreError};

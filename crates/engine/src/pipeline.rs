@@ -980,14 +980,14 @@ impl Traversal {
         self
     }
 
-    /// Switches the vectorized execution machinery on or off (on by
-    /// default). When on, label-restricted expansions scan the snapshot's
+    /// Switches the CSR adjacency source on or off (on by default). When
+    /// on, label-restricted expansions scan the snapshot's
     /// [CSR topology](crate::csr::CsrTopology) instead of probing hash
-    /// buckets, and full-drain terminals move [chunks](crate::chunk) of rows
-    /// per cursor call. When off, execution takes the original
-    /// hashmap-adjacency scalar path — results are identical either way (the
-    /// vectorized-equivalence suite pins this); the knob exists for A/B
-    /// benchmarks and as a fallback.
+    /// buckets; when off, they probe the hashmap adjacency and no CSR is
+    /// built. Nothing else changes — rows move through the same
+    /// [chunked](crate::chunk) stage protocol — and results are identical
+    /// (the vectorized-equivalence suite pins this); the knob exists for
+    /// A/B benchmarks and as a fallback.
     pub fn vectorize(mut self, on: bool) -> Self {
         self.vectorize = on;
         self
@@ -995,8 +995,9 @@ impl Traversal {
 
     /// Overrides the row-chunk target for full-drain execution (default
     /// [`DEFAULT_CHUNK_SIZE`](crate::chunk::DEFAULT_CHUNK_SIZE)). Mostly a
-    /// benchmark/testing knob: 1 degenerates to scalar-sized batches, larger
-    /// values trade memory for fewer protocol round trips.
+    /// benchmark/testing knob: 1 asks for one row per call, exactly like
+    /// `next_row`; larger values trade memory for fewer protocol round
+    /// trips.
     pub fn chunk_size(mut self, rows: usize) -> Self {
         self.chunk = rows.max(1);
         self

@@ -314,8 +314,8 @@ const MAX_AUTOMATON_ATOMS: usize = 64;
 /// otherwise re-derive per produced row: whether the target accepts, whether
 /// the target has any live outgoing moves, and the admissible lower bound on
 /// edges from the target to acceptance. Hoisting these into the move table
-/// lets both the scalar and chunked walkers skip dead states without a
-/// per-row `is_accept`/`moves(target).is_empty()`/`dist_to_accept` lookup.
+/// lets the walkers skip dead states without a per-row
+/// `is_accept`/`moves(target).is_empty()`/`dist_to_accept` lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AutoMove {
     /// The edge label consumed by this move.
@@ -624,26 +624,6 @@ impl LogicalPlan {
             op_dirs(op, &mut out, &mut in_);
         }
         (out, in_)
-    }
-
-    /// Whether the plan benefits from chunked (vectorized) pulls: it contains
-    /// at least one expansion op (recursively). Expansion-free plans are pure
-    /// per-row filters over the start frontier — chunking them only adds
-    /// buffering, so the cursor keeps them on the scalar drain.
-    pub fn chunk_capable(&self) -> bool {
-        fn op_expands(op: &PlanOp) -> bool {
-            match op {
-                PlanOp::Expand { .. }
-                | PlanOp::ExpandAutomaton { .. }
-                | PlanOp::ExpandWeighted { .. }
-                | PlanOp::Repeat { .. } => true,
-                PlanOp::RestrictVertices(_)
-                | PlanOp::RestrictProperty { .. }
-                | PlanOp::DedupByVertex
-                | PlanOp::Limit(_) => false,
-            }
-        }
-        self.ops.iter().any(op_expands)
     }
 
     /// Number of expansion (join) steps at the top level of the plan.

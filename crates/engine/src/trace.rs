@@ -19,8 +19,10 @@
 //! Semantics by strategy:
 //!
 //! * **Streaming / Parallel** — `pulls`/`chunks` count protocol traffic per
-//!   stage; times are measured around each pull and reported *exclusive*
-//!   (self time, upstream stages subtracted).
+//!   stage: every stage call asks for some number of rows, and a call that
+//!   asks for one counts as a pull, any other as a chunk. Times are measured
+//!   around each call and reported *exclusive* (self time, upstream stages
+//!   subtracted).
 //! * **Materialized** — the batch executor applies each op once over the
 //!   whole row set, so every node reports `pulls == 1`, `chunks == 0`, and
 //!   its wall time is the op's batch application time.
@@ -36,9 +38,9 @@ use crate::query::QueryResult;
 pub(crate) struct OpActuals {
     /// Rows the op emitted downstream.
     pub(crate) rows_out: u64,
-    /// Scalar pulls answered by the op.
+    /// Stage calls that asked for one row.
     pub(crate) pulls: u64,
-    /// Chunks answered by the op.
+    /// Stage calls that asked for more than one row.
     pub(crate) chunks: u64,
     /// Wall time spent in the op itself, nanoseconds.
     pub(crate) nanos: u64,
@@ -73,9 +75,11 @@ pub struct TraceNode {
     pub rows_in: u64,
     /// Rows this op emitted.
     pub rows_out: u64,
-    /// Scalar pulls answered by this op.
+    /// Calls to this op's stage that asked for one row (`next_row`,
+    /// `count`, and the one-row input pulls of walker stages).
     pub pulls: u64,
-    /// Chunks answered by this op.
+    /// Calls to this op's stage that asked for more than one row (chunked
+    /// drains and parallel partition batches).
     pub chunks: u64,
     /// Wall time in this op alone (upstream excluded), nanoseconds.
     pub self_time_ns: u64,

@@ -16,7 +16,9 @@
 //!
 //! Plus direct regressions: `first()` after a dense `match_` on a complete
 //! graph performs a *bounded* number of expansions (asserted via the
-//! expansion counter, not wall time), and `Semantics::Reachable` terminates
+//! expansion counter, not wall time); a limited chunked `execute()` does the
+//! work of a `next_row` drain (the cursor has one stage protocol, and a
+//! one-row pull is a chunk of one); and `Semantics::Reachable` terminates
 //! on cyclic graphs where walk enumeration trips `max_intermediate`.
 
 use rand::Rng as _;
@@ -78,6 +80,30 @@ fn row_sequence(result: &QueryResult) -> Vec<String> {
         .collect()
 }
 
+/// Drains a cursor one `next_row` at a time; returns the row sequence and
+/// the expansions it took.
+fn next_row_drain(t: Traversal) -> (Vec<String>, u64) {
+    let mut cursor = t.cursor().unwrap();
+    let mut rows = Vec::new();
+    while let Some(row) = cursor.next_row().unwrap() {
+        rows.push(format!("{}-[{}]->{}", row.source, row.path, row.head));
+    }
+    (rows, cursor.stats().expansions)
+}
+
+/// The complete `knows`-digraph on `n` vertices.
+fn complete_knows_graph(n: usize) -> PropertyGraph {
+    let g = PropertyGraph::new();
+    for i in 0..n {
+        for j in 0..n {
+            if i != j {
+                g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
+            }
+        }
+    }
+    g
+}
+
 /// Pipelines whose unlimited runs are cheap (bounded hops) but walk cyclic
 /// structure, exercising automaton, repeat, filter, and dedup stages.
 fn pipelines(g: &PropertyGraph) -> Vec<Traversal> {
@@ -108,6 +134,15 @@ fn limit_k_is_the_prefix_of_the_unlimited_run_under_every_strategy() {
                         got, want,
                         "case {case} pipeline {pi} limit({k}) {strategy:?}"
                     );
+                    if strategy == ExecutionStrategy::Streaming {
+                        // one stage protocol: one-row chunks are next_row
+                        let t = base.clone().limit(k).strategy(strategy);
+                        let one = t.clone().chunk_size(1).execute().unwrap();
+                        let (drained, expansions) = next_row_drain(t);
+                        let ctx = format!("case {case} pipeline {pi} limit({k})");
+                        assert_eq!(row_sequence(&one), drained, "{ctx} rows");
+                        assert_eq!(one.stats().expansions, expansions, "{ctx} expansions");
+                    }
                 }
             }
         }
@@ -180,15 +215,8 @@ fn first_on_a_dense_match_performs_bounded_expansions() {
     // anything that enumerates it will not finish. The assertion is on the
     // expansion counter, not wall time: one frontier entry's adjacency is
     // enough to surface the first row.
-    let g = PropertyGraph::new();
     let n = 12usize;
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
-            }
-        }
-    }
+    let g = complete_knows_graph(n);
     // the terminal itself (default strategy) is bounded
     let row = Traversal::over(&g)
         .v(["v0"])
@@ -217,6 +245,33 @@ fn first_on_a_dense_match_performs_bounded_expansions() {
     }
     // exists() on the same dense automaton is equally bounded
     assert!(Traversal::over(&g).match_("knows+").exists().unwrap());
+}
+
+#[test]
+fn a_limited_chunked_drain_does_the_work_of_a_one_row_drain() {
+    // Streaming out·out·dedup·limit(3) on K12: the first knows-neighbour's
+    // own neighbours already hold 3 distinct heads, so 11 + 11 expansions
+    // suffice however the rows are asked for. A stage that handed out more
+    // than it was asked for would expand the whole second layer (132) and,
+    // under max_intermediate(20), fail with BoundExceeded.
+    let g = complete_knows_graph(12);
+    let t = Traversal::over(&g)
+        .out(["knows"])
+        .out(["knows"])
+        .dedup()
+        .limit(3)
+        .strategy(ExecutionStrategy::Streaming);
+    let (rows, expansions) = next_row_drain(t.clone());
+    assert_eq!((rows.len(), expansions), (3, 22), "next_row drain");
+    for chunk in [1, 3, 2048] {
+        let r = t.clone().chunk_size(chunk).execute().unwrap();
+        assert_eq!(row_sequence(&r), rows, "execute() at chunk {chunk}");
+        assert_eq!(r.stats().expansions, 22, "execute() at chunk {chunk}");
+    }
+    let (count, execution) = t.count_with_stats().unwrap();
+    assert_eq!((count, execution.stats().expansions), (3, 22), "count()");
+    let bounded = t.max_intermediate(20).execute().unwrap();
+    assert_eq!(row_sequence(&bounded), rows, "max_intermediate(20)");
 }
 
 #[test]

@@ -1,17 +1,20 @@
-//! Seeded equivalence tests for CSR-backed chunked (vectorized) execution.
+//! Seeded equivalence tests for CSR-backed execution across chunk sizes.
 //!
 //! The acceptance property of the vectorized subsystem: for every query
 //! form the engine supports — step chains in all directions, regular path
 //! patterns, weighted search, bounded repetition, filters, dedup, limits —
-//! executing with vectorization ON (CSR label-segment scans + chunked row
-//! transport, the default) produces **exactly** the rows of executing with
-//! vectorization OFF (hashmap adjacency + scalar pulls), row order and
-//! weights included, under every execution strategy and across adversarial
-//! chunk sizes (1 forces a stage suspension at every row boundary). On
-//! full-drain forms the `ExecStats` expansion counters must agree too — the
-//! CSR scan must visit exactly the edges the hash-bucket probe visits.
-//! Non-pushed limits are the documented exception: the chunked path may
-//! over-expand upstream by up to one chunk (rows are still identical).
+//! executing with vectorization ON (CSR label-segment scans, the default)
+//! at an adversarial chunk size produces **exactly** the rows of executing
+//! with vectorization OFF (hashmap adjacency) at the default chunk size, row
+//! order and weights included, under every execution strategy. `vectorize`
+//! swaps only the adjacency source; both runs use the one chunked stage
+//! protocol, and chunk size 1 suspends every stage at every row boundary.
+//! On full-drain forms the `ExecStats` expansion counters must agree too —
+//! the CSR scan must visit exactly the edges the hash-bucket probe visits.
+//! Under a limit the optimizer does not push into an automaton they may
+//! differ, because the two runs ask for different chunk sizes: a stage asks
+//! its input for up to one chunk of rows, so an expansion upstream may run
+//! ahead by up to one chunk (rows are still identical).
 
 use rand::Rng as _;
 
@@ -63,8 +66,8 @@ fn cases(stream: u64, mut check: impl FnMut(&mut Rng, usize)) {
     }
 }
 
-/// Order-sensitive row signature including the weight column: the chunked
-/// path must reproduce the scalar row *sequence*, not just the set.
+/// Order-sensitive row signature including the weight column: the CSR run
+/// must reproduce the hashmap run's row *sequence*, not just the set.
 fn row_sequence(result: &QueryResult) -> Vec<String> {
     result
         .rows()
@@ -78,9 +81,10 @@ fn row_sequence(result: &QueryResult) -> Vec<String> {
         .collect()
 }
 
-/// Executes `build()` scalar (vectorize off) and chunked (on, at `chunk`
-/// rows) under `strategy` and asserts row-for-row equality; returns both
-/// results so callers can additionally compare stats.
+/// Executes `build()` on hashmap adjacency (vectorize off, default chunk)
+/// and on the CSR (on, at `chunk` rows) under `strategy` and asserts
+/// row-for-row equality; returns both results so callers can additionally
+/// compare stats.
 fn assert_equivalent(
     build: &dyn Fn() -> Traversal,
     strategy: ExecutionStrategy,
@@ -220,8 +224,9 @@ fn repeat_and_limit_forms_agree() {
                     "case {case} repeat expansions, {strategy:?} chunk {chunk}"
                 );
                 // rows under a trailing limit must still match exactly;
-                // expansion counts are deliberately NOT compared (the chunked
-                // path may over-pull upstream by up to one chunk)
+                // expansion counts are not compared: the two runs ask for
+                // different chunk sizes, and a stage may pull up to one
+                // chunk of input ahead of the rows it hands out
                 assert_equivalent(
                     &|| Traversal::over(&g).match_within("a·(b|c)", 3).limit(k),
                     strategy,
