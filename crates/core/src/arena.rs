@@ -15,6 +15,21 @@
 //!   `PathId`, so set-level deduplication is integer hashing instead of
 //!   hashing whole edge vectors.
 //!
+//! There are two ways to extend a path, and they differ only in that
+//! invariant:
+//!
+//! * [`append`](PathArena::append) hash-conses `(prefix, edge)` through the
+//!   intern map, so ids are canonical. [`PathSet`](crate::pathset::PathSet),
+//!   [`traversal`](crate::traversal), the regex generator and
+//!   [`IdForwarder`] use it: their set semantics (or the forwarder's
+//!   contract that it agrees with [`PathArena::intern`]) need one id per
+//!   edge string.
+//! * [`ArenaWriter::push`] writes a fresh node and never touches the intern
+//!   map. The engine's executors use it: they enumerate walks, a multiset,
+//!   whose rows already have distinct prefixes and never compare ids, so the
+//!   intern probe would be pure cost. Pushed ids are not canonical, and
+//!   [`PathArena::find`]/[`PathArena::intern`] do not see pushed nodes.
+//!
 //! Arenas are cheap to clone (an `Arc` handle) and append-only: every
 //! `PathId` stays valid for the lifetime of any handle. Interior mutability
 //! is behind an `RwLock`; all bulk operations in
@@ -70,6 +85,35 @@ pub(crate) struct PathNode {
     pub joint: bool,
 }
 
+/// Pushes the node for `base ◦ e`, deriving its cached projections from the
+/// prefix node, and returns its id.
+#[inline]
+fn push_node(nodes: &mut Vec<PathNode>, base: PathId, edge: Edge) -> PathId {
+    let b = &nodes[base.index()];
+    let node = if base.is_epsilon() {
+        PathNode {
+            prefix: base,
+            edge,
+            len: 1,
+            tail: edge.tail,
+            head: edge.head,
+            joint: true,
+        }
+    } else {
+        PathNode {
+            prefix: base,
+            edge,
+            len: b.len + 1,
+            tail: b.tail,
+            head: edge.head,
+            joint: b.joint && b.head == edge.tail,
+        }
+    };
+    let id = PathId(u32::try_from(nodes.len()).expect("path arena overflow"));
+    nodes.push(node);
+    id
+}
+
 /// The lock-free interior of an arena; `PathSet` bulk operations work on this
 /// through a single guard per operation.
 #[derive(Debug)]
@@ -104,30 +148,7 @@ impl ArenaCore {
         match self.intern.entry((base, edge)) {
             std::collections::hash_map::Entry::Occupied(hit) => *hit.get(),
             std::collections::hash_map::Entry::Vacant(slot) => {
-                let b = &self.nodes[base.index()];
-                let node = if base.is_epsilon() {
-                    PathNode {
-                        prefix: base,
-                        edge,
-                        len: 1,
-                        tail: edge.tail,
-                        head: edge.head,
-                        joint: true,
-                    }
-                } else {
-                    PathNode {
-                        prefix: base,
-                        edge,
-                        len: b.len + 1,
-                        tail: b.tail,
-                        head: edge.head,
-                        joint: b.joint && b.head == edge.tail,
-                    }
-                };
-                let id = PathId(u32::try_from(self.nodes.len()).expect("path arena overflow"));
-                self.nodes.push(node);
-                slot.insert(id);
-                id
+                *slot.insert(push_node(&mut self.nodes, base, edge))
             }
         }
     }
@@ -275,14 +296,16 @@ impl PathArena {
         self.read().nodes[id.index()].joint
     }
 
-    /// Number of distinct non-ε paths ever interned (plus the ε node).
+    /// Number of nodes stored — every interned path plus every pushed node
+    /// (see [`ArenaWriter::push`]) — plus the ε node.
     pub fn node_count(&self) -> usize {
         self.read().nodes.len()
     }
 
     /// Acquires a batch appender holding the write lock once, for callers
-    /// that append in a hot loop (e.g. the engine executors' expansion
-    /// steps). Do not call back into this arena while the writer is alive.
+    /// that append or push in a hot loop (e.g. the engine executors'
+    /// expansion steps). Do not call back into this arena while the writer
+    /// is alive.
     pub fn writer(&self) -> ArenaWriter<'_> {
         ArenaWriter { core: self.write() }
     }
@@ -374,12 +397,26 @@ impl ArenaWriter<'_> {
         self.core.append(base, edge)
     }
 
+    /// `base ◦ e` as a fresh node with the same cached `‖a‖`/`γ⁻`/`γ⁺`/
+    /// jointness as [`append`](ArenaWriter::append), but no intern probe.
+    ///
+    /// The contract is weaker: ids are **not canonical** — pushing the same
+    /// `(base, e)` twice yields two ids with equal paths — and
+    /// [`PathArena::find`]/[`PathArena::intern`] do not see pushed nodes
+    /// (interning the same edge string appends a separate node). Use it for
+    /// walk enumeration, where rows are a multiset and ids are never
+    /// compared; keep `append` wherever set semantics need one id per path.
+    #[inline]
+    pub fn push(&mut self, base: PathId, edge: Edge) -> PathId {
+        push_node(&mut self.core.nodes, base, edge)
+    }
+
     /// Reserves room for `extra` more nodes.
     pub fn reserve(&mut self, extra: usize) {
         self.core.reserve(extra);
     }
 
-    /// Number of nodes interned so far, readable while the write lock is
+    /// Number of nodes stored so far, readable while the write lock is
     /// held — [`PathArena::node_count`] would deadlock against a live
     /// writer. Memory accounting polls this between append batches.
     #[inline]
@@ -451,6 +488,37 @@ mod tests {
         assert_eq!(id1, by_append);
         assert_eq!(arena.find(&p), Some(id1));
         assert_eq!(arena.find(&Path::from_edge(e(9, 9, 9))), None);
+    }
+
+    #[test]
+    fn push_skips_the_intern_map() {
+        let arena = PathArena::new();
+        let a = arena.append(PathId::EPSILON, e(0, 0, 1));
+        let (x, y) = {
+            let mut w = arena.writer();
+            (w.push(a, e(1, 1, 2)), w.push(a, e(1, 1, 2)))
+        };
+        // two pushes of one `(base, e)` give two ids…
+        assert_ne!(x, y);
+        // …with append's projections and the same path…
+        let path = Path::from_edges([e(0, 0, 1), e(1, 1, 2)]);
+        for id in [x, y] {
+            assert_eq!(arena.path_len(id), 2);
+            assert_eq!(arena.tail_vertex(id), Some(VertexId(0)));
+            assert_eq!(arena.head_vertex(id), Some(VertexId(2)));
+            assert!(arena.is_joint(id));
+            assert_eq!(arena.to_path(id), path);
+        }
+        // …that the intern map never saw
+        assert_eq!(arena.find(&path), None);
+        let interned = arena.intern(&path);
+        assert!(interned != x && interned != y);
+        assert_eq!(arena.find(&path), Some(interned));
+        // jointness is maintained the same way across a disjoint seam
+        let ax = arena.writer().push(a, e(5, 0, 6));
+        let axy = arena.writer().push(ax, e(6, 0, 7));
+        assert!(!arena.is_joint(ax));
+        assert!(!arena.is_joint(axy));
     }
 
     #[test]

@@ -220,10 +220,22 @@ impl AutoWalk {
     ) {
         let adj = ctx.adjacency(spec.direction());
         let max_hops = spec.max_hops();
+        // hop-budget pruning, `WeightedWalk`'s admissible test: a move whose
+        // target needs more edges to accept than the budget has left can
+        // emit nothing. Under `Walks` and per-row `Reachable` the skipped
+        // visits feed nothing else (a later visit to the same `(vertex,
+        // state)` of the row is no shallower), but under `GlobalReachable`
+        // the seen-set spans rows: a skipped deep visit would let a later
+        // row expand that `(vertex, state)` itself, so that case keeps
+        // every move.
+        let prune = spec.semantics() != Semantics::GlobalReachable;
         'entries: while self.idx < self.frontier.len() && out.len() < goal {
             let (row, state) = self.frontier[self.idx];
             self.idx += 1;
             for &m in spec.moves(state) {
+                if prune && self.hop + m.min_edges_to_accept > max_hops {
+                    continue;
+                }
                 // a row only joins the next frontier if it can still make
                 // progress: there are hops left and the target state moves
                 // (both facts precomputed into the move table at compile time)
@@ -237,7 +249,7 @@ impl AutoWalk {
                     }
                     let produced = ArenaRow {
                         source: row.source,
-                        path: writer.append(row.path, e),
+                        path: writer.push(row.path, e),
                         head: e.head,
                         weight: row.weight,
                     };
@@ -549,7 +561,7 @@ impl WeightedWalk {
                     cost: cost2,
                     row: ArenaRow {
                         source: row.source,
-                        path: writer.append(row.path, e),
+                        path: writer.push(row.path, e),
                         head: e.head,
                         weight: row.weight,
                     },
@@ -1014,7 +1026,7 @@ impl Stage {
                             }
                             out.push(ArenaRow {
                                 source: row.source,
-                                path: writer.append(row.path, e),
+                                path: writer.push(row.path, e),
                                 head: e.head,
                                 weight: row.weight,
                             });
@@ -1304,7 +1316,10 @@ enum Inner {
         root: Box<Stage>,
     },
     Batch {
-        buffered: Option<std::vec::IntoIter<ResultRow>>,
+        /// The batch's result rows and the arena their paths live in, filled
+        /// on the first pull; paths are materialised only for rows
+        /// delivered into an output buffer.
+        buffered: Option<(PathArena, std::vec::IntoIter<ArenaRow>)>,
         /// Per-op actuals recorded by the profiled batch run (populated on
         /// the first pull when [`ExecConfig::profile`] is set).
         trace: Option<Vec<OpActuals>>,
@@ -1606,32 +1621,28 @@ impl RowCursor {
                     ctx.charge_bytes(rows.len() as u64 * crate::exec::ROW_BYTES)?;
                 }
                 if let Some(out) = out {
-                    out.extend(rows.iter().map(|row| ResultRow {
-                        source: row.source,
-                        path: arena.to_path(row.path),
-                        head: row.head,
-                        weight: row.weight,
-                    }));
+                    out.extend(rows.iter().map(|row| row.materialise(arena)));
                 }
                 Ok(rows.len())
             }
             Inner::Batch { buffered, trace } => {
                 if buffered.is_none() {
                     let (start, ops) = (self.plan.start(), self.plan.ops());
-                    let rows = if profile {
-                        let (rows, actuals) = materialized_traced(&ctx, start, ops)?;
+                    let (arena, rows) = if profile {
+                        let (arena, rows, actuals) = materialized_traced(&ctx, start, ops)?;
                         *trace = Some(actuals);
-                        rows
+                        (arena, rows)
                     } else {
                         materialized(&ctx, start, ops)?
                     };
-                    *buffered = Some(rows.into_iter());
+                    *buffered = Some((arena, rows.into_iter()));
                 }
-                let rows = buffered.as_mut().expect("filled above").take(target);
+                let (arena, rows) = buffered.as_mut().expect("filled above");
+                let rows = rows.take(target);
                 Ok(match out {
                     Some(out) => {
                         let before = out.len();
-                        out.extend(rows);
+                        out.extend(rows.map(|row| row.materialise(arena)));
                         out.len() - before
                     }
                     None => rows.count(),
@@ -1806,12 +1817,7 @@ impl Partition {
         if self.materialise {
             let arena = &self.arena;
             self.finished
-                .extend(self.rows.drain(base..).map(|row| ResultRow {
-                    source: row.source,
-                    path: arena.to_path(row.path),
-                    head: row.head,
-                    weight: row.weight,
-                }));
+                .extend(self.rows.drain(base..).map(|row| row.materialise(arena)));
         }
         if ctx.budgeted() {
             // per-batch backstop for the queued rows (arena growth was
@@ -1875,13 +1881,7 @@ impl ParallelState {
                 match sfx.root.pull_chunk(ctx, &sfx.arena, 1, &mut sfx.rows)? {
                     ChunkPull::Done => return Ok(None),
                     ChunkPull::Rows => {
-                        let row = sfx.rows[0];
-                        return Ok(Some(ResultRow {
-                            source: row.source,
-                            path: sfx.arena.to_path(row.path),
-                            head: row.head,
-                            weight: row.weight,
-                        }));
+                        return Ok(Some(sfx.rows[0].materialise(&sfx.arena)));
                     }
                     ChunkPull::Starved => {} // feed below
                 }

@@ -30,7 +30,11 @@
 //! `graph.out_edges(head)` / `out_edges_labeled(head, α)` adjacency (the
 //! reversed graph for `In` steps; both graphs for `Both`), and the row's path
 //! is a [`PathId`] into a per-execution [`PathArena`] — extending a row is one
-//! hash-consed arena append instead of cloning the whole edge vector.
+//! arena push ([`mrpa_core::ArenaWriter::push`]) instead of cloning the whole
+//! edge vector. The push skips the arena's intern map: rows are walks, a
+//! multiset, and no executor compares `PathId`s, so two rows with equal paths
+//! (a duplicated start vertex, a self-loop walked both ways) simply get two
+//! nodes. Only the parallel boundary's id forwarding hash-conses.
 //! [`PlanOp::ExpandAutomaton`] runs the product construction: the frontier
 //! carries `(row, dfa-state)` pairs, each hop walks the adjacency index for
 //! the labels with transitions out of the current state, and rows landing in
@@ -103,7 +107,11 @@ pub struct ExecStats {
 /// the `PathNode` itself (~32 B), its intern-map entry (key + id + load-factor
 /// overhead, ~40 B), and its share of transient frontier state (~16 B). Arena
 /// nodes are never freed before the execution ends, so node growth is the
-/// dominant, monotone component of a query's working set.
+/// dominant, monotone component of a query's working set. The executors'
+/// expansions push nodes without an intern-map entry, so for them this
+/// over-counts by the intern-map share until a counting allocator measures
+/// real allocation; it stays at the hash-consed figure so budgeted queries
+/// trip where they always did.
 pub(crate) const ARENA_NODE_BYTES: u64 = 88;
 
 /// Per-row cost of buffering an [`ArenaRow`] in a frontier, chunk, or
@@ -419,17 +427,17 @@ pub(crate) fn initial_rows(start: &[VertexId]) -> Vec<ArenaRow> {
         .collect()
 }
 
-/// Materialises arena rows into public [`ResultRow`]s (done once, after
-/// evaluation).
-pub(crate) fn materialise_rows(arena: &PathArena, rows: Vec<ArenaRow>) -> Vec<ResultRow> {
-    rows.into_iter()
-        .map(|r| ResultRow {
-            source: r.source,
-            path: arena.to_path(r.path),
-            head: r.head,
-            weight: r.weight,
-        })
-        .collect()
+impl ArenaRow {
+    /// Materialises the row into a public [`ResultRow`] — the one place a
+    /// row's path is read out of `arena`, done only for delivered rows.
+    pub(crate) fn materialise(self, arena: &PathArena) -> ResultRow {
+        ResultRow {
+            source: self.source,
+            path: arena.to_path(self.path),
+            head: self.head,
+            weight: self.weight,
+        }
+    }
 }
 
 /// Visits the edges leaving `v` in the step's direction, restricted to
@@ -532,7 +540,7 @@ pub(crate) fn apply_op(
                     }
                     next.push(ArenaRow {
                         source: row.source,
-                        path: writer.append(row.path, e),
+                        path: writer.push(row.path, e),
                         head: e.head,
                         weight: row.weight,
                     });
@@ -729,17 +737,19 @@ pub(crate) fn apply_ops(
 }
 
 /// Level-at-a-time evaluation: frontier rows expand through the adjacency
-/// indexes, and each produced row is one arena append.
+/// indexes, and each produced row is one arena push. Returns the final rows
+/// with the arena their paths live in; the caller materialises only the rows
+/// it delivers (`count()` materialises none).
 pub(crate) fn materialized(
     ctx: &ExecCtx<'_>,
     start: &[VertexId],
     ops: &[PlanOp],
-) -> Result<Vec<ResultRow>, EngineError> {
+) -> Result<(PathArena, Vec<ArenaRow>), EngineError> {
     let arena = PathArena::new();
     let rows = initial_rows(start);
     check_cap(rows.len(), ctx.cap)?;
     let rows = apply_ops(ctx, &arena, rows, ops)?;
-    Ok(materialise_rows(&arena, rows))
+    Ok((arena, rows))
 }
 
 /// [`materialized`], recording per-op actuals for `Traversal::profile`: each
@@ -751,7 +761,7 @@ pub(crate) fn materialized_traced(
     ctx: &ExecCtx<'_>,
     start: &[VertexId],
     ops: &[PlanOp],
-) -> Result<(Vec<ResultRow>, Vec<OpActuals>), EngineError> {
+) -> Result<(PathArena, Vec<ArenaRow>, Vec<OpActuals>), EngineError> {
     let arena = PathArena::new();
     let mut rows = initial_rows(start);
     check_cap(rows.len(), ctx.cap)?;
@@ -778,7 +788,7 @@ pub(crate) fn materialized_traced(
             interned: after.interned_nodes - before.interned_nodes,
         });
     }
-    Ok((materialise_rows(&arena, rows), actuals))
+    Ok((arena, rows, actuals))
 }
 
 /// Evaluates a plan with the parallel strategy and an explicit thread count
@@ -1078,7 +1088,9 @@ mod tests {
                 use_csr: true,
                 budget: None,
             };
-            let reference = materialized(&ctx, naive.start(), naive.ops()).unwrap();
+            let (arena, rows) = materialized(&ctx, naive.start(), naive.ops()).unwrap();
+            let reference: Vec<ResultRow> =
+                rows.into_iter().map(|r| r.materialise(&arena)).collect();
             for plan in [&naive, &optimized] {
                 for threads in [2, 3, 7] {
                     let rows = parallel_with_threads(&snap, plan, None, threads).unwrap();
@@ -1098,7 +1110,7 @@ mod tests {
             use_csr: true,
             budget: None,
         };
-        let r = materialized(&ctx, plan.start(), plan.ops()).unwrap();
+        let (_, r) = materialized(&ctx, plan.start(), plan.ops()).unwrap();
         assert_eq!(r.len(), 4);
     }
 

@@ -87,7 +87,9 @@ pub struct TraceNode {
     pub total_time_ns: u64,
     /// Edge expansions performed by this op alone.
     pub expansions: u64,
-    /// Arena rows interned by this op alone.
+    /// Arena nodes hash-consed by this op alone: the parallel boundary's id
+    /// forwarding (see [`ExecStats::interned_nodes`](crate::ExecStats::interned_nodes)).
+    /// Expansions push their nodes without interning and do not count here.
     pub arena_appends: u64,
     /// Upstream input (empty for the start frontier; at most one element —
     /// plans are chains, but the tree shape is kept general).

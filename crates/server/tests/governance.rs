@@ -31,6 +31,17 @@ fn error_kind(reply: &Value) -> Option<&str> {
     reply.get("error")?.get("kind").and_then(Value::as_str)
 }
 
+/// The server's `store_full.live_snapshots`: snapshots pinned by running
+/// queries.
+fn live_snapshots(client: &mut Client) -> u64 {
+    let reply = client.request(r#"{"op":"stats"}"#).unwrap();
+    reply
+        .get("store_full")
+        .and_then(|s| s.get("live_snapshots"))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no store_full.live_snapshots: {reply:?}"))
+}
+
 #[test]
 fn saturation_sheds_typed_overloaded_and_control_plane_stays_responsive() {
     let server = serve(
@@ -113,14 +124,27 @@ fn queue_deadline_sheds_stale_jobs_instead_of_running_them() {
     .unwrap();
     let addr = server.local_addr();
 
-    // occupy the single worker with a heavy query...
-    let heavy = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.request(DENSE_QUERY).unwrap()
-    });
-    std::thread::sleep(Duration::from_millis(30));
+    // occupy the single worker with a heavy query, and wait until it is
+    // running: the worker has pinned its snapshot (the inline `stats` op
+    // answers while the worker is busy). On a loaded machine the heavy job
+    // can itself wait out the 1ms deadline and be shed, or finish between
+    // two polls; then it is sent again.
+    let mut client = Client::connect(addr).unwrap();
+    let mut attempts = 0;
+    let heavy = loop {
+        attempts += 1;
+        assert!(attempts <= 20, "the heavy query never ran");
+        let heavy = std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            client.request(DENSE_QUERY).unwrap()
+        });
+        while live_snapshots(&mut client) == 0 && !heavy.is_finished() {}
+        if !heavy.is_finished() {
+            break heavy;
+        }
+        heavy.join().unwrap();
+    };
     // ...so this one queues past the 1ms deadline and is shed unexecuted
-    let mut client = Client::connect(server.local_addr()).unwrap();
     let reply = client.request(CHEAP_QUERY).unwrap();
     assert_eq!(error_kind(&reply), Some("overloaded"), "{reply:?}");
 
