@@ -8,8 +8,10 @@
 //! `first()`/`exists()`/`count()`, external iteration and `limit(k)`; a
 //! full drain (`Traversal::execute`, `exec::execute`) asks for
 //! [`DEFAULT_CHUNK_SIZE`] rows per call, amortizing dispatch over the whole
-//! batch and letting expansion stages scan whole input chunks under a single
-//! arena writer. No stage hands out more than it was asked for, so a
+//! batch and letting expansion stages scan whole input chunks of the
+//! per-generation [CSR adjacency](crate::csr) under a single arena writer.
+//! The chunk size changes only how much a stage is asked for, never which
+//! adjacency it reads: no stage hands out more than it was asked for, so a
 //! `chunk_size(1)` drain does exactly the work of a `next_row` drain, and a
 //! larger chunk can run ahead of its consumer by at most the input rows it
 //! asked for — `tests/streaming_early_exit.rs` and

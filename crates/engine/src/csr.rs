@@ -2,10 +2,12 @@
 //!
 //! The store's adjacency (`mrpa_core::MultiGraph`) is mutation-friendly:
 //! `FxHashMap` buckets keyed by `(vertex, label)`. That is the right shape
-//! for writers, but the traversal hot loop pays a hash probe per
-//! `(frontier entry, label)` and the bucket payloads are scattered across the
-//! heap. A [`CsrTopology`] freezes one generation's adjacency into four dense
-//! arrays so frontier expansion becomes a cache-linear scan:
+//! for writers, but a traversal would pay a hash probe per
+//! `(frontier entry, label)` and read bucket payloads scattered across the
+//! heap. A [`CsrTopology`] freezes one direction of one generation's
+//! adjacency into four dense arrays — the paper's one-adjacency-slice-per-
+//! label view of a multi-relational graph — and it is the only adjacency
+//! the executors read:
 //!
 //! ```text
 //!              v0        v1   v2 (isolated)   v3
@@ -30,20 +32,24 @@
 //!   `heads`. A vertex's segments are sorted by label id, so a per-label
 //!   lookup is a binary search over that vertex's (typically tiny) label
 //!   sub-slice followed by a contiguous head scan.
-//! * **Order contract:** within a segment, heads appear in exactly the
-//!   source bucket's iteration order (`MultiGraph::out_edges_labeled`). The
-//!   engine's `cursor ≡ materialized` row-order guarantees therefore carry
-//!   over unchanged when expansion reads the CSR instead of the hashmap.
+//! * **Order contract:** within a segment, neighbors appear in exactly the
+//!   source bucket's iteration order — `MultiGraph::out_edges_labeled` for
+//!   the Out CSR, `MultiGraph::in_edges_labeled` for the In CSR. A label-
+//!   restricted step scans its labels in the step's order; a wildcard step
+//!   walks [`CsrTopology::segments`], so its rows come out labels ascending,
+//!   then bucket order within a label. Every strategy reads the same arrays,
+//!   so all of them see one edge order.
 //!
 //! Builds are lazy and cached per store generation (see
-//! `GraphState::{csr_out, csr_in}` in `store.rs`, the same `OnceLock` pattern
-//! as the reversed-graph cache): the first query that wants a direction pays
-//! the O(V + E) build, every later query on the same generation reuses it,
-//! and a structural mutation drops the cache with the generation. The
-//! In-direction CSR is built over the cached reversed graph, so its segment
-//! order matches what scalar In-walks iterate.
+//! `GraphState::{csr_out, csr_in}` in `store.rs`): the first query that
+//! wants a direction pays the O(V + E) build, every later query on the same
+//! generation reuses it, and a structural mutation drops the cache with the
+//! generation. Both directions are frozen straight from the forward graph's
+//! indexes; no reversed graph is built.
 
 use mrpa_core::{Edge, LabelId, MultiGraph, VertexId};
+
+use crate::plan::Direction;
 
 /// An immutable, label-segmented CSR view of one adjacency direction of one
 /// store generation. See the [module docs](self) for the array layout and the
@@ -63,14 +69,25 @@ pub struct CsrTopology {
 }
 
 impl CsrTopology {
-    /// Freezes `graph`'s out-adjacency into a CSR. O(V + E + S log S) where
-    /// S is the number of distinct `(vertex, label)` buckets; within each
-    /// segment the source bucket's head order is preserved verbatim.
+    /// Freezes `graph`'s adjacency in `direction` (`Out` or `In`) into a CSR.
+    /// O(V + E + S log S) where S is the number of distinct
+    /// `(vertex, label)` buckets; within each segment the source bucket's
+    /// order is preserved verbatim. An In segment of `v` holds the tails of
+    /// `v`'s in-edges, so [`CsrTopology::labeled_edges`] yields them in the
+    /// walked orientation `(v, α, tail)`.
     ///
-    /// To obtain the In-direction CSR, build over the reversed graph — the
-    /// store does this with its cached per-generation reversal so both scans
-    /// see identical edge order.
-    pub fn build(graph: &MultiGraph) -> CsrTopology {
+    /// # Panics
+    ///
+    /// On `Direction::Both`: a CSR holds one direction.
+    pub fn build(graph: &MultiGraph, direction: Direction) -> CsrTopology {
+        type Bucket = fn(&MultiGraph, VertexId) -> &[Edge];
+        type LabeledBucket = fn(&MultiGraph, VertexId, LabelId) -> &[Edge];
+        let (bucket, labeled, out): (Bucket, LabeledBucket, bool) = match direction {
+            Direction::Out => (MultiGraph::out_edges, MultiGraph::out_edges_labeled, true),
+            Direction::In => (MultiGraph::in_edges, MultiGraph::in_edges_labeled, false),
+            Direction::Both => panic!("a CSR holds one adjacency direction"),
+        };
+        let far = if out { Edge::head } else { Edge::tail };
         let n = graph.vertices().map(|v| v.index() + 1).max().unwrap_or(0);
         let mut seg_index = Vec::with_capacity(n + 1);
         let mut seg_labels = Vec::new();
@@ -81,12 +98,12 @@ impl CsrTopology {
         for raw in 0..n {
             let v = VertexId::from_index(raw);
             labels_scratch.clear();
-            labels_scratch.extend(graph.out_edges(v).iter().map(|e| e.label));
+            labels_scratch.extend(bucket(graph, v).iter().map(|e| e.label));
             labels_scratch.sort_unstable();
             labels_scratch.dedup();
             for &label in &labels_scratch {
                 seg_labels.push(label);
-                heads.extend(graph.out_edges_labeled(v, label).iter().map(|e| e.head));
+                heads.extend(labeled(graph, v, label).iter().map(far));
                 seg_bounds.push(u32::try_from(heads.len()).expect("edge count overflows u32"));
             }
             seg_index.push(u32::try_from(seg_labels.len()).expect("segment count overflows u32"));
@@ -99,7 +116,7 @@ impl CsrTopology {
         }
     }
 
-    /// The heads of `v`'s out-edges labeled `label`, in source-bucket order;
+    /// The neighbors of `v` over edges labeled `label`, in source-bucket order;
     /// empty for unknown vertices or absent labels. Binary search over `v`'s
     /// sorted label sub-slice, then a contiguous slice of the head array.
     #[inline]
@@ -119,8 +136,8 @@ impl CsrTopology {
         }
     }
 
-    /// Iterates `v`'s out-edges labeled `label` as materialized [`Edge`]s
-    /// (tail = `v`), in source-bucket order.
+    /// Iterates `v`'s edges labeled `label` as materialized [`Edge`]s in the
+    /// walked orientation (tail = `v`), in source-bucket order.
     #[inline]
     pub fn labeled_edges(&self, v: VertexId, label: LabelId) -> impl Iterator<Item = Edge> + '_ {
         self.labeled(v, label)
@@ -130,10 +147,7 @@ impl CsrTopology {
 
     /// Walks `v`'s segments in label-ascending order, yielding each label
     /// with its contiguous head slice — the probe-free dense scan the CSR
-    /// layout exists for. Enumerating a whole frontier's adjacency this way
-    /// touches the three metadata arrays and the head array strictly
-    /// sequentially; the hashmap adjacency needs a hash probe per
-    /// `(vertex, label)` bucket for the same enumeration.
+    /// layout exists for, and the defined order of a wildcard step.
     #[inline]
     pub fn segments(&self, v: VertexId) -> impl Iterator<Item = (LabelId, &[VertexId])> + '_ {
         let i = v.index();
@@ -184,7 +198,7 @@ mod tests {
 
     #[test]
     fn empty_graph_builds_empty_csr() {
-        let csr = CsrTopology::build(&MultiGraph::new());
+        let csr = CsrTopology::build(&MultiGraph::new(), Direction::Out);
         assert_eq!(csr.edge_count(), 0);
         assert_eq!(csr.segment_count(), 0);
         assert!(csr.labeled(VertexId(0), LabelId(0)).is_empty());
@@ -193,7 +207,7 @@ mod tests {
     #[test]
     fn segments_match_hashmap_buckets_in_order() {
         let g = graph(&[(0, 1, 2), (0, 0, 1), (0, 1, 3), (2, 0, 0), (5, 2, 0)]);
-        let csr = CsrTopology::build(&g);
+        let csr = CsrTopology::build(&g, Direction::Out);
         assert_eq!(csr.edge_count(), 5);
         for v in g.vertices() {
             for l in g.labels() {
@@ -221,9 +235,32 @@ mod tests {
     }
 
     #[test]
+    fn in_segments_hold_in_bucket_tails_in_order() {
+        let mut g = graph(&[(0, 1, 2), (3, 1, 2), (1, 0, 2), (4, 1, 2), (2, 0, 0)]);
+        g.remove_edge(&Edge::new(VertexId(0), LabelId(1), VertexId(2)));
+        let csr = CsrTopology::build(&g, Direction::In);
+        assert_eq!(csr.edge_count(), 4);
+        for v in g.vertices() {
+            for l in g.labels() {
+                let want: Vec<VertexId> = g.in_edges_labeled(v, l).iter().map(|e| e.tail).collect();
+                assert_eq!(csr.labeled(v, l), want.as_slice(), "bucket ({v}, {l})");
+            }
+        }
+        // walked orientation: the In edges of 2 leave 2
+        let edges: Vec<Edge> = csr.labeled_edges(VertexId(2), LabelId(0)).collect();
+        assert_eq!(edges, vec![Edge::new(VertexId(2), LabelId(0), VertexId(1))]);
+        // without removals the In CSR is the reversed graph's Out CSR
+        let h = graph(&[(0, 1, 2), (3, 1, 2), (1, 0, 2), (4, 1, 2), (2, 0, 0)]);
+        assert_eq!(
+            CsrTopology::build(&h, Direction::In),
+            CsrTopology::build(&h.reversed(), Direction::Out)
+        );
+    }
+
+    #[test]
     fn labeled_edges_materialize_the_stored_orientation() {
         let g = graph(&[(0, 1, 2), (0, 1, 3)]);
-        let csr = CsrTopology::build(&g);
+        let csr = CsrTopology::build(&g, Direction::Out);
         let edges: Vec<Edge> = csr.labeled_edges(VertexId(0), LabelId(1)).collect();
         assert_eq!(
             edges,
@@ -237,7 +274,7 @@ mod tests {
     #[test]
     fn bytes_track_array_lengths() {
         let g = graph(&[(0, 0, 1), (1, 0, 2)]);
-        let csr = CsrTopology::build(&g);
+        let csr = CsrTopology::build(&g, Direction::Out);
         assert!(csr.bytes() > 0);
         assert_eq!(
             csr.bytes(),

@@ -240,7 +240,7 @@ impl AutoWalk {
                 // progress: there are hops left and the target state moves
                 // (both facts precomputed into the move table at compile time)
                 let survives = self.hop < max_hops && m.target_live;
-                for e in adj.labeled(row.head, m.label) {
+                for e in adj.labeled_edges(row.head, m.label) {
                     ctx.count_expansion();
                     if let Some(seen) = seen.as_deref_mut() {
                         if !seen.insert((e.head, m.target)) {
@@ -539,7 +539,7 @@ impl WeightedWalk {
             if self.bounded && hop + 1 + m.min_edges_to_accept > spec.max_hops() {
                 continue;
             }
-            for e in adj.labeled(row.head, m.label) {
+            for e in adj.labeled_edges(row.head, m.label) {
                 ctx.count_expansion();
                 if self
                     .settled
@@ -1348,9 +1348,9 @@ impl RowCursor {
         )
     }
 
-    /// Compiles a cursor with explicit execution knobs (CSR adjacency on/off,
-    /// chunk size). [`Traversal`](crate::pipeline::Traversal) threads its
-    /// `vectorize`/`chunk_size` settings through here.
+    /// Compiles a cursor with explicit execution knobs (chunk size,
+    /// profiling, memory budget). [`Traversal`](crate::pipeline::Traversal)
+    /// threads its settings through here.
     pub(crate) fn compile_with_config(
         snapshot: GraphSnapshot,
         plan: LogicalPlan,
@@ -1450,19 +1450,12 @@ impl RowCursor {
         if threads <= 1 || plan.start().len() <= 1 || split == 0 {
             return Self::batch(snapshot, plan, cap, config);
         }
-        // build the reversed graph once, up front, if the plan will need it —
-        // otherwise every worker's first In/Both hop would block on the
-        // lazy per-generation build
-        if plan.needs_reversed() {
-            snapshot.prewarm_reversed();
-        }
-        // likewise the CSR snapshots the plan's label-restricted expansions
-        // will scan (only the directions actually used — see the csr_cache
-        // regression suite)
-        if config.use_csr {
-            let (out, in_) = plan.csr_directions();
-            snapshot.prewarm_csr(out, in_);
-        }
+        // build the CSR directions the plan's expansions will scan once, up
+        // front — otherwise every worker's first hop would block on the lazy
+        // per-generation build (only the directions actually used — see the
+        // csr_cache regression suite)
+        let (out, in_) = plan.csr_directions();
+        snapshot.prewarm_csr(out, in_);
         let (prefix, suffix) = plan.ops().split_at(split);
         let has_suffix = !suffix.is_empty();
         let start = plan.start();
@@ -1607,7 +1600,6 @@ impl RowCursor {
             cap: self.cap,
             counters: &self.counters,
             alive: self.alive.active(),
-            use_csr: self.config.use_csr,
             budget: self.budget,
         };
         match &mut self.inner {
@@ -1794,7 +1786,6 @@ impl Partition {
         snapshot: &GraphSnapshot,
         cap: Option<usize>,
         alive: Option<&Liveness>,
-        use_csr: bool,
         batch: usize,
     ) -> Result<(), EngineError> {
         let ctx = ExecCtx {
@@ -1802,7 +1793,6 @@ impl Partition {
             cap,
             counters: &self.counters,
             alive,
-            use_csr,
             budget: self.budget,
         };
         let base = self.rows.len();
@@ -1963,15 +1953,12 @@ impl ParallelState {
         let cap = ctx.cap;
         let snapshot = ctx.snapshot;
         let alive = ctx.alive;
-        let use_csr = ctx.use_csr;
         let results: Vec<Result<(), EngineError>> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .partitions
                 .iter_mut()
                 .filter(|p| !p.done && p.queued() < batch)
-                .map(|part| {
-                    scope.spawn(move |_| part.pull_batch(snapshot, cap, alive, use_csr, batch))
-                })
+                .map(|part| scope.spawn(move |_| part.pull_batch(snapshot, cap, alive, batch)))
                 .collect();
             handles
                 .into_iter()

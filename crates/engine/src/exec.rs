@@ -27,11 +27,16 @@
 //!   speculative batch wasted.
 //!
 //! Expansion is **frontier-driven**: each row's next edges come straight from
-//! `graph.out_edges(head)` / `out_edges_labeled(head, α)` adjacency (the
-//! reversed graph for `In` steps; both graphs for `Both`), and the row's path
-//! is a [`PathId`] into a per-execution [`PathArena`] — extending a row is one
-//! arena push ([`mrpa_core::ArenaWriter::push`]) instead of cloning the whole
-//! edge vector. The push skips the arena's intern map: rows are walks, a
+//! the snapshot's per-generation [`CsrTopology`] — the only adjacency any
+//! executor reads. An `Out` step scans the Out CSR, an `In` step the In CSR
+//! (so a result edge `(h, α, t)` walks the stored edge `(t, α, h)`
+//! backwards), and `Both` scans Out then In. A label-restricted step visits
+//! its labels in the step's order through [`CsrTopology::labeled_edges`]; a
+//! wildcard step walks [`CsrTopology::segments`], labels ascending, then
+//! bucket order within a label. The row's path is a [`PathId`] into a
+//! per-execution [`PathArena`] — extending a row is one arena push
+//! ([`mrpa_core::ArenaWriter::push`]) instead of cloning the whole edge
+//! vector. The push skips the arena's intern map: rows are walks, a
 //! multiset, and no executor compares `PathId`s, so two rows with equal paths
 //! (a duplicated start vertex, a self-loop walked both ways) simply get two
 //! nodes. Only the parallel boundary's id forwarding hash-conses.
@@ -149,13 +154,9 @@ impl Counters {
 }
 
 /// Compile-time execution knobs threaded from the traversal surface
-/// (`Traversal::vectorize` / `Traversal::chunk_size`) into the cursor.
+/// (`Traversal::chunk_size`, `profile`, `memory_budget`) into the cursor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ExecConfig {
-    /// Read per-label adjacency from the per-generation CSR (default: on);
-    /// off reads the hashmap adjacency. It selects only the adjacency
-    /// source: the row transport is the same either way.
-    pub(crate) use_csr: bool,
     /// Rows [`RowCursor::next_chunk`] asks the cursor for per call (default:
     /// [`crate::chunk::DEFAULT_CHUNK_SIZE`]).
     pub(crate) chunk: usize,
@@ -171,7 +172,6 @@ pub(crate) struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            use_csr: true,
             chunk: crate::chunk::DEFAULT_CHUNK_SIZE,
             profile: false,
             budget: None,
@@ -188,94 +188,20 @@ pub(crate) struct ExecCtx<'a> {
     /// Cancellation/deadline bounds; `None` when the execution is unbounded,
     /// so the hot path pays a single branch.
     pub(crate) alive: Option<&'a Liveness>,
-    /// Whether per-label expansion reads the per-generation CSR instead of
-    /// the hashmap adjacency (the `Traversal::vectorize` knob; on by
-    /// default). Only the adjacency source changes; stages, chunking and
-    /// early exit do not. Wildcard expansion always stays on the hashmap —
-    /// the CSR's label-sorted layout would reorder interleaved insertion
-    /// order.
-    pub(crate) use_csr: bool,
     /// Byte budget for this accounting domain; `None` disables all memory
     /// accounting (the unbudgeted hot path pays one branch per charge site).
     pub(crate) budget: Option<u64>,
 }
 
-/// One direction's adjacency source, resolved once per walker invocation so
-/// the per-edge loop dispatches on a two-variant enum instead of re-deciding
-/// CSR-vs-hashmap (and re-matching the direction) per frontier entry.
-#[derive(Clone, Copy)]
-pub(crate) enum Adjacency<'a> {
-    /// The mutation-friendly hashmap adjacency (forward or reversed graph).
-    Map(&'a mrpa_core::MultiGraph),
-    /// The frozen per-generation CSR for the same direction.
-    Csr(&'a CsrTopology),
-}
-
-impl<'a> Adjacency<'a> {
-    /// The edges leaving `v` with `label`, in identical order from either
-    /// backing store (the CSR build preserves bucket order verbatim).
-    #[inline]
-    pub(crate) fn labeled(&self, v: VertexId, label: LabelId) -> LabeledEdges<'a> {
-        match self {
-            Adjacency::Map(graph) => LabeledEdges::Slice(graph.out_edges_labeled(v, label).iter()),
-            Adjacency::Csr(csr) => LabeledEdges::Csr {
-                tail: v,
-                label,
-                heads: csr.labeled(v, label).iter(),
-            },
-        }
-    }
-}
-
-/// Iterator over one `(vertex, label)` adjacency bucket, yielding [`Edge`]s
-/// by value; the CSR variant materializes them from the head array.
-pub(crate) enum LabeledEdges<'a> {
-    /// Hashmap-bucket slice.
-    Slice(std::slice::Iter<'a, Edge>),
-    /// CSR label segment: a contiguous head scan plus the fixed tail/label.
-    Csr {
-        tail: VertexId,
-        label: LabelId,
-        heads: std::slice::Iter<'a, VertexId>,
-    },
-}
-
-impl Iterator for LabeledEdges<'_> {
-    type Item = Edge;
-
-    #[inline]
-    fn next(&mut self) -> Option<Edge> {
-        match self {
-            LabeledEdges::Slice(it) => it.next().copied(),
-            LabeledEdges::Csr { tail, label, heads } => {
-                heads.next().map(|&head| Edge::new(*tail, *label, head))
-            }
-        }
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            LabeledEdges::Slice(it) => it.size_hint(),
-            LabeledEdges::Csr { heads, .. } => heads.size_hint(),
-        }
-    }
-}
-
 impl<'a> ExecCtx<'a> {
-    /// Resolves the adjacency source for `direction` (never `Both`; the
-    /// automaton walkers are compiled `Out` or `In`): the CSR when
-    /// vectorization is on, the hashmap graph otherwise.
+    /// The snapshot's CSR for `direction` (never `Both`: callers split it
+    /// into its Out and In halves), built on the generation's first read.
     #[inline]
-    pub(crate) fn adjacency(&self, direction: Direction) -> Adjacency<'a> {
-        match (direction, self.use_csr) {
-            (Direction::Out, true) => Adjacency::Csr(self.snapshot.csr_out()),
-            (Direction::Out, false) => Adjacency::Map(self.snapshot.graph()),
-            (Direction::In, true) => Adjacency::Csr(self.snapshot.csr_in()),
-            (Direction::In, false) => Adjacency::Map(self.snapshot.reversed()),
-            (Direction::Both, _) => {
-                unreachable!("adjacency sources are resolved per single direction")
-            }
+    pub(crate) fn adjacency(&self, direction: Direction) -> &'a CsrTopology {
+        match direction {
+            Direction::Out => self.snapshot.csr_out(),
+            Direction::In => self.snapshot.csr_in(),
+            Direction::Both => unreachable!("adjacency is read one direction at a time"),
         }
     }
 }
@@ -441,10 +367,11 @@ impl ArenaRow {
 }
 
 /// Visits the edges leaving `v` in the step's direction, restricted to
-/// `labels`. For `Direction::In` the edges come from the reversed graph, so a
-/// result edge `(h, α, t)` represents walking the stored edge `(t, α, h)`
-/// backwards; the produced paths are joint paths of the reversed graph.
-/// `Direction::Both` visits the forward edges first, then the reversed ones.
+/// `labels` (in the list's order) or, for a wildcard, every label ascending.
+/// For `Direction::In` the edges come from the In CSR, so a result edge
+/// `(h, α, t)` represents walking the stored edge `(t, α, h)` backwards; the
+/// produced paths are joint paths of the reversed graph. `Direction::Both`
+/// visits the forward edges first, then the backward ones.
 pub(crate) fn for_each_expansion_edge(
     ctx: &ExecCtx<'_>,
     direction: Direction,
@@ -452,23 +379,19 @@ pub(crate) fn for_each_expansion_edge(
     labels: &Option<Vec<LabelId>>,
     mut visit: impl FnMut(Edge),
 ) {
-    let mut walk = |dir: Direction| match labels {
-        None => {
-            // wildcard expansion iterates the whole bucket in insertion
-            // order, which interleaves labels — only the hashmap has it
-            let graph = match dir {
-                Direction::In => ctx.snapshot.reversed(),
-                _ => ctx.snapshot.graph(),
-            };
-            for e in graph.out_edges(v) {
-                visit(*e);
+    let mut walk = |dir: Direction| {
+        let csr = ctx.adjacency(dir);
+        match labels {
+            None => {
+                for (label, heads) in csr.segments(v) {
+                    for &head in heads {
+                        visit(Edge::new(v, label, head));
+                    }
+                }
             }
-        }
-        Some(ls) => {
-            let adj = ctx.adjacency(dir);
-            for &l in ls {
-                for e in adj.labeled(v, l) {
-                    visit(e);
+            Some(ls) => {
+                for &l in ls {
+                    csr.labeled_edges(v, l).for_each(&mut visit);
                 }
             }
         }
@@ -1085,7 +1008,6 @@ mod tests {
                 cap: None,
                 counters: &counters,
                 alive: None,
-                use_csr: true,
                 budget: None,
             };
             let (arena, rows) = materialized(&ctx, naive.start(), naive.ops()).unwrap();
@@ -1107,7 +1029,6 @@ mod tests {
             cap: None,
             counters: &counters,
             alive: None,
-            use_csr: true,
             budget: None,
         };
         let (_, r) = materialized(&ctx, plan.start(), plan.ops()).unwrap();

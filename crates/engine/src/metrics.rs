@@ -401,7 +401,7 @@ cached_metric! {
     pub fn deep_clones_total: Counter("mrpa_store_deep_clones_total", "Copy-on-write deep clones of graph state");
 }
 cached_metric! {
-    /// Lazy reversed-adjacency builds (one per generation that needs one).
+    /// Lazy reversed-graph builds (one per generation it is asked for on).
     pub fn reversed_builds_total: Counter("mrpa_store_reversed_builds_total", "Reversed adjacency index builds");
 }
 cached_metric! {

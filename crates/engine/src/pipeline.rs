@@ -478,7 +478,6 @@ pub struct Traversal {
     threads: Option<usize>,
     timeout: Option<std::time::Duration>,
     cancel: Option<crate::cancel::CancelToken>,
-    vectorize: bool,
     chunk: usize,
     budget: Option<u64>,
 }
@@ -496,7 +495,6 @@ impl Traversal {
             threads: None,
             timeout: None,
             cancel: None,
-            vectorize: true,
             chunk: crate::chunk::DEFAULT_CHUNK_SIZE,
             budget: None,
         }
@@ -625,8 +623,9 @@ impl Traversal {
 
     /// Traverses *incoming* edge sequences whose label word matches a regular
     /// path pattern: the `In`-direction counterpart of [`Traversal::match_`],
-    /// evaluated as a product automaton over the reversed graph — each hop
-    /// walks a stored edge backwards, exactly like [`Traversal::in_`].
+    /// evaluated as a product automaton over the In-direction adjacency —
+    /// each hop walks a stored edge backwards, exactly like
+    /// [`Traversal::in_`].
     ///
     /// ```
     /// use mrpa_engine::{classic_social_graph, Traversal};
@@ -980,19 +979,6 @@ impl Traversal {
         self
     }
 
-    /// Switches the CSR adjacency source on or off (on by default). When
-    /// on, label-restricted expansions scan the snapshot's
-    /// [CSR topology](crate::csr::CsrTopology) instead of probing hash
-    /// buckets; when off, they probe the hashmap adjacency and no CSR is
-    /// built. Nothing else changes — rows move through the same
-    /// [chunked](crate::chunk) stage protocol — and results are identical
-    /// (the vectorized-equivalence suite pins this); the knob exists for
-    /// A/B benchmarks and as a fallback.
-    pub fn vectorize(mut self, on: bool) -> Self {
-        self.vectorize = on;
-        self
-    }
-
     /// Overrides the row-chunk target for full-drain execution (default
     /// [`DEFAULT_CHUNK_SIZE`](crate::chunk::DEFAULT_CHUNK_SIZE)). Mostly a
     /// benchmark/testing knob: 1 asks for one row per call, exactly like
@@ -1145,7 +1131,6 @@ impl Traversal {
             self.max_intermediate,
             self.threads,
             crate::exec::ExecConfig {
-                use_csr: self.vectorize,
                 chunk: self.chunk,
                 budget: self.budget,
                 profile,

@@ -70,14 +70,14 @@
 //! restrictions merges into one `ExpandAutomaton` whose regex is the
 //! concatenation `ℓ₁·ℓ₂·…·ℓₖ`. Soundness: the chain DFA has exactly one move
 //! per state, so the product construction walks, per input row,
-//! `out_edges_labeled(head, ℓᵢ)` at step i — the same adjacency slices in the
-//! same row-major order as the op chain — and accepts exactly at depth `k`
-//! (`max_hops = k` makes evaluation finite). Multi-label and wildcard steps
-//! are deliberately *not* merged: a multi-label `Expand` emits edges in the
-//! step's label-list (respectively raw adjacency) order, while an automaton
-//! state's moves are in graph label order, so merging would reorder rows and
-//! change what a downstream `Limit` keeps. Runs longer than the symbolic
-//! DFA's 64-matcher budget are also left unmerged.
+//! the CSR segment of `(head, ℓᵢ)` at step i — the same adjacency slices in
+//! the same row-major order as the op chain — and accepts exactly at depth
+//! `k` (`max_hops = k` makes evaluation finite). Multi-label and wildcard
+//! steps are deliberately *not* merged: a multi-label `Expand` emits edges in
+//! the step's label-list order, while an automaton state's moves are in
+//! graph label order, so merging would reorder rows and change what a
+//! downstream `Limit` keeps; a wildcard has no label to concatenate. Runs
+//! longer than the symbolic DFA's 64-matcher budget are also left unmerged.
 //!
 //! **R6 — restriction pushdown into expansions** (the paper's
 //! `A = {e | γ⁻(e) ∈ Vs}` construction, §III-C). `RestrictVertices(Vs)`
@@ -140,7 +140,7 @@ use crate::value::Predicate;
 pub enum Direction {
     /// Follow edges from tail to head (the graph as stored).
     Out,
-    /// Follow edges from head to tail (evaluated on the reversed graph).
+    /// Follow edges from head to tail (evaluated on the In-direction CSR).
     In,
     /// Follow edges in both directions (union of `Out` and `In`).
     Both,
@@ -271,7 +271,7 @@ pub enum WeightSource {
 
 impl WeightSource {
     /// Resolves the weight of a traversed edge, given in the *stored*
-    /// orientation (callers walking the reversed graph flip the edge first so
+    /// orientation (callers walking `In` edges flip the edge first so
     /// property lookup matches `add_edge_with`), validated for `semiring`.
     pub(crate) fn resolve(
         &self,
@@ -335,7 +335,7 @@ pub struct AutoMove {
 
 /// A compiled, minimized label-regex automaton ready for product evaluation:
 /// transitions are per-`(state, label)` moves derived from the graph-relative
-/// symbolic DFA, so executors walk `out_edges_labeled` adjacency directly.
+/// symbolic DFA, so executors walk per-label CSR segments directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutomatonSpec {
     /// The surface pattern this automaton was compiled from (display only).
@@ -557,36 +557,12 @@ impl LogicalPlan {
         &self.ops
     }
 
-    /// Whether any op of the plan (recursively, through repeat bodies) ever
-    /// traverses `In`/`Both` edges — i.e. whether evaluating it can touch the
-    /// snapshot's reversed graph. Pure-`Out` plans never trigger the lazy
-    /// per-generation reversed-graph build; the parallel executor uses this
-    /// annotation to prewarm the cache *before* spawning workers when the
-    /// plan does need it (see [`GraphSnapshot::prewarm_reversed`]).
-    pub fn needs_reversed(&self) -> bool {
-        fn op_needs(op: &PlanOp) -> bool {
-            match op {
-                PlanOp::Expand { direction, .. } => *direction != Direction::Out,
-                PlanOp::ExpandAutomaton { spec, .. } | PlanOp::ExpandWeighted { spec, .. } => {
-                    spec.direction() != Direction::Out
-                }
-                PlanOp::Repeat { body, .. } => body.iter().any(op_needs),
-                PlanOp::RestrictVertices(_)
-                | PlanOp::RestrictProperty { .. }
-                | PlanOp::DedupByVertex
-                | PlanOp::Limit(_) => false,
-            }
-        }
-        self.ops.iter().any(op_needs)
-    }
-
-    /// Which CSR directions evaluating this plan can read, as
-    /// `(out, in)` — i.e. which label-restricted expansions it contains
-    /// (recursively, through repeat bodies). Wildcard expansions read the
-    /// hashmap adjacency and do not count. The executors use this annotation
-    /// to prewarm exactly the CSR caches a vectorized run will touch, so
-    /// pure-`Out` plans never build the In-CSR (nor, transitively, the
-    /// reversed graph) and plans with no labeled expansion build nothing.
+    /// Which CSR directions evaluating this plan can read, as `(out, in)` —
+    /// i.e. which directions its expansions walk, labeled or wildcard
+    /// (recursively, through repeat bodies). The parallel executor uses this
+    /// annotation to prewarm exactly the CSR caches a run will touch, so
+    /// worker threads never hit a first-touch build, pure-`Out` plans never
+    /// build the In-CSR, and plans with no expansion build nothing.
     pub fn csr_directions(&self) -> (bool, bool) {
         fn op_dirs(op: &PlanOp, out: &mut bool, in_: &mut bool) {
             let mut mark = |d: Direction| match d {
@@ -598,13 +574,7 @@ impl LogicalPlan {
                 }
             };
             match op {
-                PlanOp::Expand {
-                    direction, labels, ..
-                } => {
-                    if labels.is_some() {
-                        mark(*direction);
-                    }
-                }
+                PlanOp::Expand { direction, .. } => mark(*direction),
                 PlanOp::ExpandAutomaton { spec, .. } | PlanOp::ExpandWeighted { spec, .. } => {
                     mark(spec.direction());
                 }
@@ -1222,12 +1192,12 @@ fn remove_redundant_dedups(
 /// *single-label* expansions into one product-automaton step.
 ///
 /// Only single-label steps are mergeable because only they preserve the row
-/// sequence: a single-label `Expand` and the chain automaton both emit
-/// `out_edges_labeled(head, ℓ)` adjacency in the same order. A multi-label or
-/// wildcard `Expand` emits edges in the step's label-list (respectively raw
-/// adjacency) order, while the automaton's per-state moves are in *graph
-/// label order* — merging those would reorder rows and change what a
-/// downstream `Limit` keeps.
+/// sequence: a single-label `Expand` and the chain automaton both emit the
+/// CSR segment of `(head, ℓ)` in the same order. A multi-label `Expand`
+/// emits edges in the step's label-list order, while the automaton's
+/// per-state moves are in *graph label order* — merging those would reorder
+/// rows and change what a downstream `Limit` keeps. A wildcard `Expand` has
+/// no label to concatenate.
 fn merge_expand_runs(
     snapshot: &GraphSnapshot,
     ops: Vec<PlanOp>,
@@ -1705,43 +1675,44 @@ mod tests {
     }
 
     #[test]
-    fn needs_reversed_detects_in_and_both_anywhere_in_the_plan() {
+    fn csr_directions_detect_every_expansion_anywhere_in_the_plan() {
         let g = classic_social_graph();
         let snap = g.snapshot();
-        let p = |steps: &[Step]| plan(&snap, &StartSpec::AllVertices, steps).unwrap();
+        let p = |steps: &[Step]| {
+            plan(&snap, &StartSpec::AllVertices, steps)
+                .unwrap()
+                .csr_directions()
+        };
+        let repeat = |body: Step| Step::Repeat {
+            body: vec![body],
+            min: 1,
+            max: 2,
+            until: None,
+        };
+        let matching = |direction| Step::Match {
+            pattern: "knows+".into(),
+            max_hops: 3,
+            direction,
+            semantics: Semantics::Walks,
+        };
+        const OUT: (bool, bool) = (true, false);
+        const IN: (bool, bool) = (false, true);
+        const BOTH: (bool, bool) = (true, true);
+        // no expansion reads nothing
+        assert_eq!(p(&[Step::DedupByVertex, Step::Limit(3)]), (false, false));
         // pure-Out plans — including stateful tails and Out-repeat bodies
-        assert!(!p(&[out_step(&["knows"]), Step::DedupByVertex]).needs_reversed());
-        assert!(!p(&[Step::Repeat {
-            body: vec![out_step(&["knows"])],
-            min: 1,
-            max: 2,
-            until: None,
-        }])
-        .needs_reversed());
-        assert!(!p(&[Step::Match {
-            pattern: "knows+".into(),
-            max_hops: 3,
-            direction: Direction::Out,
-            semantics: Semantics::Walks,
-        }])
-        .needs_reversed());
-        // In/Both steps flip the bit, wherever they sit
-        assert!(p(&[Step::In(None)]).needs_reversed());
-        assert!(p(&[Step::Both(None)]).needs_reversed());
-        assert!(p(&[Step::Repeat {
-            body: vec![Step::In(None)],
-            min: 1,
-            max: 2,
-            until: None,
-        }])
-        .needs_reversed());
-        assert!(p(&[Step::Match {
-            pattern: "knows+".into(),
-            max_hops: 3,
-            direction: Direction::In,
-            semantics: Semantics::Walks,
-        }])
-        .needs_reversed());
+        assert_eq!(p(&[out_step(&["knows"]), Step::DedupByVertex]), OUT);
+        assert_eq!(p(&[repeat(out_step(&["knows"]))]), OUT);
+        assert_eq!(p(&[matching(Direction::Out)]), OUT);
+        // wildcard steps read the CSR like labeled ones
+        assert_eq!(p(&[Step::Out(None)]), OUT);
+        assert_eq!(p(&[repeat(Step::Out(None))]), OUT);
+        // In/Both steps read the In direction, wherever they sit
+        assert_eq!(p(&[Step::In(None)]), IN);
+        assert_eq!(p(&[Step::Both(None)]), BOTH);
+        assert_eq!(p(&[repeat(Step::In(None))]), IN);
+        assert_eq!(p(&[matching(Direction::In)]), IN);
+        assert_eq!(p(&[out_step(&["knows"]), Step::In(None)]), BOTH);
     }
 
     #[test]

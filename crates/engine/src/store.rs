@@ -19,11 +19,12 @@
 //! outstanding snapshot frozen on the old one. Each mutation bumps the
 //! store's epoch, so `snapshot().generation()` identifies the pinned state.
 //!
-//! The reversed graph (used by `in_`/`both` steps) is a **lazily-built,
-//! per-generation cache**: it is constructed at most once per generation, on
-//! first use, and never for pure-`Out` workloads. [`PropertyGraph::stats`]
-//! exposes counters (`deep_clones`, `reversed_builds`) that make both cost
-//! claims assertable in tests and benchmarks.
+//! Each direction's [`CsrTopology`] — the only adjacency the executors read
+//! — is a **lazily-built, per-generation cache**: it is constructed at most
+//! once per generation, on first use, and never for a direction no query
+//! reads. [`PropertyGraph::stats`] exposes counters (`deep_clones`,
+//! `csr_builds`) that make both cost claims assertable in tests and
+//! benchmarks.
 //!
 //! # Durability
 //!
@@ -57,6 +58,7 @@ use mrpa_core::{Edge, GraphInterner, LabelId, MultiGraph, VertexId};
 use crate::checkpoint::{write_checkpoint, CheckpointData};
 use crate::csr::CsrTopology;
 use crate::error::{EngineError, StoreError};
+use crate::plan::Direction;
 use crate::recovery::{recover, RecoveryReport};
 use crate::value::Value;
 use crate::wal::{encode_frame, FailPoint, Wal, WalOp, WAL_FILE};
@@ -67,10 +69,11 @@ use crate::wal::{encode_frame, FailPoint, Wal, WalOp, WAL_FILE};
 pub(crate) struct StoreMetrics {
     /// Generation deep clones performed by copy-on-write mutators.
     deep_clones: AtomicU64,
-    /// Reversed-graph builds (at most one per generation, only on demand).
+    /// Reversed-graph builds (at most one per generation, only when
+    /// [`GraphSnapshot::reversed`] is called; the executors never call it).
     reversed_builds: AtomicU64,
     /// CSR topology builds (at most one per generation *per direction*, only
-    /// on demand; the In-direction build sits on top of the reversed graph).
+    /// on demand; both directions are built from the forward graph).
     csr_builds: AtomicU64,
     /// WAL records appended (durable stores only).
     wal_records: AtomicU64,
@@ -87,9 +90,9 @@ pub(crate) struct StoreMetrics {
 
 /// Counters of a [`PropertyGraph`], for asserting the snapshot cost model and
 /// the durability behaviour: `deep_clones` counts the O(V+E) generation
-/// copies (zero on the unchanged-graph snapshot path), `reversed_builds`
-/// counts reversed-graph constructions (at most one per generation, zero for
-/// pure-`Out` workloads), and the durability counters (`wal_records`,
+/// copies (zero on the unchanged-graph snapshot path), `csr_builds` counts
+/// per-direction adjacency constructions (at most one per generation and
+/// direction read), and the durability counters (`wal_records`,
 /// `checkpoints`, `replayed_records`) let tests and benches assert WAL /
 /// checkpoint / recovery activity without inspecting files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,10 +102,13 @@ pub struct StoreStats {
     pub generation: u64,
     /// O(V+E) copy-on-write generation clones performed so far.
     pub deep_clones: u64,
-    /// Reversed-graph builds performed so far.
+    /// Reversed-graph builds performed so far: one per generation on whose
+    /// snapshot [`GraphSnapshot::reversed`] was called. Queries never build
+    /// it — `In` and `Both` steps read the In-direction CSR — so this stays
+    /// zero unless a caller asks for the reversed graph itself.
     pub reversed_builds: u64,
-    /// CSR topology builds performed so far (at most one per generation per
-    /// direction, zero until a vectorized traversal asks for one).
+    /// CSR topology builds performed so far: one per (generation, direction)
+    /// pair some query read, zero until the first expansion.
     pub csr_builds: u64,
     /// Resident bytes of the **current** generation's built CSR caches — a
     /// live gauge recomputed from whichever of the Out/In CSRs exist right
@@ -130,7 +136,7 @@ pub struct StoreStats {
 
 /// One immutable generation of the store. `Clone` is the copy-on-write deep
 /// clone (counted in [`StoreMetrics::deep_clones`]); the lazily-built
-/// reversed graph is *not* carried over — a fresh generation rebuilds it on
+/// caches are *not* carried over — a fresh generation rebuilds them on
 /// first demand.
 #[derive(Debug, Default)]
 pub(crate) struct GraphState {
@@ -138,17 +144,18 @@ pub(crate) struct GraphState {
     pub(crate) interner: GraphInterner,
     pub(crate) vertex_props: HashMap<VertexId, HashMap<String, Value>>,
     pub(crate) edge_props: HashMap<Edge, HashMap<String, Value>>,
-    /// Per-generation cache of `graph.reversed()`, built at most once. An
-    /// `Arc` so that a property-only copy-on-write (which cannot change edge
-    /// structure) can carry the built cache into the new generation.
+    /// Per-generation cache of `graph.reversed()` for
+    /// [`GraphSnapshot::reversed`] callers, built at most once. No executor
+    /// reads it. An `Arc` so that a property-only copy-on-write (which cannot
+    /// change edge structure) can carry the built cache into the new
+    /// generation.
     pub(crate) reversed: OnceLock<Arc<MultiGraph>>,
     /// Per-generation cache of the Out-direction [`CsrTopology`], built at
-    /// most once per generation on first vectorized use; same carry/invalidate
+    /// most once per generation on first use; same carry/invalidate
     /// discipline as `reversed`.
     pub(crate) csr_out: OnceLock<Arc<CsrTopology>>,
-    /// Per-generation cache of the In-direction [`CsrTopology`] — built over
-    /// the cached reversed graph, so its segment order matches what scalar
-    /// In-walks iterate.
+    /// Per-generation cache of the In-direction [`CsrTopology`], frozen from
+    /// the forward graph's in-edge buckets (`MultiGraph::in_edges_labeled`).
     pub(crate) csr_in: OnceLock<Arc<CsrTopology>>,
     /// Shared across generations of one store (a handle, not data).
     pub(crate) metrics: Arc<StoreMetrics>,
@@ -197,22 +204,19 @@ impl GraphState {
             .get_or_init(|| {
                 self.metrics.csr_builds.fetch_add(1, Ordering::Relaxed);
                 crate::metrics::csr_builds_total().inc();
-                Arc::new(CsrTopology::build(&self.graph))
+                Arc::new(CsrTopology::build(&self.graph, Direction::Out))
             })
             .as_ref()
     }
 
-    /// The In-direction CSR of this generation, built on first use over the
-    /// (likewise lazily cached) reversed graph: the reversed graph's bucket
-    /// order is exactly what scalar In-walks iterate, so freezing *it* — and
-    /// not the forward `in_label_index`, whose order can diverge after
-    /// `swap_remove` deletions — preserves row order bit-for-bit.
+    /// The In-direction CSR of this generation, built on first use from the
+    /// forward graph's in-edge buckets.
     fn csr_in(&self) -> &CsrTopology {
         self.csr_in
             .get_or_init(|| {
                 self.metrics.csr_builds.fetch_add(1, Ordering::Relaxed);
                 crate::metrics::csr_builds_total().inc();
-                Arc::new(CsrTopology::build(self.reversed()))
+                Arc::new(CsrTopology::build(&self.graph, Direction::In))
             })
             .as_ref()
     }
@@ -302,9 +306,9 @@ impl Inner {
     /// Prepares the current generation for a **structural** mutation: bumps
     /// the epoch and returns exclusive access to the state. If a snapshot
     /// pins the current generation this performs the one copy-on-write deep
-    /// clone; otherwise it mutates in place. Either way the reversed-graph
-    /// cache is dropped — the edge structure is about to change, so the next
-    /// generation rebuilds it on demand.
+    /// clone; otherwise it mutates in place. Either way the adjacency caches
+    /// are dropped — the edge structure is about to change, so the next
+    /// generation rebuilds them on demand.
     fn mutate(&mut self) -> &mut GraphState {
         self.epoch += 1;
         let state = Arc::make_mut(&mut self.state);
@@ -315,9 +319,9 @@ impl Inner {
     }
 
     /// Prepares the current generation for a **property-only** mutation:
-    /// like [`Inner::mutate`], but keeps the reversed-graph cache — property
+    /// like [`Inner::mutate`], but keeps the adjacency caches — property
     /// values cannot change edge structure, so even the copy-on-write path
-    /// carries the built cache (an `Arc` clone) into the new generation.
+    /// carries the built caches (`Arc` clones) into the new generation.
     fn mutate_props(&mut self) -> &mut GraphState {
         self.epoch += 1;
         let carried = self.state.reversed.get().cloned();
@@ -560,8 +564,8 @@ impl PropertyGraph {
 
     /// Sets a vertex property. Property writes are copy-on-write like every
     /// mutation, but — since properties cannot change edge structure — they
-    /// always keep the generation's reversed-graph cache, on both the
-    /// in-place and the COW path.
+    /// always keep the generation's adjacency caches, on both the in-place
+    /// and the COW path.
     pub fn set_vertex_property(&self, v: VertexId, key: &str, value: Value) {
         self.try_set_vertex_property(v, key, value)
             .expect("WAL append failed")
@@ -936,10 +940,9 @@ impl PropertyGraph {
 /// (including across threads in the parallel executor).
 ///
 /// A snapshot pins one *generation* of the store: cloning it (or taking it in
-/// the first place) is an `Arc` clone. The reversed graph is a per-generation
-/// lazy cache — built at most once per generation, on the first
-/// [`GraphSnapshot::reversed`] call, and never built at all for pure-`Out`
-/// traversals.
+/// the first place) is an `Arc` clone. Each adjacency direction's
+/// [`CsrTopology`] is a per-generation lazy cache — built at most once per
+/// generation, on the first read of that direction.
 #[derive(Debug)]
 pub struct GraphSnapshot {
     state: Arc<GraphState>,
@@ -979,33 +982,24 @@ impl GraphSnapshot {
         &self.state.graph
     }
 
-    /// The reversed graph (used by `in_`/incoming steps). Built lazily on
-    /// first use and cached for the generation this snapshot pins; pure-`Out`
-    /// traversals never trigger the build.
+    /// The reversed graph, every edge `(i, α, j)` as `(j, α, i)`. Built
+    /// lazily on the first call and cached for the generation this snapshot
+    /// pins (see [`StoreStats::reversed_builds`]). Queries never call it:
+    /// `In` and `Both` steps read [`GraphSnapshot::csr_in`].
     pub fn reversed(&self) -> &MultiGraph {
         self.state.reversed()
     }
 
-    /// Forces the reversed-graph cache to be built now (a no-op if it already
-    /// is). The parallel executor calls this for plans that traverse
-    /// `In`/`Both` edges, so worker threads never stall on the first-touch
-    /// build mid-traversal.
-    pub fn prewarm_reversed(&self) {
-        let _ = self.state.reversed();
-    }
-
     /// The Out-direction [`CsrTopology`] of the pinned generation. Built
     /// lazily on the first call and cached for the generation (see
-    /// [`StoreStats::csr_builds`]); scalar-only traversals never trigger the
-    /// build.
+    /// [`StoreStats::csr_builds`]).
     pub fn csr_out(&self) -> &CsrTopology {
         self.state.csr_out()
     }
 
-    /// The In-direction [`CsrTopology`] of the pinned generation, built over
-    /// the cached reversed graph so segment order matches scalar In-walks.
-    /// Pure-`Out` traversals never trigger this build (nor the reversed
-    /// graph's).
+    /// The In-direction [`CsrTopology`] of the pinned generation, built from
+    /// the forward graph's in-edge buckets. Pure-`Out` traversals never
+    /// trigger this build.
     pub fn csr_in(&self) -> &CsrTopology {
         self.state.csr_in()
     }
@@ -1286,7 +1280,7 @@ mod tests {
         assert_eq!(g.stats().reversed_builds, 0);
         // two snapshots of one generation share one build
         let snap2 = g.snapshot();
-        snap.prewarm_reversed();
+        let _ = snap.reversed();
         assert_eq!(snap2.reversed().edge_count(), 6);
         assert_eq!(g.stats().reversed_builds, 1);
         // a structural mutation starts a generation whose cache is cold…

@@ -259,7 +259,7 @@ pub enum WalOp {
 
 impl WalOp {
     /// Whether the op can only touch property maps (never edge structure) —
-    /// the store keeps the reversed-graph cache across such mutations.
+    /// the store keeps the adjacency caches across such mutations.
     pub fn is_props_only(&self) -> bool {
         matches!(
             self,

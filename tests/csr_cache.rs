@@ -1,13 +1,13 @@
 //! Regression tests for the per-generation CSR topology cache.
 //!
-//! The cache contract (mirroring the reversed-graph cache it sits next to):
-//! each direction's CSR snapshot is built **lazily, at most once per
-//! generation**, shared by every snapshot of that generation, invalidated by
-//! exactly the mutations that change edge structure, and carried across
-//! copy-on-write property generations. A pure-Out query plan must never pay
-//! for the In-direction CSR, and switching vectorized execution off must
-//! never build either. All of this is observed through the store's
-//! `csr_builds` counter and `csr_bytes` gauge.
+//! The cache contract: each direction's CSR snapshot — the only adjacency
+//! the executors read — is built **lazily, at most once per generation**,
+//! shared by every snapshot of that generation, invalidated by exactly the
+//! mutations that change edge structure, and carried across copy-on-write
+//! property generations. A query builds exactly the directions it reads,
+//! labeled or wildcard: a pure-Out plan never pays for the In-direction CSR,
+//! and a plan with no expansion builds nothing. All of this is observed
+//! through the store's `csr_builds` counter and `csr_bytes` gauge.
 
 use mrpa::engine::{classic_social_graph, ExecutionStrategy, Traversal, Value};
 
@@ -63,8 +63,8 @@ fn in_direction_plans_build_the_in_csr_exactly_once() {
             .unwrap();
         assert_eq!(r.head_names_sorted(), vec!["josh", "marko", "peter"]);
     }
-    // In expansions prewarm the reversed graph's CSR only: one In build
-    // (the forward CSR was never needed)
+    // In expansions read the In CSR only: one In build (the forward CSR
+    // was never needed)
     assert_eq!(g.stats().csr_builds, 1);
 }
 
@@ -102,27 +102,47 @@ fn structural_mutation_invalidates_exactly_once_and_property_writes_carry() {
 }
 
 #[test]
-fn vectorize_off_and_wildcard_expansions_build_nothing() {
+fn wildcard_steps_build_each_direction_they_read_once_per_generation() {
     let g = classic_social_graph();
-    let r = Traversal::over(&g)
-        .v(["marko"])
-        .out(["knows"])
-        .vectorize(false)
-        .execute()
-        .unwrap();
-    assert_eq!(r.head_names_sorted(), vec!["josh", "vadas"]);
-    // wildcard steps keep the hashmap's interleaved insertion order, so they
-    // bypass the label-sorted CSR even with vectorization on
-    let any = Traversal::over(&g)
-        .v(["marko"])
-        .out_any()
-        .execute()
-        .unwrap();
-    assert_eq!(any.rows().len(), 3);
-    assert_eq!(g.stats().csr_builds, 0);
+    let _ = Traversal::over(&g).v(["marko"]).dedup().execute().unwrap();
+    assert_eq!(g.stats().csr_builds, 0, "no expansion, no build");
     assert_eq!(
         g.stats().csr_bytes,
         0,
         "gauge is zero while nothing is built"
     );
+    // every strategy, twice: `out_any` reads the Out CSR, `in_any` adds the
+    // In CSR, and `both_any` finds both already built
+    let t = |strategy| Traversal::over(&g).strategy(strategy);
+    for _ in 0..2 {
+        for strategy in STRATEGIES {
+            assert_eq!(t(strategy).v(["marko"]).out_any().count().unwrap(), 3);
+        }
+    }
+    assert_eq!(g.stats().csr_builds, 1, "out_any reads the Out CSR only");
+    for _ in 0..2 {
+        for strategy in STRATEGIES {
+            assert_eq!(t(strategy).v(["lop"]).in_any().count().unwrap(), 3);
+            assert_eq!(t(strategy).v(["josh"]).both_any().count().unwrap(), 3);
+        }
+    }
+    assert_eq!(g.stats().csr_builds, 2, "in_any adds the In CSR, once");
+    // a new generation builds each direction it reads once more
+    g.add_edge("vadas", "knows", "peter");
+    assert_eq!(Traversal::over(&g).in_any().count().unwrap(), 7);
+    assert_eq!(Traversal::over(&g).in_any().count().unwrap(), 7);
+    assert_eq!(g.stats().csr_builds, 3);
+    assert_eq!(g.stats().reversed_builds, 0);
+
+    // the parallel strategy prewarms both directions of a `both_any` plan
+    // before its workers start, and builds each exactly once
+    let g = classic_social_graph();
+    let r = Traversal::over(&g)
+        .both_any()
+        .strategy(ExecutionStrategy::Parallel)
+        .parallel_threads(3)
+        .execute()
+        .unwrap();
+    assert_eq!(r.len(), 12, "each of the 6 edges walked both ways");
+    assert_eq!(g.stats().csr_builds, 2);
 }

@@ -1,10 +1,15 @@
 //! The executors' walk paths: rows are a multiset of paths built without
 //! hash-consing, so two rows may carry equal paths under different arena
 //! ids. These tests pin the rows where hash-consing used to merge ids
-//! against the `PathSet` step-join oracle, and the work of the
-//! hop-budget-pruned automaton walk against its unpruned rows.
+//! against the `PathSet` step-join oracle, the wildcard steps (which scan
+//! the CSR segment by segment) against the same oracle and their defined
+//! label-ascending order, and the work of the hop-budget-pruned automaton
+//! walk against its unpruned rows.
+
+use rand::Rng as _;
 
 use mrpa::core::{EdgePattern, MultiGraph, Path, PathSet, Position};
+use mrpa::datagen::random::rng_stream;
 use mrpa::datagen::{social_graph, SocialConfig};
 use mrpa::engine::{
     classic_social_graph, ExecutionStrategy, Predicate, PropertyGraph, QueryResult, Traversal,
@@ -32,6 +37,123 @@ fn row_paths(t: Traversal) -> Vec<Path> {
 /// paths are the single edges a step from `tail` may take.
 fn oracle_step(graph: &MultiGraph, pattern: EdgePattern) -> Vec<Path> {
     PathSet::epsilon().step_join(graph, &pattern).paths()
+}
+
+/// Chunk sizes for the wildcard checks: one row per pull, and the default.
+const CHUNKS: [usize; 2] = [1, 2048];
+
+/// A seeded graph whose edges arrive with their labels interleaved, so a
+/// vertex's insertion-ordered bucket mixes labels; it includes self-loops
+/// and parallel edges under different labels.
+fn interleaved_graph() -> PropertyGraph {
+    let mut r = rng_stream(0x5eed_0021, 0);
+    let g = PropertyGraph::new();
+    for _ in 0..60 {
+        let t = format!("v{}", r.gen_range(0..9));
+        let h = format!("v{}", r.gen_range(0..9));
+        g.add_edge(&t, ["c", "a", "b"][r.gen_range(0..3)], &h);
+    }
+    g.add_edge("v0", "c", "v0");
+    g.add_edge("v0", "a", "v0");
+    g
+}
+
+/// The oracle rows of `out_any`/`in_any`/`both_any` from every vertex: one
+/// `[v, _, _]` step join per start vertex over the forward graph (Out) and
+/// over its reversal (In), as a sorted multiset.
+fn wildcard_oracle(g: &PropertyGraph, out: bool, inn: bool) -> Vec<Path> {
+    let snap = g.snapshot();
+    let forward = snap.graph();
+    let reversed = forward.reversed();
+    let mut paths = Vec::new();
+    for v in forward.vertices() {
+        if out {
+            paths.extend(oracle_step(forward, EdgePattern::from_vertex(v)));
+        }
+        if inn {
+            paths.extend(oracle_step(&reversed, EdgePattern::from_vertex(v)));
+        }
+    }
+    paths.sort();
+    paths
+}
+
+/// Runs the three wildcard steps from every vertex under every strategy and
+/// both chunk sizes against [`wildcard_oracle`].
+fn assert_wildcards_match_the_oracle(g: &PropertyGraph) {
+    type Step = fn(Traversal) -> Traversal;
+    let steps: [(&str, Step, bool, bool); 3] = [
+        ("out_any", Traversal::out_any, true, false),
+        ("in_any", Traversal::in_any, false, true),
+        ("both_any", Traversal::both_any, true, true),
+    ];
+    for (name, step, out, inn) in steps {
+        let expected = wildcard_oracle(g, out, inn);
+        assert!(!expected.is_empty());
+        for strategy in STRATEGIES {
+            for chunk in CHUNKS {
+                let t = Traversal::over(g).strategy(strategy).chunk_size(chunk);
+                assert!(
+                    row_paths(step(t)) == expected,
+                    "{name} {strategy:?} chunk {chunk}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn wildcard_steps_equal_the_step_join_oracle() {
+    assert_wildcards_match_the_oracle(&interleaved_graph());
+}
+
+#[test]
+fn wildcard_steps_equal_the_step_join_oracle_after_removals() {
+    let g = interleaved_graph();
+    // swap-removals reorder the surviving edges' buckets
+    let doomed: Vec<_> = g.snapshot().graph().edges().step_by(3).copied().collect();
+    for e in doomed {
+        let name = |v| g.vertex_name(v).unwrap();
+        let label = g.label_name(e.label).unwrap();
+        assert!(g.remove_edge(&name(e.tail), &label, &name(e.head)));
+    }
+    assert_wildcards_match_the_oracle(&g);
+}
+
+#[test]
+fn wildcard_rows_of_each_input_row_come_out_label_ascending() {
+    let g = interleaved_graph();
+    let snap = g.snapshot();
+    let forward = snap.graph();
+    for strategy in STRATEGIES {
+        for chunk in CHUNKS {
+            let t = || Traversal::over(&g).strategy(strategy).chunk_size(chunk);
+            for (name, result) in [
+                ("out_any", t().out_any().execute().unwrap()),
+                ("in_any", t().in_any().execute().unwrap()),
+                ("both_any", t().both_any().execute().unwrap()),
+            ] {
+                // the start is every vertex once, so an input row's rows are
+                // the run of rows sharing its source
+                for run in result.rows().chunk_by(|a, b| a.source == b.source) {
+                    let source = run[0].source;
+                    let labels: Vec<_> = run.iter().map(|r| r.path.edges()[0].label).collect();
+                    // `both_any` is the Out rows, then the In rows
+                    let split = match name {
+                        "in_any" => 0,
+                        _ => forward.out_degree(source).min(labels.len()),
+                    };
+                    let (outs, ins) = labels.split_at(split);
+                    for half in [outs, ins] {
+                        assert!(
+                            half.is_sorted(),
+                            "{name} {strategy:?} chunk {chunk}: {source} {labels:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -7,9 +7,10 @@
 //!    graph/property/interner deep clone; only the first mutation after a
 //!    snapshot pays the one copy-on-write generation copy. Counter-asserted
 //!    via [`PropertyGraph::stats`], not wall time.
-//! 2. **Lazy reversed graph** — pure-`Out` plans never build the reversed
-//!    graph under any strategy or terminal; `In`/`Both` plans build it at
-//!    most once per generation.
+//! 2. **No reversed graph on the read path** — `In`, `Both`, wildcard,
+//!    `In`-automaton and `In`-weighted plans read the In-direction CSR,
+//!    built at most once per generation, and never build the reversed graph
+//!    under any strategy.
 //! 3. **Snapshot isolation under writer churn** — seeded random graphs are
 //!    frozen with a snapshot, scoped writer threads mutate the live store
 //!    (add/remove edges, set properties) while traversals execute against
@@ -22,8 +23,8 @@ use rand::Rng as _;
 
 use mrpa::datagen::random::{rng_stream, Rng};
 use mrpa::engine::{
-    exec, plan, ExecutionStrategy, Pipeline, PropertyGraph, QueryResult, StartSpec, Traversal,
-    Value,
+    exec, plan, Direction, ExecutionStrategy, Pipeline, PropertyGraph, QueryResult, SemiringKind,
+    StartSpec, Step, Traversal, Value, WeightSpec,
 };
 
 const STRATEGIES: [ExecutionStrategy; 3] = [
@@ -100,73 +101,67 @@ fn snapshots_never_deep_clone_an_unchanged_graph() {
 }
 
 #[test]
-fn pure_out_plans_never_build_the_reversed_graph() {
+fn in_direction_plans_read_the_in_csr_and_never_build_the_reversed_graph() {
     let g = mrpa::engine::classic_social_graph();
-    // out-steps, automata, weighted search, repeat bodies, lazy terminals —
-    // all Out-directed: zero reversed builds under every strategy
+    let in_weighted = Step::Weighted {
+        pattern: "created·knows".into(),
+        max_hops: 2,
+        direction: Direction::In,
+        semiring: SemiringKind::Shortest,
+        weight: WeightSpec::Unit,
+    };
+    // In, Both, wildcard, In-automaton and In-weighted queries under every
+    // strategy, the parallel one also with forced multi-threading
+    let queries = |strategy, threads| {
+        let base = Traversal::over(&g)
+            .strategy(strategy)
+            .parallel_threads(threads);
+        let lop = base.clone().v(["lop"]);
+        assert_eq!(lop.clone().in_(["created"]).count().unwrap(), 3);
+        assert_eq!(lop.clone().both(["created"]).count().unwrap(), 3);
+        assert_eq!(base.clone().in_any().count().unwrap(), 6);
+        assert_eq!(base.clone().both_any().count().unwrap(), 12);
+        assert_eq!(lop.clone().match_in_("created·knows").count().unwrap(), 1);
+        assert_eq!(
+            base.clone().match_in_within("knows*", 2).count().unwrap(),
+            8
+        );
+        assert_eq!(
+            lop.with_steps(vec![in_weighted.clone()]).count().unwrap(),
+            1
+        );
+        base.out(["created"]).dedup().execute().unwrap();
+    };
     for strategy in STRATEGIES {
-        let base = Traversal::over(&g).strategy(strategy);
-        base.clone()
-            .v(["marko"])
-            .out(["knows"])
-            .out(["created"])
-            .execute()
-            .unwrap();
-        base.clone().match_("knows+·created").execute().unwrap();
-        base.clone()
-            .repeat(1..=2, |p| p.out(["knows"]))
-            .execute()
-            .unwrap();
-        base.clone()
-            .cheapest_("(knows|created)+")
-            .weight_by("weight")
-            .top_k(2)
-            .execute()
-            .unwrap();
-        assert!(base.clone().v(["marko"]).match_("knows+").exists().unwrap());
+        queries(strategy, 1);
     }
-    // forced multi-thread parallel exercises the partitioned path too
-    Traversal::over(&g)
-        .out(["created"])
-        .dedup()
-        .strategy(ExecutionStrategy::Parallel)
-        .parallel_threads(3)
-        .execute()
-        .unwrap();
+    queries(ExecutionStrategy::Parallel, 3);
+    let stats = g.stats();
     assert_eq!(
-        g.stats().reversed_builds,
-        0,
-        "a pure-Out workload must never pay for the reversed graph"
+        stats.reversed_builds, 0,
+        "no query builds the reversed graph"
+    );
+    assert_eq!(
+        stats.csr_builds, 2,
+        "one Out and one In build per generation"
     );
 
-    // the first In-direction query builds it — once per generation, however
-    // many queries and snapshots share that generation
-    for strategy in STRATEGIES {
-        Traversal::over(&g)
-            .v(["lop"])
-            .in_(["created"])
-            .strategy(strategy)
-            .execute()
-            .unwrap();
-        Traversal::over(&g)
-            .v(["lop"])
-            .both(["created"])
-            .strategy(strategy)
-            .execute()
-            .unwrap();
-    }
-    assert_eq!(g.stats().reversed_builds, 1, "one build per generation");
-    // a structural mutation starts a new generation: one more build on the
-    // next In-direction query, and only then
+    // a structural mutation starts a new generation: the In CSR is built
+    // once more on the next In-direction query, and only then
     g.add_edge("vadas", "knows", "peter");
     Traversal::over(&g).out(["knows"]).execute().unwrap();
-    assert_eq!(g.stats().reversed_builds, 1);
-    Traversal::over(&g)
-        .v(["peter"])
-        .in_(["knows"])
-        .execute()
-        .unwrap();
-    assert_eq!(g.stats().reversed_builds, 2);
+    assert_eq!(g.stats().csr_builds, 3);
+    for strategy in STRATEGIES {
+        let r = Traversal::over(&g)
+            .v(["peter"])
+            .in_(["knows"])
+            .strategy(strategy)
+            .execute()
+            .unwrap();
+        assert_eq!(r.head_names_sorted(), vec!["vadas"]);
+    }
+    assert_eq!(g.stats().csr_builds, 4);
+    assert_eq!(g.stats().reversed_builds, 0);
 }
 
 /// A pipeline mix covering all three executors' moving parts, pure-`Out` so

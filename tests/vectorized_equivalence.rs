@@ -1,20 +1,19 @@
-//! Seeded equivalence tests for CSR-backed execution across chunk sizes.
+//! Seeded equivalence tests for chunked execution across chunk sizes.
 //!
-//! The acceptance property of the vectorized subsystem: for every query
+//! The acceptance property of the chunked row transport: for every query
 //! form the engine supports — step chains in all directions, regular path
 //! patterns, weighted search, bounded repetition, filters, dedup, limits —
-//! executing with vectorization ON (CSR label-segment scans, the default)
-//! at an adversarial chunk size produces **exactly** the rows of executing
-//! with vectorization OFF (hashmap adjacency) at the default chunk size, row
-//! order and weights included, under every execution strategy. `vectorize`
-//! swaps only the adjacency source; both runs use the one chunked stage
-//! protocol, and chunk size 1 suspends every stage at every row boundary.
-//! On full-drain forms the `ExecStats` expansion counters must agree too —
-//! the CSR scan must visit exactly the edges the hash-bucket probe visits.
-//! Under a limit the optimizer does not push into an automaton they may
-//! differ, because the two runs ask for different chunk sizes: a stage asks
-//! its input for up to one chunk of rows, so an expansion upstream may run
-//! ahead by up to one chunk (rows are still identical).
+//! executing at an adversarial chunk size produces **exactly** the rows of
+//! the same strategy at the default chunk size, row order and weights
+//! included, under every execution strategy. Both runs scan the same
+//! per-generation CSR adjacency through the one chunked stage protocol;
+//! chunk size 1 suspends every stage at every row boundary, 3 splits
+//! frontiers mid-layer. On full-drain forms the `ExecStats` expansion
+//! counters must agree too — suspending a stage must not change which edges
+//! it visits. Under a limit the optimizer does not push into an automaton
+//! they may differ, because the two runs ask for different chunk sizes: a
+//! stage asks its input for up to one chunk of rows, so an expansion
+//! upstream may run ahead by up to one chunk (rows are still identical).
 
 use rand::Rng as _;
 
@@ -66,8 +65,8 @@ fn cases(stream: u64, mut check: impl FnMut(&mut Rng, usize)) {
     }
 }
 
-/// Order-sensitive row signature including the weight column: the CSR run
-/// must reproduce the hashmap run's row *sequence*, not just the set.
+/// Order-sensitive row signature including the weight column: the chunked
+/// run must reproduce the reference run's row *sequence*, not just the set.
 fn row_sequence(result: &QueryResult) -> Vec<String> {
     result
         .rows()
@@ -81,32 +80,27 @@ fn row_sequence(result: &QueryResult) -> Vec<String> {
         .collect()
 }
 
-/// Executes `build()` on hashmap adjacency (vectorize off, default chunk)
-/// and on the CSR (on, at `chunk` rows) under `strategy` and asserts
-/// row-for-row equality; returns both results so callers can additionally
-/// compare stats.
+/// Executes `build()` at the default chunk size (the reference) and at
+/// `chunk` rows under `strategy` and asserts row-for-row equality; returns
+/// both results so callers can additionally compare stats.
 fn assert_equivalent(
     build: &dyn Fn() -> Traversal,
     strategy: ExecutionStrategy,
     chunk: usize,
     label: &str,
 ) -> (QueryResult, QueryResult) {
-    let scalar = build()
-        .strategy(strategy)
-        .vectorize(false)
-        .execute()
-        .unwrap();
+    let reference = build().strategy(strategy).execute().unwrap();
     let chunked = build()
         .strategy(strategy)
         .chunk_size(chunk)
         .execute()
         .unwrap();
     assert_eq!(
-        row_sequence(&scalar),
+        row_sequence(&reference),
         row_sequence(&chunked),
         "{label} strategy {strategy:?} chunk {chunk}"
     );
-    (scalar, chunked)
+    (reference, chunked)
 }
 
 #[test]
@@ -118,7 +112,7 @@ fn step_chains_match_scalar_row_for_row_with_equal_expansions() {
         let cutoff = r.gen_range(10i64..60) as f64;
         for strategy in STRATEGIES {
             for chunk in CHUNKS {
-                let (scalar, chunked) = assert_equivalent(
+                let (reference, chunked) = assert_equivalent(
                     &|| {
                         Traversal::over(&g)
                             .out([l1])
@@ -131,9 +125,9 @@ fn step_chains_match_scalar_row_for_row_with_equal_expansions() {
                     chunk,
                     &format!("case {case} chain {l1}/{l2}"),
                 );
-                // full drain: the CSR scan must do exactly the scalar's work
+                // full drain: the chunked run must do exactly the reference's work
                 assert_eq!(
-                    scalar.stats().expansions,
+                    reference.stats().expansions,
                     chunked.stats().expansions,
                     "case {case} chain expansions, {strategy:?} chunk {chunk}"
                 );
