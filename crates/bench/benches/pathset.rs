@@ -1,11 +1,10 @@
 //! Criterion benches for E5 (join vs naive join vs product-filter) and the
-//! arena deep-chain workload (n-hop source traversal, arena vs pre-arena).
+//! arena deep-chain workload (n-hop source traversal).
 
 use std::collections::HashSet;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrpa_bench::legacy::LegacyPathSet;
 use mrpa_core::{source_traversal, EdgePattern, LabelId, VertexId};
 use mrpa_datagen::{erdos_renyi, sample_vertices, ErConfig};
 
@@ -39,7 +38,7 @@ fn bench_join_vs_product(c: &mut Criterion) {
 }
 
 fn bench_deep_chain(c: &mut Criterion) {
-    // the E2 workload of exp_pathset: n-hop source traversals at n = 2..6
+    // n-hop source traversals at n = 2..6
     let g = erdos_renyi(ErConfig {
         vertices: 50,
         labels: 4,
@@ -54,9 +53,6 @@ fn bench_deep_chain(c: &mut Criterion) {
     for n in 2..=6usize {
         group.bench_with_input(BenchmarkId::new("arena", n), &n, |bench, &n| {
             bench.iter(|| source_traversal(&g, &sources, n))
-        });
-        group.bench_with_input(BenchmarkId::new("legacy", n), &n, |bench, &n| {
-            bench.iter(|| LegacyPathSet::source_traversal(&g, &sources, n))
         });
     }
     group.finish();

@@ -15,8 +15,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-pub mod legacy;
-
 use std::time::Instant;
 
 /// Measures the wall-clock time of a closure, returning (result, milliseconds).

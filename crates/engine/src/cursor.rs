@@ -27,15 +27,19 @@
 //! index of the next entry to expand (the mid-layer suspension point), the
 //! half-built next layer, and the emissions awaiting delivery. One call
 //! expands frontier entries until it has its target, stopping after the
-//! entry that reaches it. The same walker, run with no target, is the
-//! materialized executor's batch evaluation, so both share one definition
-//! of the walk (order, caps, semantics, emission limits).
+//! entry that reaches it.
+//!
+//! These stages are the only evaluator of every op. The materialized
+//! executor ([`crate::exec`]) runs each op as a one-op stage over the whole
+//! previous level and drains it before the next op starts; a `Repeat` stage
+//! drains its body — compiled once into a fed stage chain — one iteration
+//! at a time in the same way.
 //!
 //! `max_intermediate` is enforced per stage: each stage counts the rows it
 //! has emitted over its lifetime and fails once the count exceeds the cap.
-//! For top-level ops this is exactly the materialized executor's per-level
-//! check (a top-level op runs once, so its cumulative output *is* its level),
-//! making the cap strategy-agnostic.
+//! For top-level ops this is exactly a per-level check (a top-level op runs
+//! once, so its cumulative output *is* its level), and a repeat body's
+//! count restarts every iteration, making the cap strategy-agnostic.
 
 use std::cell::Cell;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -45,11 +49,11 @@ use mrpa_core::fxhash::FxHashSet;
 use mrpa_core::{ArenaWriter, Edge, IdForwarder, PathArena, VertexId};
 
 use crate::cancel::{CancelToken, Liveness};
-use crate::chunk::ChunkPull;
+use crate::chunk::{ChunkPull, DEFAULT_CHUNK_SIZE};
 use crate::error::EngineError;
 use crate::exec::{
-    apply_ops, check_cap, eval_until, for_each_expansion_edge, in_set, initial_rows, materialized,
-    materialized_traced, ArenaRow, Counters, ExecConfig, ExecCtx, ExecStats, ExecutionStrategy,
+    check_cap, eval_until, in_set, initial_rows, materialized, ArenaRow, Counters, ExecConfig,
+    ExecCtx, ExecStats, ExecutionStrategy,
 };
 use crate::plan::{
     AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, SemiringKind, WeightSource,
@@ -74,15 +78,14 @@ fn take_budget(remaining: &mut Option<usize>) -> bool {
     }
 }
 
-/// Moves queued rows into `out` until it holds `goal` rows (batch
-/// evaluation passes `usize::MAX`: everything).
+/// Moves queued rows into `out` until it holds `goal` rows.
 fn drain_to(queue: &mut VecDeque<ArenaRow>, out: &mut Vec<ArenaRow>, goal: usize) {
     let n = goal.saturating_sub(out.len()).min(queue.len());
     out.extend(queue.drain(..n));
 }
 
 // ---------------------------------------------------------------------------
-// Resumable walkers (shared by batch evaluation and cursor stages)
+// Resumable walkers (driven by the composite stages)
 // ---------------------------------------------------------------------------
 
 /// The frontier dedup set of (global) reachability evaluation: `(vertex,
@@ -201,11 +204,9 @@ impl AutoWalk {
     /// Expands the current layer's frontier entries in order, pushing
     /// emissions into `out`, until the layer is exhausted or `out` holds
     /// `goal` rows. It stops after the entry that reaches the goal; that
-    /// entry's extra emissions move to the pending queue. The materialized
-    /// executor passes `usize::MAX` and so expands the whole layer; a cursor
-    /// stage passes its target, so a one-row pull expands no further than
-    /// the first entry that emits. Must not be called when
-    /// [`AutoWalk::needs_roll`] — entries only exist mid-layer.
+    /// entry's extra emissions move to the pending queue, so a one-row pull
+    /// expands no further than the first entry that emits. Must not be
+    /// called when [`AutoWalk::needs_roll`] — entries only exist mid-layer.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_layer(
         &mut self,
@@ -241,7 +242,7 @@ impl AutoWalk {
                 // (both facts precomputed into the move table at compile time)
                 let survives = self.hop < max_hops && m.target_live;
                 for e in adj.labeled_edges(row.head, m.label) {
-                    ctx.count_expansion();
+                    ctx.count_expansions(1);
                     if let Some(seen) = seen.as_deref_mut() {
                         if !seen.insert((e.head, m.target)) {
                             continue;
@@ -277,10 +278,9 @@ impl AutoWalk {
     }
 }
 
-/// The static parameters of a `Repeat` op, borrowed from the plan.
+/// The static parameters of a `Repeat` op, borrowed from its stage.
 #[derive(Clone, Copy)]
 pub(crate) struct RepeatSpec<'a> {
-    pub(crate) body: &'a [PlanOp],
     pub(crate) min: usize,
     pub(crate) max: usize,
     pub(crate) until: Option<&'a (String, Predicate)>,
@@ -316,21 +316,20 @@ impl RepeatWalk {
         drain_to(&mut self.pending, out, goal);
     }
 
-    /// One iteration step, replicating the materialized order exactly:
-    /// emissions for the current count `k` first, then one body application.
+    /// One iteration step: emissions for the current count `k` first, then
+    /// one application of `body`, the op's fed stage chain. The frontier is
+    /// fed to it whole, the feed is closed and the chain drained to `Done`
+    /// (a level-at-a-time body application), then the chain is re-armed for
+    /// the next iteration.
     pub(crate) fn advance(
         &mut self,
         ctx: &ExecCtx<'_>,
         arena: &PathArena,
         spec: RepeatSpec<'_>,
+        body: &mut Stage,
         delivered: usize,
     ) -> Result<(), EngineError> {
-        let RepeatSpec {
-            body,
-            min,
-            max,
-            until,
-        } = spec;
+        let RepeatSpec { min, max, until } = spec;
         if self.done {
             return Ok(());
         }
@@ -357,7 +356,12 @@ impl RepeatWalk {
             self.done = true;
             return Ok(());
         }
-        self.frontier = apply_ops(ctx, arena, std::mem::take(&mut self.frontier), body)?;
+        body.feed(self.frontier.drain(..));
+        body.close_feed();
+        // the body is drained whole; the chunk size only sets how often the
+        // growth is charged
+        body.drain(ctx, arena, DEFAULT_CHUNK_SIZE, &mut self.frontier)?;
+        body.rearm();
         check_cap(
             self.frontier.len() + delivered + self.pending.len(),
             ctx.cap,
@@ -540,7 +544,7 @@ impl WeightedWalk {
                 continue;
             }
             for e in adj.labeled_edges(row.head, m.label) {
-                ctx.count_expansion();
+                ctx.count_expansions(1);
                 if self
                     .settled
                     .contains(&self.settle_key(e.head, m.target, hop + 1))
@@ -572,6 +576,85 @@ impl WeightedWalk {
         }
         check_cap(self.heap.len() + delivered + self.pending.len(), ctx.cap)?;
         Ok(())
+    }
+}
+
+/// The static parameters of an `Expand` op.
+#[derive(Debug)]
+struct ExpandStep {
+    direction: Direction,
+    labels: Option<Vec<LabelId>>,
+    from: Option<HashSet<VertexId>>,
+    to: Option<HashSet<VertexId>>,
+}
+
+impl ExpandStep {
+    /// Expands `rows` in order, appending each row's expansions to `out`,
+    /// until `out` holds `goal` rows; returns how many rows it consumed. A
+    /// row is expanded whole, so `out` may end up to one out-degree past the
+    /// goal. Each row's edges are read one CSR segment at a time: restricted
+    /// to `labels` in the list's order or, for a wildcard, every label
+    /// ascending. An `In` step reads the In CSR, so a result edge `(h, α, t)`
+    /// walks the stored edge `(t, α, h)` backwards and the produced paths
+    /// are joint paths of the reversed graph; `Both` reads Out, then In.
+    ///
+    /// Kept out of line: inlined into the stage dispatch, this loop ran
+    /// measurably slower than the same loop on its own.
+    #[inline(never)]
+    fn expand(
+        &self,
+        ctx: &ExecCtx<'_>,
+        writer: &mut ArenaWriter<'_>,
+        rows: &[ArenaRow],
+        out: &mut Vec<ArenaRow>,
+        goal: usize,
+    ) -> usize {
+        let directions: &[Direction] = match self.direction {
+            Direction::Out => &[Direction::Out],
+            Direction::In => &[Direction::In],
+            Direction::Both => &[Direction::Out, Direction::In],
+        };
+        let mut consumed = 0;
+        for row in rows {
+            if out.len() >= goal {
+                break;
+            }
+            consumed += 1;
+            if !in_set(&self.from, row.head) {
+                continue;
+            }
+            let mut visit = |label: LabelId, heads: &[VertexId]| {
+                ctx.count_expansions(heads.len());
+                let mut extend = |head: VertexId| ArenaRow {
+                    source: row.source,
+                    path: writer.push(row.path, Edge::new(row.head, label, head)),
+                    head,
+                    weight: row.weight,
+                };
+                match &self.to {
+                    None => out.extend(heads.iter().map(|&h| extend(h))),
+                    Some(to) => {
+                        out.extend(heads.iter().filter(|h| to.contains(h)).map(|&h| extend(h)))
+                    }
+                }
+            };
+            for &direction in directions {
+                let csr = ctx.adjacency(direction);
+                match &self.labels {
+                    None => {
+                        for (label, heads) in csr.segments(row.head) {
+                            visit(label, heads);
+                        }
+                    }
+                    Some(labels) => {
+                        for &label in labels {
+                            visit(label, csr.labeled(row.head, label));
+                        }
+                    }
+                }
+            }
+        }
+        consumed
     }
 }
 
@@ -619,10 +702,7 @@ enum StageOp {
     },
     Expand {
         input: Box<Stage>,
-        direction: Direction,
-        labels: Option<Vec<LabelId>>,
-        from: Option<HashSet<VertexId>>,
-        to: Option<HashSet<VertexId>>,
+        step: ExpandStep,
         /// The last input chunk, expanded up to `next_input`.
         input_rows: Vec<ArenaRow>,
         next_input: usize,
@@ -655,7 +735,9 @@ enum StageOp {
     },
     Repeat {
         input: Box<Stage>,
-        body: Vec<PlanOp>,
+        /// The body's fed stage chain, compiled once and re-armed after
+        /// every iteration.
+        body: Box<Stage>,
         min: usize,
         max: usize,
         until: Option<(String, Predicate)>,
@@ -786,7 +868,26 @@ impl Stage {
         )
     }
 
-    fn build(source: Stage, ops: Vec<PlanOp>) -> Stage {
+    /// One level of the materialized executor: `op` over a source holding
+    /// the whole previous level. With `traced`, only the op's stage records
+    /// actuals, so [`Stage::level_actuals`] reads its inclusive counters as
+    /// its own.
+    pub(crate) fn level(rows: Vec<ArenaRow>, op: PlanOp, traced: bool) -> Stage {
+        let mut stage = Self::build(Stage::new(StageOp::Source { rows, idx: 0 }), [op]);
+        if traced {
+            stage.trace = Some(Box::default());
+        }
+        stage
+    }
+
+    /// The actuals of a drained [`Stage::level`].
+    pub(crate) fn level_actuals(&self) -> OpActuals {
+        let mut actuals = Vec::with_capacity(2);
+        self.collect_trace(&mut actuals);
+        actuals.pop().expect("a level stage has an op")
+    }
+
+    fn build(source: Stage, ops: impl IntoIterator<Item = PlanOp>) -> Stage {
         let mut cur = source;
         for op in ops {
             let op = match op {
@@ -797,10 +898,12 @@ impl Stage {
                     to,
                 } => StageOp::Expand {
                     input: Box::new(cur),
-                    direction,
-                    labels,
-                    from,
-                    to,
+                    step: ExpandStep {
+                        direction,
+                        labels,
+                        from,
+                        to,
+                    },
                     input_rows: Vec::new(),
                     next_input: 0,
                     surplus: VecDeque::new(),
@@ -849,7 +952,7 @@ impl Stage {
                     until,
                 } => StageOp::Repeat {
                     input: Box::new(cur),
-                    body,
+                    body: Box::new(Stage::fed_pipeline(body)),
                     min,
                     max,
                     until,
@@ -878,22 +981,12 @@ impl Stage {
         cur
     }
 
-    /// The innermost source stage (for feeding the parallel suffix).
+    /// The innermost source stage (for feeding a fed chain).
     fn source_mut(&mut self) -> &mut Stage {
-        if matches!(self.op, StageOp::Source { .. } | StageOp::Feed { .. }) {
+        if self.input_ref().is_none() {
             return self;
         }
-        match &mut self.op {
-            StageOp::Expand { input, .. }
-            | StageOp::Automaton { input, .. }
-            | StageOp::Weighted { input, .. }
-            | StageOp::Repeat { input, .. }
-            | StageOp::RestrictVertices { input, .. }
-            | StageOp::RestrictProperty { input, .. }
-            | StageOp::Dedup { input, .. }
-            | StageOp::Limit { input, .. } => input.source_mut(),
-            StageOp::Source { .. } | StageOp::Feed { .. } => unreachable!(),
-        }
+        self.input_mut().expect("checked above").source_mut()
     }
 
     /// Enqueues rows into the feedable source.
@@ -910,6 +1003,45 @@ impl Stage {
     pub(crate) fn close_feed(&mut self) {
         if let StageOp::Feed { closed, .. } = &mut self.source_mut().op {
             *closed = true;
+        }
+    }
+
+    /// Re-arms a fed chain drained to `Done` for its next input level: the
+    /// feed reopens and every stage's output count restarts, so the cap is
+    /// checked per level. Only repeat bodies are re-armed; they are
+    /// validated stateless at plan time, and a drained stateless stage holds
+    /// no other state.
+    fn rearm(&mut self) {
+        self.out_count = 0;
+        if let StageOp::Feed { closed, .. } = &mut self.op {
+            *closed = false;
+        }
+        if let Some(input) = self.input_mut() {
+            input.rearm();
+        }
+    }
+
+    /// Pulls the stage to `Done` in `chunk`-row calls, appending every row to
+    /// `out`, and charges memory after every call: how the materialized
+    /// executor evaluates one level and a repeat body one iteration. A fed
+    /// chain's feed must be closed first.
+    pub(crate) fn drain(
+        &mut self,
+        ctx: &ExecCtx<'_>,
+        arena: &PathArena,
+        chunk: usize,
+        out: &mut Vec<ArenaRow>,
+    ) -> Result<(), EngineError> {
+        let mut row_mark = out.len();
+        loop {
+            let res = self.pull_chunk(ctx, arena, chunk, out)?;
+            if ctx.budgeted() {
+                ctx.charge_arena_growth(arena.node_count())?;
+                ctx.charge_row_growth(out.len(), &mut row_mark)?;
+            }
+            if res != ChunkPull::Rows {
+                return Ok(());
+            }
         }
     }
 
@@ -992,10 +1124,7 @@ impl Stage {
             }
             StageOp::Expand {
                 input,
-                direction,
-                labels,
-                from,
-                to,
+                step,
                 input_rows,
                 next_input,
                 surplus,
@@ -1013,25 +1142,8 @@ impl Stage {
                     // one writer acquisition for the input rows this call
                     // expands
                     let mut writer = arena.writer();
-                    while *next_input < input_rows.len() && out.len() < goal {
-                        let row = input_rows[*next_input];
-                        *next_input += 1;
-                        if !in_set(from, row.head) {
-                            continue;
-                        }
-                        for_each_expansion_edge(ctx, *direction, row.head, labels, |e| {
-                            ctx.count_expansion();
-                            if !in_set(to, e.head) {
-                                return;
-                            }
-                            out.push(ArenaRow {
-                                source: row.source,
-                                path: writer.push(row.path, e),
-                                head: e.head,
-                                weight: row.weight,
-                            });
-                        });
-                    }
+                    *next_input +=
+                        step.expand(ctx, &mut writer, &input_rows[*next_input..], out, goal);
                     // the last row's expansions past the goal wait for the
                     // next call (the surplus was drained, so it is empty here)
                     if out.len() > goal {
@@ -1174,11 +1286,11 @@ impl Stage {
                         ctx,
                         arena,
                         RepeatSpec {
-                            body,
                             min: *min,
                             max: *max,
                             until: until.as_ref(),
                         },
+                        body,
                         delivered + (out.len() - base),
                     )?;
                     if ctx.budgeted() {
@@ -1279,9 +1391,11 @@ fn flush(out_len: usize, base: usize, empty: ChunkPull) -> ChunkPull {
 ///
 /// * `Streaming` — fully incremental: `next_row` asks the stage pipeline
 ///   for one row, [`RowCursor::next_chunk`] for a chunk of rows;
-/// * `Materialized` — evaluates the plan level-at-a-time on the first pull
-///   and then yields from the buffer (early exit comes from the optimizer's
-///   limit-pushdown annotation, not from the pull protocol);
+/// * `Materialized` — drains the plan level-at-a-time on the first pull
+///   (each op's stage over the whole previous level, see
+///   [`crate::exec`]) and then yields from the buffer (early exit comes from
+///   the optimizer's limit-pushdown annotations, not from the pull
+///   protocol);
 /// * `Parallel` — pulls batches from partitioned prefix cursors on scoped
 ///   threads, preserving partition order.
 ///
@@ -1320,8 +1434,9 @@ enum Inner {
         /// on the first pull; paths are materialised only for rows
         /// delivered into an output buffer.
         buffered: Option<(PathArena, std::vec::IntoIter<ArenaRow>)>,
-        /// Per-op actuals recorded by the profiled batch run (populated on
-        /// the first pull when [`ExecConfig::profile`] is set).
+        /// Per-op actuals read from each level's stage by the profiled run
+        /// (populated on the first pull when [`ExecConfig::profile`] is
+        /// set).
         trace: Option<Vec<OpActuals>>,
     },
     Parallel(Box<ParallelState>),
@@ -1594,7 +1709,6 @@ impl RowCursor {
         target: usize,
         mut out: Option<&mut Vec<ResultRow>>,
     ) -> Result<usize, EngineError> {
-        let profile = self.config.profile;
         let ctx = ExecCtx {
             snapshot: &self.snapshot,
             cap: self.cap,
@@ -1619,14 +1733,15 @@ impl RowCursor {
             }
             Inner::Batch { buffered, trace } => {
                 if buffered.is_none() {
-                    let (start, ops) = (self.plan.start(), self.plan.ops());
-                    let (arena, rows) = if profile {
-                        let (arena, rows, actuals) = materialized_traced(&ctx, start, ops)?;
-                        *trace = Some(actuals);
-                        (arena, rows)
-                    } else {
-                        materialized(&ctx, start, ops)?
-                    };
+                    let mut actuals = self.config.profile.then(Vec::new);
+                    let (arena, rows) = materialized(
+                        &ctx,
+                        self.plan.start(),
+                        self.plan.ops(),
+                        self.config.chunk,
+                        actuals.as_mut(),
+                    )?;
+                    *trace = actuals;
                     *buffered = Some((arena, rows.into_iter()));
                 }
                 let (arena, rows) = buffered.as_mut().expect("filled above");

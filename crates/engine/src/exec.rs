@@ -6,10 +6,13 @@
 //! makes `Limit` deterministic across strategies:
 //!
 //! * [`ExecutionStrategy::Materialized`] — level-at-a-time evaluation that
-//!   materialises the full row set after every operation; this is the direct
-//!   analogue of evaluating the algebra's join chain on path sets and is the
-//!   reference implementation. Under `limit(k)` it early-exits only through
-//!   the optimizer's R7 annotation (the automaton emission cap).
+//!   materialises the full row set after every operation, the analogue of
+//!   evaluating the algebra's join chain on path sets. It runs the same
+//!   stages as the cursor: each op is a one-op stage over the whole previous
+//!   level, drained in chunks until it is done before the next op starts.
+//!   Under `limit(k)` it early-exits only through the optimizer's R7/R9
+//!   annotations (the automaton and top-k emission caps). The reference all
+//!   three are tested against is the literal path algebra in `crates/core`.
 //! * [`ExecutionStrategy::Streaming`] — the demand-driven cursor: every plan
 //!   op compiles to a pull-based stage ([`crate::cursor`]) that hands out at
 //!   most the rows it is asked for — one for `next_row`/`first()`, a chunk
@@ -44,7 +47,8 @@
 //! carries `(row, dfa-state)` pairs, each hop walks the adjacency index for
 //! the labels with transitions out of the current state, and rows landing in
 //! accepting states are emitted at every depth up to the spec's bound
-//! (deduplicated by `(vertex, state)` under [`Semantics::Reachable`]). Rows
+//! (deduplicated by `(vertex, state)` under
+//! [`Semantics::Reachable`](crate::plan::Semantics::Reachable)). Rows
 //! are materialised into [`ResultRow`]s only once, at the cursor boundary.
 //!
 //! Every execution shares one [`ExecStats`] counter set (exposed through
@@ -59,13 +63,13 @@
 use std::cell::Cell;
 use std::collections::HashSet;
 
-use mrpa_core::{Edge, LabelId, PathArena, PathId, VertexId};
+use mrpa_core::{PathArena, PathId, VertexId};
 
 use crate::cancel::Liveness;
 use crate::csr::CsrTopology;
-use crate::cursor::{AutoWalk, RepeatWalk, RowCursor, SeenSet, WeightedWalk};
+use crate::cursor::{RowCursor, Stage};
 use crate::error::EngineError;
-use crate::plan::{Direction, LogicalPlan, PlanOp, Semantics};
+use crate::plan::{Direction, LogicalPlan, PlanOp};
 use crate::query::{QueryResult, ResultRow};
 use crate::store::GraphSnapshot;
 use crate::trace::OpActuals;
@@ -74,7 +78,9 @@ use crate::value::Predicate;
 /// Which executor evaluates the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionStrategy {
-    /// Level-at-a-time path-set evaluation (reference implementation).
+    /// Level-at-a-time evaluation: each op's stage is drained over the whole
+    /// previous level before the next op starts. The reference the
+    /// strategies are tested against is `crates/core`'s path algebra.
     Materialized,
     /// Demand-driven pull-cursor evaluation (row-at-a-time).
     Streaming,
@@ -179,7 +185,7 @@ impl Default for ExecConfig {
     }
 }
 
-/// Per-execution context threaded through batch evaluation and cursor pulls.
+/// Per-execution context threaded through every stage pull.
 #[derive(Clone, Copy)]
 pub(crate) struct ExecCtx<'a> {
     pub(crate) snapshot: &'a GraphSnapshot,
@@ -204,14 +210,12 @@ impl<'a> ExecCtx<'a> {
             Direction::Both => unreachable!("adjacency is read one direction at a time"),
         }
     }
-}
 
-impl ExecCtx<'_> {
     #[inline]
-    pub(crate) fn count_expansion(&self) {
+    pub(crate) fn count_expansions(&self, n: usize) {
         self.counters
             .expansions
-            .set(self.counters.expansions.get() + 1);
+            .set(self.counters.expansions.get() + n as u64);
     }
 
     #[inline]
@@ -366,46 +370,6 @@ impl ArenaRow {
     }
 }
 
-/// Visits the edges leaving `v` in the step's direction, restricted to
-/// `labels` (in the list's order) or, for a wildcard, every label ascending.
-/// For `Direction::In` the edges come from the In CSR, so a result edge
-/// `(h, α, t)` represents walking the stored edge `(t, α, h)` backwards; the
-/// produced paths are joint paths of the reversed graph. `Direction::Both`
-/// visits the forward edges first, then the backward ones.
-pub(crate) fn for_each_expansion_edge(
-    ctx: &ExecCtx<'_>,
-    direction: Direction,
-    v: VertexId,
-    labels: &Option<Vec<LabelId>>,
-    mut visit: impl FnMut(Edge),
-) {
-    let mut walk = |dir: Direction| {
-        let csr = ctx.adjacency(dir);
-        match labels {
-            None => {
-                for (label, heads) in csr.segments(v) {
-                    for &head in heads {
-                        visit(Edge::new(v, label, head));
-                    }
-                }
-            }
-            Some(ls) => {
-                for &l in ls {
-                    csr.labeled_edges(v, l).for_each(&mut visit);
-                }
-            }
-        }
-    };
-    match direction {
-        Direction::Out => walk(Direction::Out),
-        Direction::In => walk(Direction::In),
-        Direction::Both => {
-            walk(Direction::Out);
-            walk(Direction::In);
-        }
-    }
-}
-
 pub(crate) fn check_cap(len: usize, cap: Option<usize>) -> Result<(), EngineError> {
     if let Some(cap) = cap {
         if len > cap {
@@ -430,312 +394,41 @@ pub(crate) fn eval_until(
     until.1.eval(snapshot.vertex_property(v, &until.0))
 }
 
-/// Applies one plan op to a materialised row set (level-at-a-time). The
-/// composite ops drive the same resumable walkers ([`AutoWalk`],
-/// [`RepeatWalk`]) the cursor stages use, drained to exhaustion — one
-/// implementation, two consumption granularities.
-pub(crate) fn apply_op(
-    ctx: &ExecCtx<'_>,
-    arena: &PathArena,
-    rows: Vec<ArenaRow>,
-    op: &PlanOp,
-) -> Result<Vec<ArenaRow>, EngineError> {
-    Ok(match op {
-        PlanOp::Expand {
-            direction,
-            labels,
-            from,
-            to,
-        } => {
-            let mut next = Vec::new();
-            let mut row_mark = 0usize;
-            // one write-lock acquisition for the whole expansion level
-            let mut writer = arena.writer();
-            for row in &rows {
-                ctx.ensure_alive()?;
-                if !in_set(from, row.head) {
-                    continue;
-                }
-                for_each_expansion_edge(ctx, *direction, row.head, labels, |e| {
-                    ctx.count_expansion();
-                    if !in_set(to, e.head) {
-                        return;
-                    }
-                    next.push(ArenaRow {
-                        source: row.source,
-                        path: writer.push(row.path, e),
-                        head: e.head,
-                        weight: row.weight,
-                    });
-                });
-                if ctx.budgeted() {
-                    ctx.charge_arena_growth(writer.node_count())?;
-                    ctx.charge_row_growth(next.len(), &mut row_mark)?;
-                }
-            }
-            next
-        }
-        PlanOp::ExpandAutomaton {
-            spec,
-            from,
-            to,
-            limit,
-        } => {
-            // product-automaton expansion, row by row so emissions are
-            // row-major; `remaining` is the R7 emission cap shared across
-            // input rows. One write-lock acquisition for the whole op —
-            // dropped around layer rollovers, which hold no writer. Each
-            // layer runs whole through `AutoWalk::run_layer` (no goal).
-            let mut emitted: Vec<ArenaRow> = Vec::new();
-            let mut row_mark = 0usize;
-            let mut remaining = *limit;
-            let mut seen: Option<SeenSet> = match spec.semantics() {
-                Semantics::GlobalReachable => Some(SeenSet::default()),
-                Semantics::Walks | Semantics::Reachable => None,
-            };
-            let mut writer = arena.writer();
-            for row in rows {
-                if matches!(remaining, Some(0)) {
-                    break;
-                }
-                if !in_set(from, row.head) {
-                    continue;
-                }
-                if spec.semantics() == Semantics::Reachable {
-                    seen = Some(SeenSet::default());
-                }
-                let mut walk = AutoWalk::start(spec, to, row, &mut remaining, seen.as_mut());
-                walk.drain_pending_into(&mut emitted, usize::MAX);
-                loop {
-                    ctx.ensure_alive()?;
-                    if walk.finished() {
-                        break;
-                    }
-                    if walk.needs_roll() {
-                        walk.roll(ctx, spec, emitted.len())?;
-                    } else {
-                        walk.run_layer(
-                            ctx,
-                            &mut writer,
-                            spec,
-                            to,
-                            &mut remaining,
-                            seen.as_mut(),
-                            &mut emitted,
-                            usize::MAX,
-                        );
-                    }
-                    // per-layer budget check: a dense product-automaton
-                    // frontier dies mid-walk, exactly like cancellation
-                    if ctx.budgeted() {
-                        ctx.charge_arena_growth(writer.node_count())?;
-                        ctx.charge_row_growth(emitted.len(), &mut row_mark)?;
-                    }
-                }
-            }
-            drop(writer);
-            emitted
-        }
-        PlanOp::ExpandWeighted {
-            spec,
-            semiring,
-            weight,
-            from,
-            to,
-            k,
-        } => {
-            // best-first weighted expansion, row by row (row-major emission
-            // order); `remaining` is the R9 top-k cap shared across rows.
-            // The walker acquires a short-lived writer per settle, so no
-            // lock is held across heap operations.
-            let mut emitted: Vec<ArenaRow> = Vec::new();
-            let mut row_mark = 0usize;
-            let mut remaining = *k;
-            for row in rows {
-                if matches!(remaining, Some(0)) {
-                    break;
-                }
-                if !in_set(from, row.head) {
-                    continue;
-                }
-                let mut walk = WeightedWalk::start(spec, *semiring, row);
-                loop {
-                    ctx.ensure_alive()?;
-                    walk.drain_pending_into(&mut emitted, usize::MAX);
-                    if walk.finished() {
-                        break;
-                    }
-                    walk.advance(
-                        ctx,
-                        arena,
-                        spec,
-                        *semiring,
-                        weight,
-                        to,
-                        emitted.len(),
-                        &mut remaining,
-                    )?;
-                    if ctx.budgeted() {
-                        ctx.charge_arena_growth(arena.node_count())?;
-                        ctx.charge_row_growth(emitted.len(), &mut row_mark)?;
-                    }
-                }
-            }
-            emitted
-        }
-        PlanOp::Repeat {
-            body,
-            min,
-            max,
-            until,
-        } => {
-            // evaluated per input row so emissions are row-major (each input
-            // row's emissions contiguous, iteration count ascending within a
-            // row) — the canonical order all three strategies share
-            let mut emitted: Vec<ArenaRow> = Vec::new();
-            let mut row_mark = 0usize;
-            for row in rows {
-                let mut walk = RepeatWalk::new(row);
-                loop {
-                    ctx.ensure_alive()?;
-                    walk.drain_pending_into(&mut emitted, usize::MAX);
-                    if walk.finished() {
-                        break;
-                    }
-                    walk.advance(
-                        ctx,
-                        arena,
-                        crate::cursor::RepeatSpec {
-                            body,
-                            min: *min,
-                            max: *max,
-                            until: until.as_ref(),
-                        },
-                        emitted.len(),
-                    )?;
-                    if ctx.budgeted() {
-                        ctx.charge_arena_growth(arena.node_count())?;
-                        ctx.charge_row_growth(emitted.len(), &mut row_mark)?;
-                    }
-                }
-            }
-            emitted
-        }
-        PlanOp::RestrictVertices(vs) => rows.into_iter().filter(|r| vs.contains(&r.head)).collect(),
-        PlanOp::RestrictProperty { key, predicate } => rows
-            .into_iter()
-            .filter(|r| predicate.eval(ctx.snapshot.vertex_property(r.head, key)))
-            .collect(),
-        PlanOp::DedupByVertex => {
-            let mut seen = HashSet::new();
-            rows.into_iter().filter(|r| seen.insert(r.head)).collect()
-        }
-        PlanOp::Limit(n) => {
-            let mut rows = rows;
-            rows.truncate(*n);
-            rows
-        }
-    })
-}
-
-pub(crate) fn apply_ops(
-    ctx: &ExecCtx<'_>,
-    arena: &PathArena,
-    mut rows: Vec<ArenaRow>,
-    ops: &[PlanOp],
-) -> Result<Vec<ArenaRow>, EngineError> {
-    let mut row_mark = 0usize;
-    for op in ops {
-        ctx.ensure_alive()?;
-        rows = apply_op(ctx, arena, rows, op)?;
-        check_cap(rows.len(), ctx.cap)?;
-        if ctx.budgeted() {
-            // per-op backstop: filters and any growth the op-internal
-            // per-layer checks have not charged yet (no writer is held here)
-            ctx.charge_arena_growth(arena.node_count())?;
-            ctx.charge_row_growth(rows.len(), &mut row_mark)?;
-        }
-    }
-    Ok(rows)
-}
-
-/// Level-at-a-time evaluation: frontier rows expand through the adjacency
-/// indexes, and each produced row is one arena push. Returns the final rows
-/// with the arena their paths live in; the caller materialises only the rows
-/// it delivers (`count()` materialises none).
+/// Level-at-a-time evaluation: each plan op runs as a one-op [`Stage`] over
+/// a source holding the whole previous level, drained in `chunk`-row calls
+/// until it reports `Done` before the next op starts. No op sees a partial
+/// input, so nothing exits early except the R7/R9 emission caps;
+/// `max_intermediate` is each level stage's lifetime output check, and
+/// memory is charged after every drain call. With `trace`, the start
+/// frontier's and each level's actuals are appended to it. Returns the
+/// final rows with the arena their paths live in; the caller materialises
+/// only the rows it delivers (`count()` materialises none).
 pub(crate) fn materialized(
     ctx: &ExecCtx<'_>,
     start: &[VertexId],
     ops: &[PlanOp],
+    chunk: usize,
+    mut trace: Option<&mut Vec<OpActuals>>,
 ) -> Result<(PathArena, Vec<ArenaRow>), EngineError> {
-    let arena = PathArena::new();
-    let rows = initial_rows(start);
-    check_cap(rows.len(), ctx.cap)?;
-    let rows = apply_ops(ctx, &arena, rows, ops)?;
-    Ok((arena, rows))
-}
-
-/// [`materialized`], recording per-op actuals for `Traversal::profile`: each
-/// op's batch application is timed and its counter deltas captured, so the
-/// trace reports `pulls == 1` per op with exclusive (self-only) values. Row
-/// results are bit-identical to [`materialized`] — the instrumentation only
-/// brackets the existing calls.
-pub(crate) fn materialized_traced(
-    ctx: &ExecCtx<'_>,
-    start: &[VertexId],
-    ops: &[PlanOp],
-) -> Result<(PathArena, Vec<ArenaRow>, Vec<OpActuals>), EngineError> {
     let arena = PathArena::new();
     let mut rows = initial_rows(start);
     check_cap(rows.len(), ctx.cap)?;
-    let mut actuals = Vec::with_capacity(ops.len() + 1);
-    actuals.push(OpActuals {
-        rows_out: rows.len() as u64,
-        pulls: 1,
-        ..OpActuals::default()
-    });
-    for op in ops {
-        ctx.ensure_alive()?;
-        let before = ctx.counters.stats();
-        let started = std::time::Instant::now();
-        rows = apply_op(ctx, &arena, rows, op)?;
-        let elapsed = started.elapsed().as_nanos() as u64;
-        let after = ctx.counters.stats();
-        check_cap(rows.len(), ctx.cap)?;
-        actuals.push(OpActuals {
+    if let Some(trace) = trace.as_deref_mut() {
+        trace.push(OpActuals {
             rows_out: rows.len() as u64,
-            pulls: 1,
-            chunks: 0,
-            nanos: elapsed,
-            expansions: after.expansions - before.expansions,
-            interned: after.interned_nodes - before.interned_nodes,
+            ..OpActuals::default()
         });
     }
-    Ok((arena, rows, actuals))
-}
-
-/// Evaluates a plan with the parallel strategy and an explicit thread count
-/// (tests force multi-threading because `available_parallelism` may report a
-/// single core in CI sandboxes).
-#[cfg(test)]
-pub(crate) fn parallel_with_threads(
-    snapshot: &GraphSnapshot,
-    plan: &LogicalPlan,
-    cap: Option<usize>,
-    threads: usize,
-) -> Result<Vec<ResultRow>, EngineError> {
-    let mut cursor = RowCursor::compile_parallel(
-        snapshot.clone(),
-        plan.clone(),
-        cap,
-        Some(threads),
-        ExecConfig::default(),
-    );
-    let mut rows = Vec::new();
-    while let Some(row) = cursor.next_row()? {
-        rows.push(row);
+    for op in ops {
+        let mut stage = Stage::level(rows, op.clone(), trace.is_some());
+        let mut next = Vec::new();
+        stage.drain(ctx, &arena, chunk, &mut next)?;
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.push(stage.level_actuals());
+        }
+        rows = next;
     }
-    Ok(rows)
+    Ok((arena, rows))
 }
 
 #[cfg(test)]
@@ -1002,37 +695,19 @@ mod tests {
         for (i, t) in pipelines.iter().enumerate() {
             let naive = crate::plan::plan(&snap, t.start_spec(), t.steps()).unwrap();
             let optimized = crate::plan::optimize(&snap, &naive);
-            let counters = Counters::default();
-            let ctx = ExecCtx {
-                snapshot: &snap,
-                cap: None,
-                counters: &counters,
-                alive: None,
-                budget: None,
-            };
-            let (arena, rows) = materialized(&ctx, naive.start(), naive.ops()).unwrap();
-            let reference: Vec<ResultRow> =
-                rows.into_iter().map(|r| r.materialise(&arena)).collect();
+            let reference = execute(&snap, &naive, ExecutionStrategy::Materialized, None).unwrap();
             for plan in [&naive, &optimized] {
                 for threads in [2, 3, 7] {
-                    let rows = parallel_with_threads(&snap, plan, None, threads).unwrap();
-                    assert_eq!(rows, reference, "pipeline {i}, {threads} threads");
+                    let parallel = ExecutionStrategy::Parallel;
+                    let r = execute_with_threads(&snap, plan, parallel, None, Some(threads));
+                    let msg = format!("pipeline {i}, {threads} threads");
+                    assert_eq!(r.unwrap().rows(), reference.rows(), "{msg}");
                 }
             }
         }
         // the dedup-before-expand case keeps duplicate final heads
         let t = Traversal::over(&g).dedup().out(["created"]);
-        let plan = crate::plan::plan(&snap, t.start_spec(), t.steps()).unwrap();
-        let counters = Counters::default();
-        let ctx = ExecCtx {
-            snapshot: &snap,
-            cap: None,
-            counters: &counters,
-            alive: None,
-            budget: None,
-        };
-        let (_, r) = materialized(&ctx, plan.start(), plan.ops()).unwrap();
-        assert_eq!(r.len(), 4);
+        assert_eq!(t.execute().unwrap().len(), 4);
     }
 
     #[test]
@@ -1064,6 +739,60 @@ mod tests {
         assert_eq!(m.len(), 6);
         assert_eq!(p.len(), 6);
         assert_eq!(m.paths(), p.paths());
+    }
+
+    #[test]
+    fn a_materialized_level_is_charged_chunk_by_chunk() {
+        // K40: 1,560 rows after the first hop, 60,840 after the second. The
+        // budget is crossed early in the second level; every drain call asks
+        // for at most `chunk` rows and an expansion stage expands whole input
+        // rows, so the overshoot stays within one chunk plus one row's
+        // out-degree, however large the level.
+        let (n, chunk) = (40usize, 64usize);
+        let g = crate::store::PropertyGraph::new();
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
+            }
+        }
+        let limit = 1_000_000u64;
+        let err = Traversal::over(&g)
+            .out(["knows"])
+            .out(["knows"])
+            .chunk_size(chunk)
+            .memory_budget(limit)
+            .strategy(ExecutionStrategy::Materialized)
+            .execute()
+            .unwrap_err();
+        let EngineError::MemoryBudget { charged, .. } = err else {
+            panic!("expected a budget error, got {err:?}");
+        };
+        let slack = (chunk + (n - 1)) as u64 * (ARENA_NODE_BYTES + ROW_BYTES);
+        assert!(charged > limit, "{charged}");
+        assert!(charged <= limit + slack, "{charged} > {limit} + {slack}");
+    }
+
+    #[test]
+    fn a_repeat_body_checks_the_cap_per_iteration() {
+        // A 10-cycle: `repeat(5..=5)` emits 10 rows, and its body emits 10
+        // rows per iteration, 50 over the run. The cap bounds each level,
+        // so the body's count restarts every iteration.
+        let g = crate::store::PropertyGraph::new();
+        for i in 0..10 {
+            g.add_edge(&format!("v{i}"), "a", &format!("v{}", (i + 1) % 10));
+        }
+        for strategy in [
+            ExecutionStrategy::Materialized,
+            ExecutionStrategy::Streaming,
+            ExecutionStrategy::Parallel,
+        ] {
+            let r = Traversal::over(&g)
+                .repeat(5..=5, |p| p.out(["a"]))
+                .max_intermediate(20)
+                .strategy(strategy)
+                .execute();
+            assert_eq!(r.unwrap().len(), 10, "{strategy:?}");
+        }
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //!   asks for one counts as a pull, any other as a chunk. Times are measured
 //!   around each call and reported *exclusive* (self time, upstream stages
 //!   subtracted).
-//! * **Materialized** — the batch executor applies each op once over the
-//!   whole row set, so every node reports `pulls == 1`, `chunks == 0`, and
-//!   its wall time is the op's batch application time.
+//! * **Materialized** — each op's stage is drained over the whole previous
+//!   level, so `pulls`/`chunks` count that level's drain calls (each asks
+//!   for `Traversal::chunk_size` rows; the last one reports `Done`) and the
+//!   wall time is the level's. The start frontier node reports no calls.
 
 use crate::exec::{ExecStats, ExecutionStrategy};
 use crate::plan::OpEstimate;

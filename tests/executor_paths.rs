@@ -1,14 +1,17 @@
 //! The executors' walk paths: rows are a multiset of paths built without
 //! hash-consing, so two rows may carry equal paths under different arena
-//! ids. These tests pin the rows where hash-consing used to merge ids
+//! ids. These tests pin label-step chains against the literal `⋈` of
+//! `crates/core`'s path sets, the rows where hash-consing used to merge ids
 //! against the `PathSet` step-join oracle, the wildcard steps (which scan
 //! the CSR segment by segment) against the same oracle and their defined
 //! label-ascending order, and the work of the hop-budget-pruned automaton
 //! walk against its unpruned rows.
 
+use std::collections::HashSet;
+
 use rand::Rng as _;
 
-use mrpa::core::{EdgePattern, MultiGraph, Path, PathSet, Position};
+use mrpa::core::{EdgePattern, MultiGraph, Path, PathSet, Position, VertexId};
 use mrpa::datagen::random::rng_stream;
 use mrpa::datagen::{social_graph, SocialConfig};
 use mrpa::engine::{
@@ -96,6 +99,60 @@ fn assert_wildcards_match_the_oracle(g: &PropertyGraph) {
                 assert!(
                     row_paths(step(t)) == expected,
                     "{name} {strategy:?} chunk {chunk}"
+                );
+            }
+        }
+    }
+}
+
+/// A seeded graph on 12 vertices with three labels and no repeated
+/// `(tail, label, head)` triple, so its walks are distinct paths and the
+/// executors' row multiset can be compared with a path set.
+fn simple_labeled_graph() -> PropertyGraph {
+    let mut r = rng_stream(0x5eed_0022, 0);
+    let g = PropertyGraph::new();
+    let mut triples = HashSet::new();
+    while triples.len() < 70 {
+        let triple = (r.gen_range(0..12), r.gen_range(0..3), r.gen_range(0..12));
+        if triples.insert(triple) {
+            let (t, l, h) = triple;
+            g.add_edge(&format!("v{t}"), ["a", "b", "c"][l], &format!("v{h}"));
+        }
+    }
+    g
+}
+
+#[test]
+fn label_chains_equal_the_literal_join() {
+    let g = simple_labeled_graph();
+    let snap = g.snapshot();
+    let hop = |l: &str| EdgePattern::with_label(snap.label(l).unwrap()).select_paths(snap.graph());
+    // the vertex filter between hops keeps the even-numbered vertices
+    let names: Vec<String> = (0..12).step_by(2).map(|i| format!("v{i}")).collect();
+    let kept: HashSet<VertexId> = names.iter().map(|n| snap.vertex(n).unwrap()).collect();
+    let chains: [&[&str]; 4] = [&["a", "b"], &["b", "b"], &["a", "c", "b"], &["c", "a", "a"]];
+    for labels in chains {
+        for filtered in [false, true] {
+            // from every vertex: out(l₁)[.is(kept)].out(l₂)… against
+            // A_{l₁} [|heads ∈ kept] ⋈ A_{l₂} …
+            let mut oracle = hop(labels[0]);
+            let mut t = Traversal::over(&g).out([labels[0]]);
+            for &l in &labels[1..] {
+                if filtered {
+                    oracle = oracle.restrict_heads(&kept);
+                    t = t.is(names.clone());
+                }
+                oracle = oracle.join(&hop(l));
+                t = t.out([l]);
+            }
+            let mut expected = oracle.paths();
+            expected.sort();
+            assert!(!expected.is_empty(), "{labels:?} filtered {filtered}");
+            for strategy in STRATEGIES {
+                let rows = sorted_paths(&t.clone().strategy(strategy).execute().unwrap());
+                assert!(
+                    rows == expected,
+                    "{labels:?} filtered {filtered} {strategy:?}"
                 );
             }
         }

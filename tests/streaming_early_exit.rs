@@ -8,7 +8,7 @@
 //!    execution strategy (early exit never changes *which* rows come out);
 //! 2. cursor consumption (the `Streaming` strategy and the public
 //!    [`RowCursor`] iterator) is row-for-row identical to the materialized
-//!    reference under `Semantics::Walks`;
+//!    strategy under `Semantics::Walks`;
 //! 3. the optimizer's reachability upgrade (R8) and the explicit
 //!    `match_reachable` surface produce exactly the walk-semantics rows once
 //!    a dedup collapses paths;
@@ -18,8 +18,10 @@
 //! graph performs a *bounded* number of expansions (asserted via the
 //! expansion counter, not wall time); a limited chunked `execute()` does the
 //! work of a `next_row` drain (the cursor has one stage protocol, and a
-//! one-row pull is a chunk of one); and `Semantics::Reachable` terminates
-//! on cyclic graphs where walk enumeration trips `max_intermediate`.
+//! one-row pull is a chunk of one); the materialized strategy finishes a
+//! level before `limit` sees it, through every terminal; and
+//! `Semantics::Reachable` terminates on cyclic graphs where walk
+//! enumeration trips `max_intermediate`.
 
 use rand::Rng as _;
 
@@ -272,6 +274,40 @@ fn a_limited_chunked_drain_does_the_work_of_a_one_row_drain() {
     assert_eq!((count, execution.stats().expansions), (3, 22), "count()");
     let bounded = t.max_intermediate(20).execute().unwrap();
     assert_eq!(row_sequence(&bounded), rows, "max_intermediate(20)");
+}
+
+#[test]
+fn materialized_limit_expands_the_whole_level_and_streaming_one_row() {
+    // out(knows).limit(1) on K12 has no emission cap to push into: the
+    // materialized strategy finishes the expansion level before `Limit`
+    // sees it (all 132 edges), the streaming one expands only the first
+    // row's 11 neighbours — through every terminal.
+    let g = complete_knows_graph(12);
+    for (strategy, expected) in [
+        (ExecutionStrategy::Materialized, 132),
+        (ExecutionStrategy::Streaming, 11),
+    ] {
+        let t = Traversal::over(&g)
+            .out(["knows"])
+            .limit(1)
+            .strategy(strategy);
+        let (row, first) = t.first_with_stats().unwrap();
+        assert!(row.is_some(), "{strategy:?}");
+        let (count, counted) = t.count_with_stats().unwrap();
+        assert_eq!(count, 1, "{strategy:?}");
+        let executed = t.execute().unwrap();
+        assert_eq!(executed.len(), 1, "{strategy:?}");
+        let mut cursor = t.cursor().unwrap();
+        assert!(cursor.next_row().unwrap().is_some(), "{strategy:?}");
+        for (terminal, expansions) in [
+            ("first()", first.stats().expansions),
+            ("count()", counted.stats().expansions),
+            ("execute()", executed.stats().expansions),
+            ("cursor", cursor.stats().expansions),
+        ] {
+            assert_eq!(expansions, expected, "{strategy:?} {terminal}");
+        }
+    }
 }
 
 #[test]
