@@ -278,12 +278,14 @@ impl AutoWalk {
     }
 }
 
-/// The static parameters of a `Repeat` op, borrowed from its stage.
-#[derive(Clone, Copy)]
-pub(crate) struct RepeatSpec<'a> {
-    pub(crate) min: usize,
-    pub(crate) max: usize,
-    pub(crate) until: Option<&'a (String, Predicate)>,
+/// A `Repeat` op's bounds and condition, with its body compiled once into a
+/// fed stage chain that is re-armed after every iteration.
+#[derive(Debug)]
+pub(crate) struct RepeatBody {
+    chain: Box<Stage>,
+    min: usize,
+    max: usize,
+    until: Option<(String, Predicate)>,
 }
 
 /// A resumable bounded-Kleene iteration for **one input row**, suspended at
@@ -317,24 +319,27 @@ impl RepeatWalk {
     }
 
     /// One iteration step: emissions for the current count `k` first, then
-    /// one application of `body`, the op's fed stage chain. The frontier is
-    /// fed to it whole, the feed is closed and the chain drained to `Done`
-    /// (a level-at-a-time body application), then the chain is re-armed for
-    /// the next iteration.
+    /// one application of the body's chain. The frontier is fed to it whole,
+    /// the feed is closed and the chain drained to `Done` (a level-at-a-time
+    /// body application), then the chain is re-armed for the next iteration.
     pub(crate) fn advance(
         &mut self,
         ctx: &ExecCtx<'_>,
         arena: &PathArena,
-        spec: RepeatSpec<'_>,
-        body: &mut Stage,
+        body: &mut RepeatBody,
         delivered: usize,
     ) -> Result<(), EngineError> {
-        let RepeatSpec { min, max, until } = spec;
+        let RepeatBody {
+            chain,
+            min,
+            max,
+            until,
+        } = body;
         if self.done {
             return Ok(());
         }
         match until {
-            Some(cond) if self.k >= min => {
+            Some(cond) if self.k >= *min => {
                 let mut stay = Vec::with_capacity(self.frontier.len());
                 for row in std::mem::take(&mut self.frontier) {
                     if eval_until(ctx.snapshot, cond, row.head) {
@@ -347,21 +352,21 @@ impl RepeatWalk {
             }
             Some(_) => {}
             None => {
-                if self.k >= min {
+                if self.k >= *min {
                     self.pending.extend(self.frontier.iter().copied());
                 }
             }
         }
-        if self.k == max || self.frontier.is_empty() {
+        if self.k == *max || self.frontier.is_empty() {
             self.done = true;
             return Ok(());
         }
-        body.feed(self.frontier.drain(..));
-        body.close_feed();
+        chain.feed(self.frontier.drain(..));
+        chain.close_feed();
         // the body is drained whole; the chunk size only sets how often the
         // growth is charged
-        body.drain(ctx, arena, DEFAULT_CHUNK_SIZE, &mut self.frontier)?;
-        body.rearm();
+        chain.drain(ctx, arena, DEFAULT_CHUNK_SIZE, &mut self.frontier)?;
+        chain.rearm();
         check_cap(
             self.frontier.len() + delivered + self.pending.len(),
             ctx.cap,
@@ -708,6 +713,10 @@ enum StageOp {
         next_input: usize,
         /// Expansions of the last expanded row past the caller's target.
         surplus: VecDeque<ArenaRow>,
+        /// The surplus length already charged to a memory budget (its
+        /// high-water mark): a surplus row is charged again when it is
+        /// delivered, so only growth past the mark is charged.
+        surplus_mark: usize,
     },
     Automaton {
         input: Box<Stage>,
@@ -735,12 +744,7 @@ enum StageOp {
     },
     Repeat {
         input: Box<Stage>,
-        /// The body's fed stage chain, compiled once and re-armed after
-        /// every iteration.
-        body: Box<Stage>,
-        min: usize,
-        max: usize,
-        until: Option<(String, Predicate)>,
+        body: RepeatBody,
         walk: Option<RepeatWalk>,
     },
     RestrictVertices {
@@ -907,6 +911,7 @@ impl Stage {
                     input_rows: Vec::new(),
                     next_input: 0,
                     surplus: VecDeque::new(),
+                    surplus_mark: 0,
                 },
                 PlanOp::ExpandAutomaton {
                     spec,
@@ -952,10 +957,12 @@ impl Stage {
                     until,
                 } => StageOp::Repeat {
                     input: Box::new(cur),
-                    body: Box::new(Stage::fed_pipeline(body)),
-                    min,
-                    max,
-                    until,
+                    body: RepeatBody {
+                        chain: Box::new(Stage::fed_pipeline(body)),
+                        min,
+                        max,
+                        until,
+                    },
                     walk: None,
                 },
                 PlanOp::RestrictVertices(vs) => StageOp::RestrictVertices {
@@ -1128,6 +1135,7 @@ impl Stage {
                 input_rows,
                 next_input,
                 surplus,
+                surplus_mark,
             } => {
                 drain_to(surplus, out, goal);
                 while out.len() < goal {
@@ -1151,7 +1159,7 @@ impl Stage {
                     }
                     if ctx.budgeted() {
                         ctx.charge_arena_growth(writer.node_count())?;
-                        ctx.charge_bytes(surplus.len() as u64 * crate::exec::ROW_BYTES)?;
+                        ctx.charge_row_growth(surplus.len(), surplus_mark)?;
                     }
                 }
                 Ok(ChunkPull::Rows)
@@ -1264,14 +1272,7 @@ impl Stage {
                 }
                 *walk = Some(WeightedWalk::start(spec, *semiring, row));
             },
-            StageOp::Repeat {
-                input,
-                body,
-                min,
-                max,
-                until,
-                walk,
-            } => loop {
+            StageOp::Repeat { input, body, walk } => loop {
                 if let Some(w) = walk {
                     w.drain_pending_into(out, goal);
                     if out.len() >= goal {
@@ -1282,17 +1283,7 @@ impl Stage {
                         continue;
                     }
                     ctx.ensure_alive()?;
-                    w.advance(
-                        ctx,
-                        arena,
-                        RepeatSpec {
-                            min: *min,
-                            max: *max,
-                            until: until.as_ref(),
-                        },
-                        body,
-                        delivered + (out.len() - base),
-                    )?;
+                    w.advance(ctx, arena, body, delivered + (out.len() - base))?;
                     if ctx.budgeted() {
                         ctx.charge_arena_growth(arena.node_count())?;
                     }

@@ -127,3 +127,44 @@ fn budget_composes_with_limits_and_small_queries_fit() {
     let err = dense(&g).memory_budget(2 * 1024).count().unwrap_err();
     assert!(matches!(err, EngineError::MemoryBudget { .. }));
 }
+
+#[test]
+fn a_row_is_charged_once_at_any_chunk_size() {
+    // K40, one hop: 1,560 rows of out-degree 39, fewer than a default
+    // chunk. A row whose expansions overrun a smaller pull waits in the
+    // expansion stage and is charged when delivered; the waiting buffer
+    // adds at most its high-water mark, one out-degree of rows, so the
+    // charge barely moves with the chunk size.
+    let n = 40usize;
+    let g = PropertyGraph::new();
+    for i in 0..n {
+        for j in (0..n).filter(|&j| j != i) {
+            g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
+        }
+    }
+    for strategy in [
+        ExecutionStrategy::Materialized,
+        ExecutionStrategy::Streaming,
+    ] {
+        let charged = |chunk| {
+            let r = Traversal::over(&g)
+                .out(["knows"])
+                .chunk_size(chunk)
+                .memory_budget(1 << 30)
+                .strategy(strategy)
+                .execute()
+                .unwrap();
+            assert_eq!(r.len(), n * (n - 1));
+            r.stats().bytes_charged
+        };
+        let whole = charged(2048);
+        let slack = (n - 1) as u64 * whole / (n * (n - 1)) as u64;
+        for chunk in [1, 7, 64] {
+            let c = charged(chunk);
+            assert!(
+                c.abs_diff(whole) <= slack,
+                "{strategy:?} chunk {chunk}: {c} vs {whole} at chunk 2048"
+            );
+        }
+    }
+}
