@@ -19,8 +19,10 @@
 //! unexpanded input rows and the extra output rows of the row it was
 //! expanding; the walkers keep extra emissions in their `pending` queue.
 //! So the work a consumer causes depends only on how many rows it takes,
-//! not on how it asks for them: `next_row` (a one-row call), `count` and a
-//! chunked `execute` of `limit(k)` perform the same expansions.
+//! not on how it asks for them: `next_row` (a one-row call), a cursor-drained
+//! `count` and a chunked `execute` of `limit(k)` perform the same
+//! expansions. (A `count` that [`crate::count::by_product`] accepts does not
+//! run a cursor at all.)
 //!
 //! Composite ops keep resumable per-input-row state. The automaton stage
 //! holds an `AutoWalk`: the current `(row, dfa-state)` frontier layer, the
@@ -1371,7 +1373,8 @@ fn flush(out_len: usize, base: usize, empty: ChunkPull) -> ChunkPull {
 
 /// A demand-driven cursor over a planned traversal: the pull-based execution
 /// protocol behind [`Traversal::cursor`](crate::Traversal::cursor) and the
-/// non-materializing terminals (`first`, `exists`, `count`).
+/// non-materializing terminals (`first`, `exists`, and `count` where the
+/// plan is not counted by [`crate::count`]'s product).
 ///
 /// Each `next_row` performs only the work needed to surface one row —
 /// composite ops (`match_` product automata, `repeat`) suspend their frontier
@@ -1637,7 +1640,7 @@ impl RowCursor {
     }
 
     /// Advances past one row without materialising its path (the `count`
-    /// terminal). Returns whether a row was consumed.
+    /// terminal's drain). Returns whether a row was consumed.
     pub(crate) fn advance_row(&mut self) -> Result<bool, EngineError> {
         Ok(self.deliver(1, None)? > 0)
     }

@@ -51,6 +51,7 @@
 pub mod cancel;
 pub mod checkpoint;
 pub mod chunk;
+pub mod count;
 pub mod csr;
 pub mod cursor;
 pub mod error;

@@ -41,9 +41,10 @@
 
 use std::ops::RangeInclusive;
 
+use crate::cancel::Liveness;
 use crate::cursor::RowCursor;
 use crate::error::EngineError;
-use crate::exec::{ExecStats, ExecutionStrategy};
+use crate::exec::{Counters, ExecCtx, ExecStats, ExecutionStrategy};
 use crate::plan::{
     self, Direction, LogicalPlan, PlanReport, Semantics, SemiringKind, DEFAULT_MATCH_MAX_HOPS,
     UNBOUNDED_MATCH_HOPS,
@@ -1203,8 +1204,12 @@ impl Traversal {
         Ok((found, execution))
     }
 
-    /// Number of result rows, counted off the cursor without materialising
-    /// paths or collecting a row vector.
+    /// Number of result rows, without producing them. Where
+    /// [`crate::count::by_product`] accepts the optimized plan, the count is
+    /// a layered vector × CSR product over `(vertex, DFA state)` pairs that
+    /// scans each pair's CSR segments once per layer instead of once per
+    /// walk; every other plan is drained off the cursor without
+    /// materialising paths. Both give `execute().len()`.
     ///
     /// ```
     /// use mrpa_engine::{classic_social_graph, Traversal};
@@ -1216,15 +1221,36 @@ impl Traversal {
         Ok(self.count_with_stats()?.0)
     }
 
-    /// [`Traversal::count`] plus the [`Execution`] behind it.
+    /// [`Traversal::count`] plus the [`Execution`] behind it. The product
+    /// path pushes no arena node and reports the CSR entries it visited as
+    /// `expansions`.
     pub fn count_with_stats(&self) -> Result<(usize, Execution), EngineError> {
         let started = std::time::Instant::now();
-        let mut cursor = self.cursor()?;
-        let mut n = 0usize;
-        while cursor.advance_row()? {
-            n += 1;
-        }
-        let execution = cursor.finish();
+        let (snapshot, _, optimized) = self.planned()?;
+        let (n, execution) = if crate::count::by_product(&optimized, self.max_intermediate) {
+            let counters = Counters::default();
+            let alive = Liveness {
+                token: self.cancel.clone(),
+                deadline: self.timeout.map(|t| std::time::Instant::now() + t),
+            };
+            let ctx = ExecCtx {
+                snapshot: &snapshot,
+                cap: None,
+                counters: &counters,
+                alive: alive.active(),
+                budget: self.budget,
+            };
+            let n = crate::count::count(&ctx, &optimized)?;
+            let stats = counters.stats();
+            (n, Execution::new(snapshot, optimized, stats))
+        } else {
+            let mut cursor = self.compile(snapshot, optimized, false);
+            let mut n = 0usize;
+            while cursor.advance_row()? {
+                n += 1;
+            }
+            (n, cursor.finish())
+        };
         record_query_metrics(execution.stats(), started.elapsed());
         Ok((n, execution))
     }

@@ -12,6 +12,7 @@
 //! DFA, and the minimised DFA ([`fn@crate::minimize`]).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use mrpa_core::{Edge, LabelId, MultiGraph, Path};
 
@@ -103,14 +104,16 @@ pub struct Dfa {
     pub accept: HashSet<usize>,
     /// Transition table: `transitions[state][class] = Some(target)`.
     transitions: Vec<Vec<Option<usize>>>,
-    /// The edge classifier shared with the source NFA/graph.
-    classifier: EdgeClassifier,
+    /// The edge classifier shared with the source NFA/graph. It holds one
+    /// entry per graph edge, so the automata derived from this one
+    /// ([`fn@crate::minimize`], clones) share it instead of copying it.
+    classifier: Arc<EdgeClassifier>,
 }
 
 impl Dfa {
     /// Subset construction of the DFA for `nfa` over the edges of `graph`.
     pub fn compile(nfa: &Nfa, graph: &MultiGraph) -> Dfa {
-        let classifier = EdgeClassifier::new(nfa, graph);
+        let classifier = Arc::new(EdgeClassifier::new(nfa, graph));
         let class_count = classifier.class_count();
 
         let mut state_sets: Vec<BTreeSet<StateId>> = Vec::new();
@@ -303,7 +306,7 @@ impl Dfa {
     }
 
     /// Internal: replaces the transition table and accept set (used by
-    /// minimisation). The classifier is preserved.
+    /// minimisation). The classifier is shared, not copied.
     pub(crate) fn rebuild(
         &self,
         state_count: usize,
@@ -316,7 +319,7 @@ impl Dfa {
             start,
             accept,
             transitions,
-            classifier: self.classifier.clone(),
+            classifier: Arc::clone(&self.classifier),
         }
     }
 }

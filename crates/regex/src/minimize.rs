@@ -193,6 +193,17 @@ mod tests {
     }
 
     #[test]
+    fn minimized_dfa_shares_the_edge_classifier() {
+        // the classifier holds one entry per graph edge; minimisation
+        // reuses it rather than copying it
+        let g = paper_graph();
+        let a = PathRegex::atom(EdgePattern::with_label(LabelId(1)));
+        let dfa = Dfa::compile(&Nfa::compile(&a.star()), &g);
+        let min = minimize(&dfa);
+        assert!(std::ptr::eq(dfa.classifier(), min.classifier()));
+    }
+
+    #[test]
     fn minimization_is_idempotent() {
         let g = paper_graph();
         let regex = PathRegex::figure_1(

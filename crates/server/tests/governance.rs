@@ -12,6 +12,9 @@ use mrpa_server::json::Value;
 use mrpa_server::{serve, Client, RetryPolicy, RetryingClient, ServerConfig, SocketFailPoint};
 
 /// A graph dense enough that `DENSE_QUERY` takes real time and real memory.
+/// A plain `COUNT` of that walk set is a cheap vector × CSR product, so the
+/// statement is `PROFILE`d: a profiled count traces the row plan and
+/// enumerates every walk.
 fn dense_graph() -> PropertyGraph {
     let source = preferential_attachment(BaConfig {
         vertices: 1200,
@@ -24,7 +27,8 @@ fn dense_graph() -> PropertyGraph {
     graph
 }
 
-const DENSE_QUERY: &str = r#"{"op":"query","query":"FROM * MATCH -[(l0|l1|l2){1,3}]-> COUNT"}"#;
+const DENSE_QUERY: &str =
+    r#"{"op":"query","query":"PROFILE FROM * MATCH -[(l0|l1|l2){1,3}]-> COUNT"}"#;
 const CHEAP_QUERY: &str = r#"{"op":"query","query":"FROM v0 OUT l0 COUNT"}"#;
 
 fn error_kind(reply: &Value) -> Option<&str> {
@@ -190,7 +194,7 @@ fn memory_budget_kills_with_typed_error_and_session_survives() {
 
     // a request may tighten its own budget below the share
     let reply = client
-        .request(r#"{"op":"query","query":"FROM * MATCH -[(l0|l1|l2){1,3}]-> COUNT","memory_budget":1024}"#)
+        .request(r#"{"op":"query","query":"PROFILE FROM * MATCH -[(l0|l1|l2){1,3}]-> COUNT","memory_budget":1024}"#)
         .unwrap();
     assert_eq!(
         reply

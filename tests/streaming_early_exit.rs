@@ -27,8 +27,8 @@ use rand::Rng as _;
 
 use mrpa::datagen::random::{rng_stream, Rng};
 use mrpa::engine::{
-    exec, plan, Direction, EngineError, ExecutionStrategy, PropertyGraph, QueryResult, Traversal,
-    Value, UNBOUNDED_MATCH_HOPS,
+    count, exec, plan, Direction, EngineError, ExecutionStrategy, Predicate, PropertyGraph,
+    QueryResult, Traversal, Value, UNBOUNDED_MATCH_HOPS,
 };
 
 const CASES: usize = 32;
@@ -107,24 +107,78 @@ fn complete_knows_graph(n: usize) -> PropertyGraph {
 }
 
 /// Pipelines whose unlimited runs are cheap (bounded hops) but walk cyclic
-/// structure, exercising automaton, repeat, filter, and dedup stages.
-fn pipelines(g: &PropertyGraph) -> Vec<Traversal> {
-    vec![
+/// structure, exercising automaton, repeat, filter, and dedup stages. Each
+/// comes with whether `count()` takes the product path
+/// ([`count::by_product`]): the countable shapes first, then one shape from
+/// each family that drains the cursor.
+fn pipelines(g: &PropertyGraph) -> Vec<(bool, Traversal)> {
+    let age = |n: f64| Predicate::Gt(n);
+    let counted = [
         Traversal::over(g).match_within("a+", 4),
         Traversal::over(g).match_within("a·(b|c)?", 3).out_any(),
-        Traversal::over(g)
-            .repeat(1..=3, |p| p.out(["a"]))
-            .has("age", mrpa::engine::Predicate::Gt(20.0)),
         Traversal::over(g).out_any().match_within("a{2}", 2).dedup(),
         Traversal::over(g).in_(["a"]).out_any(),
-    ]
+        // label chains: merged into one automaton, and a multi-label join
+        Traversal::over(g).out(["a"]).out(["b"]).out(["a"]),
+        Traversal::over(g).out(["a", "c"]).out(["b"]).in_(["a"]),
+        Traversal::over(g).both(["a"]).both_any().in_any(),
+        // filters between hops, pushed into the expansions or not
+        Traversal::over(g)
+            .out_any()
+            .has("age", age(30.0))
+            .out(["a"]),
+        Traversal::over(g)
+            .out(["a"])
+            .is(["v1", "v2", "v3"])
+            .out_any(),
+        // mid-chain and terminal dedup
+        Traversal::over(g).out_any().dedup().out_any().dedup(),
+        // a limit behind the automaton's emission cap
+        Traversal::over(g).match_within("a+·b?", 4).limit(5),
+        Traversal::over(g)
+            .is(["v0", "v1", "v2"])
+            .match_within("(a|b)+·c*", 4)
+            .is(["v0", "v1", "v3"]),
+        // per-row reachability under a dedup, upgraded or explicit
+        Traversal::over(g)
+            .out_any()
+            .is(["v0", "v2", "v3"])
+            .match_within("(a|b)+", 5)
+            .dedup(),
+        Traversal::over(g)
+            .match_reachable_within("a·b*", 3)
+            .is(["v1", "v2"])
+            .dedup(),
+        Traversal::over(g).match_reachable_global("a+·b").dedup(),
+        // a duplicated start name counts twice
+        Traversal::over(g)
+            .v(["v0", "v0", "v1"])
+            .out_any()
+            .out(["a"]),
+    ];
+    let fallback = [
+        Traversal::over(g)
+            .repeat(1..=3, |p| p.out(["a"]))
+            .has("age", age(20.0)),
+        Traversal::over(g).cheapest_("a+·b?"),
+        Traversal::over(g).match_reachable_within("a+", 3),
+        Traversal::over(g)
+            .match_reachable_global_within("a+", 2)
+            .dedup(),
+        Traversal::over(g).out_any().out(["a"]).limit(4),
+        Traversal::over(g).out_any().limit(5).out(["a"]),
+    ];
+    let counted = counted.into_iter().map(|t| (true, t));
+    counted
+        .chain(fallback.into_iter().map(|t| (false, t)))
+        .collect()
 }
 
 #[test]
 fn limit_k_is_the_prefix_of_the_unlimited_run_under_every_strategy() {
     cases(1, |r, case| {
         let g = random_cyclic_graph(r);
-        for (pi, base) in pipelines(&g).into_iter().enumerate() {
+        for (pi, (_, base)) in pipelines(&g).into_iter().enumerate() {
             let unlimited = base.clone().execute().unwrap();
             let reference = row_sequence(&unlimited);
             for k in [0usize, 1, 3, 7] {
@@ -155,7 +209,7 @@ fn limit_k_is_the_prefix_of_the_unlimited_run_under_every_strategy() {
 fn cursor_rows_equal_materialized_rows_under_walk_semantics() {
     cases(2, |r, case| {
         let g = random_cyclic_graph(r);
-        for (pi, base) in pipelines(&g).into_iter().enumerate() {
+        for (pi, (_, base)) in pipelines(&g).into_iter().enumerate() {
             let reference = row_sequence(&base.clone().execute().unwrap());
             // the Streaming strategy is the cursor drained by execute()
             let streamed = base
@@ -189,22 +243,34 @@ fn cursor_rows_equal_materialized_rows_under_walk_semantics() {
 fn terminals_agree_with_execute() {
     cases(3, |r, case| {
         let g = random_cyclic_graph(r);
-        for (pi, base) in pipelines(&g).into_iter().enumerate() {
-            let all = base.clone().execute().unwrap();
-            assert_eq!(
-                base.count().unwrap(),
-                all.len(),
-                "case {case} pipeline {pi} count"
-            );
-            assert_eq!(
-                base.exists().unwrap(),
-                !all.is_empty(),
-                "case {case} pipeline {pi} exists"
-            );
-            let first = base.first().unwrap();
-            match all.rows().first() {
-                Some(row) => assert_eq!(first.as_ref(), Some(row), "case {case} pipeline {pi}"),
-                None => assert!(first.is_none(), "case {case} pipeline {pi}"),
+        for (pi, (counted, base)) in pipelines(&g).into_iter().enumerate() {
+            for strategy in STRATEGIES {
+                let t = base.clone().strategy(strategy).parallel_threads(2);
+                let ctx = format!("case {case} pipeline {pi} {strategy:?}");
+                let all = t.execute().unwrap();
+                let (n, execution) = t.count_with_stats().unwrap();
+                assert_eq!(n, all.len(), "{ctx} count");
+                assert_eq!(
+                    count::by_product(execution.plan(), None),
+                    counted,
+                    "{ctx} count path"
+                );
+                if counted {
+                    assert_eq!(execution.stats().interned_nodes, 0, "{ctx}");
+                }
+                // under a cap the count drains the cursor: the same outcome
+                let capped = t.clone().max_intermediate(6);
+                assert_eq!(
+                    capped.count(),
+                    capped.execute().map(|r| r.len()),
+                    "{ctx} capped"
+                );
+                assert_eq!(t.exists().unwrap(), !all.is_empty(), "{ctx} exists");
+                let first = t.first().unwrap();
+                match all.rows().first() {
+                    Some(row) => assert_eq!(first.as_ref(), Some(row), "{ctx}"),
+                    None => assert!(first.is_none(), "{ctx}"),
+                }
             }
         }
     });
