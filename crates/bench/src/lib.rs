@@ -37,21 +37,6 @@ pub fn time_median<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
     times[times.len() / 2]
 }
 
-/// Measures the *minimum* wall-clock time of `runs` executions
-/// (milliseconds). The minimum is the standard noise-robust estimator for
-/// microbenchmarks asserted against a floor in CI: scheduler preemption and
-/// frequency scaling only ever inflate a sample, so the smallest observation
-/// is the closest to the code's true cost.
-pub fn time_min<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
-    (0..runs.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            let _ = f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// A simple fixed-width table printer for experiment output.
 #[derive(Debug, Clone)]
 pub struct Table {

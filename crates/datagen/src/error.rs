@@ -10,8 +10,6 @@ pub enum DatagenError {
     Io(String),
     /// A malformed edge-list line or similar format error.
     Format(String),
-    /// A JSON (de)serialization error.
-    Serde(String),
 }
 
 impl fmt::Display for DatagenError {
@@ -19,7 +17,6 @@ impl fmt::Display for DatagenError {
         match self {
             DatagenError::Io(m) => write!(f, "io error: {m}"),
             DatagenError::Format(m) => write!(f, "format error: {m}"),
-            DatagenError::Serde(m) => write!(f, "serialization error: {m}"),
         }
     }
 }
@@ -34,6 +31,5 @@ mod tests {
     fn display_contains_message() {
         assert!(DatagenError::Io("x".into()).to_string().contains("x"));
         assert!(DatagenError::Format("y".into()).to_string().contains("y"));
-        assert!(DatagenError::Serde("z".into()).to_string().contains("z"));
     }
 }

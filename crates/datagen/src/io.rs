@@ -1,402 +1,13 @@
-//! Serialization: plain-text edge lists and JSON documents.
-//!
-//! Two formats are supported:
-//!
-//! * a whitespace-robust **edge-list** text format, one `tail label head`
-//!   triple per line (names, not ids) — convenient for hand-written fixtures
-//!   and interop with other graph tools;
-//! * a **JSON document** ([`GraphDoc`]) carrying the vertex names, label
-//!   names, and edge triples — the format the experiment binaries use to dump
-//!   workloads for reproduction.
-//!
-//! The JSON codec is hand-rolled (the build environment vendors no serde):
-//! it emits `{"vertices": [...], "edges": [[t, l, h], ...]}` and parses the
-//! same shape back, with full string escaping.
+//! Serialization: a plain-text edge-list format, one `tail label head`
+//! triple per line (names, not ids) — convenient for hand-written fixtures
+//! and interop with other graph tools. Isolated vertices are not
+//! representable.
 
 use std::io::{BufRead, Write};
 
 use mrpa_core::{GraphBuilder, NamedGraph};
 
 use crate::error::DatagenError;
-
-/// A serialisable multi-relational graph document (names only, no ids).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphDoc {
-    /// Vertex names (including isolated vertices).
-    pub vertices: Vec<String>,
-    /// Edge triples `(tail, label, head)` by name.
-    pub edges: Vec<(String, String, String)>,
-}
-
-impl GraphDoc {
-    /// Builds a document from a named graph.
-    pub fn from_named(graph: &NamedGraph) -> GraphDoc {
-        let interner = graph.interner();
-        let vertices = interner.vertices().map(|(_, n)| n.to_owned()).collect();
-        let edges = graph
-            .graph()
-            .edges()
-            .map(|e| {
-                (
-                    interner.vertex_name(e.tail).unwrap_or_default().to_owned(),
-                    interner.label_name(e.label).unwrap_or_default().to_owned(),
-                    interner.vertex_name(e.head).unwrap_or_default().to_owned(),
-                )
-            })
-            .collect();
-        GraphDoc { vertices, edges }
-    }
-
-    /// Reconstructs a named graph from the document.
-    pub fn to_named(&self) -> NamedGraph {
-        let mut b = GraphBuilder::new();
-        for v in &self.vertices {
-            b.vertex(v);
-        }
-        for (t, l, h) in &self.edges {
-            b.edge(t, l, h);
-        }
-        b.build()
-    }
-
-    /// Serialises to a pretty-printed JSON string.
-    pub fn to_json(&self) -> Result<String, DatagenError> {
-        let mut out = String::new();
-        out.push_str("{\n  \"vertices\": [");
-        for (i, v) in self.vertices.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json::write_string(&mut out, v);
-        }
-        out.push_str("],\n  \"edges\": [");
-        for (i, (t, l, h)) in self.edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    [");
-            json::write_string(&mut out, t);
-            out.push_str(", ");
-            json::write_string(&mut out, l);
-            out.push_str(", ");
-            json::write_string(&mut out, h);
-            out.push(']');
-        }
-        if !self.edges.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        Ok(out)
-    }
-
-    /// Parses from a JSON string.
-    pub fn from_json(text: &str) -> Result<GraphDoc, DatagenError> {
-        let value = json::parse(text).map_err(DatagenError::Serde)?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| DatagenError::Serde("expected a JSON object".into()))?;
-        let vertices = obj
-            .get("vertices")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| DatagenError::Serde("missing \"vertices\" array".into()))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| DatagenError::Serde("vertex name must be a string".into()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let edges = obj
-            .get("edges")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| DatagenError::Serde("missing \"edges\" array".into()))?
-            .iter()
-            .enumerate()
-            .map(|(index, e)| {
-                // index the triple instead of iterating it, so a malformed
-                // record can never panic — only error, and with its position
-                let triple = e.as_array().filter(|a| a.len() == 3).ok_or_else(|| {
-                    DatagenError::Serde(format!("edge {index}: must be a 3-element array"))
-                })?;
-                let name = |slot: usize, what: &str| {
-                    triple[slot].as_str().map(str::to_owned).ok_or_else(|| {
-                        DatagenError::Serde(format!("edge {index}: {what} must be a string"))
-                    })
-                };
-                Ok((name(0, "tail")?, name(1, "label")?, name(2, "head")?))
-            })
-            .collect::<Result<Vec<_>, DatagenError>>()?;
-        Ok(GraphDoc { vertices, edges })
-    }
-}
-
-/// A deliberately small JSON reader/writer covering the [`GraphDoc`] shape
-/// (objects, arrays, strings) plus numbers/booleans/null for robustness.
-mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number (kept as f64).
-        Number(f64),
-        /// A string.
-        String(String),
-        /// An array.
-        Array(Vec<Value>),
-        /// An object.
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(a) => Some(a),
-                _ => None,
-            }
-        }
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Object(o) => Some(o),
-                _ => None,
-            }
-        }
-    }
-
-    /// Writes `s` as a JSON string literal (with escaping) onto `out`.
-    pub fn write_string(out: &mut String, s: &str) {
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-    }
-
-    /// Maximum container nesting depth (matches serde_json's default), so
-    /// malformed input produces an `Err` instead of a stack overflow.
-    const MAX_DEPTH: usize = 128;
-
-    /// Parses a complete JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            chars: text.chars().collect(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.chars.len() {
-            return Err(format!("trailing characters at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser {
-        chars: Vec<char>,
-        pos: usize,
-        depth: usize,
-    }
-
-    impl Parser {
-        fn peek(&self) -> Option<char> {
-            self.chars.get(self.pos).copied()
-        }
-
-        fn bump(&mut self) -> Option<char> {
-            let c = self.peek();
-            if c.is_some() {
-                self.pos += 1;
-            }
-            c
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, c: char) -> Result<(), String> {
-            match self.bump() {
-                Some(found) if found == c => Ok(()),
-                Some(found) => Err(format!("expected {c:?}, found {found:?} at {}", self.pos)),
-                None => Err(format!("expected {c:?}, found end of input")),
-            }
-        }
-
-        fn literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-            for c in word.chars() {
-                self.expect(c)?;
-            }
-            Ok(value)
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some('{') => self.nested(Parser::object),
-                Some('[') => self.nested(Parser::array),
-                Some('"') => Ok(Value::String(self.string()?)),
-                Some('t') => self.literal("true", Value::Bool(true)),
-                Some('f') => self.literal("false", Value::Bool(false)),
-                Some('n') => self.literal("null", Value::Null),
-                Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-                Some(c) => Err(format!("unexpected character {c:?} at {}", self.pos)),
-                None => Err("unexpected end of input".into()),
-            }
-        }
-
-        fn nested(
-            &mut self,
-            parse: impl FnOnce(&mut Self) -> Result<Value, String>,
-        ) -> Result<Value, String> {
-            if self.depth >= MAX_DEPTH {
-                return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
-            }
-            self.depth += 1;
-            let result = parse(self);
-            self.depth -= 1;
-            result
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect('{')?;
-            let mut map = BTreeMap::new();
-            self.skip_ws();
-            if self.peek() == Some('}') {
-                self.bump();
-                return Ok(Value::Object(map));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(':')?;
-                let val = self.value()?;
-                map.insert(key, val);
-                self.skip_ws();
-                match self.bump() {
-                    Some(',') => continue,
-                    Some('}') => return Ok(Value::Object(map)),
-                    other => return Err(format!("expected ',' or '}}', found {other:?}")),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect('[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(']') {
-                self.bump();
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.bump() {
-                    Some(',') => continue,
-                    Some(']') => return Ok(Value::Array(items)),
-                    other => return Err(format!("expected ',' or ']', found {other:?}")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect('"')?;
-            let mut out = String::new();
-            loop {
-                match self.bump() {
-                    None => return Err("unterminated string".into()),
-                    Some('"') => return Ok(out),
-                    Some('\\') => match self.bump() {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        Some('/') => out.push('/'),
-                        Some('n') => out.push('\n'),
-                        Some('r') => out.push('\r'),
-                        Some('t') => out.push('\t'),
-                        Some('b') => out.push('\u{8}'),
-                        Some('f') => out.push('\u{c}'),
-                        Some('u') => {
-                            let unit = self.hex4()?;
-                            let code = if (0xd800..0xdc00).contains(&unit) {
-                                // high surrogate: a \uXXXX low surrogate must
-                                // follow (UTF-16 pair for a non-BMP char)
-                                if self.bump() != Some('\\') || self.bump() != Some('u') {
-                                    return Err(format!(
-                                        "high surrogate {unit:#x} not followed by \\u escape"
-                                    ));
-                                }
-                                let low = self.hex4()?;
-                                if !(0xdc00..0xe000).contains(&low) {
-                                    return Err(format!(
-                                        "invalid low surrogate {low:#x} after {unit:#x}"
-                                    ));
-                                }
-                                0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
-                            } else {
-                                unit
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("invalid code point {code:#x}"))?,
-                            );
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    },
-                    Some(c) => out.push(c),
-                }
-            }
-        }
-
-        fn hex4(&mut self) -> Result<u32, String> {
-            let mut code = 0u32;
-            for _ in 0..4 {
-                let c = self.bump().ok_or("unterminated \\u escape")?;
-                code = code * 16
-                    + c.to_digit(16)
-                        .ok_or_else(|| format!("bad hex digit {c:?}"))?;
-            }
-            Ok(code)
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            if self.peek() == Some('-') {
-                self.bump();
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit() || "+-.eE".contains(c)) {
-                self.bump();
-            }
-            let text: String = self.chars[start..self.pos].iter().collect();
-            text.parse::<f64>()
-                .map(Value::Number)
-                .map_err(|e| format!("bad number {text:?}: {e}"))
-        }
-    }
-}
 
 /// Writes a named graph as a `tail label head` edge list (one edge per line,
 /// `#`-prefixed comment lines allowed on read).
@@ -453,61 +64,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_structure() {
-        let g = sample();
-        let doc = GraphDoc::from_named(&g);
-        let json = doc.to_json().unwrap();
-        let parsed = GraphDoc::from_json(&json).unwrap();
-        assert_eq!(doc, parsed);
-        let rebuilt = parsed.to_named();
-        assert_eq!(rebuilt.graph().edge_count(), 3);
-        assert_eq!(rebuilt.graph().vertex_count(), 4);
-        assert!(rebuilt.vertex("isolated").is_ok());
-    }
-
-    #[test]
-    fn json_nesting_depth_is_bounded() {
-        // deeply nested malformed input must fail cleanly, not blow the stack
-        let bomb = format!(
-            "{{\"vertices\": [], \"edges\": {}{}}}",
-            "[".repeat(200_000),
-            "]".repeat(200_000)
-        );
-        assert!(matches!(
-            GraphDoc::from_json(&bomb),
-            Err(DatagenError::Serde(_))
-        ));
-    }
-
-    #[test]
-    fn json_surrogate_pairs_parse() {
-        // external writers (e.g. Python json.dumps) escape non-BMP chars as
-        // UTF-16 surrogate pairs
-        let doc =
-            GraphDoc::from_json("{\"vertices\": [\"\\ud83d\\ude00\"], \"edges\": []}").unwrap();
-        assert_eq!(doc.vertices, vec!["\u{1f600}".to_owned()]);
-        // lone surrogates are rejected, not silently mangled
-        assert!(matches!(
-            GraphDoc::from_json("{\"vertices\": [\"\\ud83d\"], \"edges\": []}"),
-            Err(DatagenError::Serde(_))
-        ));
-        assert!(matches!(
-            GraphDoc::from_json("{\"vertices\": [\"\\ud83d\\u0041\"], \"edges\": []}"),
-            Err(DatagenError::Serde(_))
-        ));
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        let mut b = GraphBuilder::new();
-        b.edge("a \"quoted\"", "rel\\slash", "tab\there");
-        let doc = GraphDoc::from_named(&b.build());
-        let json = doc.to_json().unwrap();
-        let parsed = GraphDoc::from_json(&json).unwrap();
-        assert_eq!(doc, parsed);
-    }
-
-    #[test]
     fn edge_list_roundtrip() {
         let g = sample();
         let mut buf = Vec::new();
@@ -532,30 +88,5 @@ mod tests {
         let text = "marko knows\n";
         let err = read_edge_list(std::io::Cursor::new(text));
         assert!(matches!(err, Err(DatagenError::Format(_))));
-        let err = GraphDoc::from_json("not json");
-        assert!(matches!(err, Err(DatagenError::Serde(_))));
-        let err = GraphDoc::from_json("{\"vertices\": [], \"edges\": [[\"a\", \"b\"]]}");
-        assert!(matches!(err, Err(DatagenError::Serde(_))));
-        let err = GraphDoc::from_json("[1, 2]");
-        assert!(matches!(err, Err(DatagenError::Serde(_))));
-    }
-
-    #[test]
-    fn malformed_edge_triples_error_with_their_record_index() {
-        // a non-string component deep in the list: error, never a panic, and
-        // the message names the offending record and slot
-        let json = r#"{"vertices": [], "edges": [["a", "x", "b"], ["a", 7, "b"]]}"#;
-        match GraphDoc::from_json(json) {
-            Err(DatagenError::Serde(msg)) => {
-                assert!(msg.contains("edge 1"), "{msg}");
-                assert!(msg.contains("label"), "{msg}");
-            }
-            other => panic!("expected a Serde error, got {other:?}"),
-        }
-        let json = r#"{"vertices": [], "edges": [["a", "x", "b"], ["a", "x"], ["c", "y", "d"]]}"#;
-        match GraphDoc::from_json(json) {
-            Err(DatagenError::Serde(msg)) => assert!(msg.contains("edge 1"), "{msg}"),
-            other => panic!("expected a Serde error, got {other:?}"),
-        }
     }
 }

@@ -9,7 +9,7 @@
 //!   complete graphs, layered DAGs);
 //! * [`social`] — property-graph workloads (social/software graph, citation
 //!   network) for the traversal engine;
-//! * [`io`] — edge-list and JSON serialization;
+//! * [`io`] — edge-list serialization;
 //! * [`ingest`] — bulk loading of generated graphs into the engine's
 //!   property store through its WAL fast path;
 //! * [`workload`] — benchmark inputs (vertex/label samples, random regexes,
@@ -35,7 +35,7 @@ pub use generators::{
     preferential_attachment, stochastic_block_model, BaConfig, ErConfig, SbmConfig,
 };
 pub use ingest::{ingest_multigraph, ingest_named};
-pub use io::{read_edge_list, write_edge_list, GraphDoc};
+pub use io::{read_edge_list, write_edge_list};
 pub use social::{citation_graph, social_graph, CitationConfig, SocialConfig};
 pub use workload::{
     engine_query_mix, label_step_workload, random_regex, sample_labels, sample_vertex_fraction,

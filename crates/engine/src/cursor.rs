@@ -38,10 +38,18 @@
 //! at a time in the same way.
 //!
 //! `max_intermediate` is enforced per stage: each stage counts the rows it
-//! has emitted over its lifetime and fails once the count exceeds the cap.
-//! For top-level ops this is exactly a per-level check (a top-level op runs
-//! once, so its cumulative output *is* its level), and a repeat body's
-//! count restarts every iteration, making the cap strategy-agnostic.
+//! has emitted over its lifetime and fails once the count exceeds the cap
+//! (a repeat body's count restarts every iteration). What that checks
+//! depends on the strategy, so the same traversal and cap can fail under
+//! one strategy and pass under another:
+//!
+//! - Materialized checks each level: a one-op stage drains the whole
+//!   previous level, so its lifetime output *is* that op's level.
+//! - Streaming checks each stage's lifetime output, so a downstream `Limit`
+//!   can stop before a level exists. On the complete 12-vertex `knows`
+//!   graph, `out(knows).out(knows).dedup().limit(3)` under a cap of 20 is
+//!   `Ok(3)` streamed and `BoundExceeded` materialized: the 132-row second
+//!   level is never built.
 
 use std::cell::Cell;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -1437,26 +1445,6 @@ enum Inner {
 }
 
 impl RowCursor {
-    /// Compiles a cursor for an already-planned traversal, optionally forcing
-    /// the parallel strategy's worker thread count (`None` =
-    /// `available_parallelism`; ignored by the other strategies).
-    pub(crate) fn compile_with_threads(
-        snapshot: GraphSnapshot,
-        plan: LogicalPlan,
-        strategy: ExecutionStrategy,
-        cap: Option<usize>,
-        threads: Option<usize>,
-    ) -> RowCursor {
-        Self::compile_with_config(
-            snapshot,
-            plan,
-            strategy,
-            cap,
-            threads,
-            ExecConfig::default(),
-        )
-    }
-
     /// Compiles a cursor with explicit execution knobs (chunk size,
     /// profiling, memory budget). [`Traversal`](crate::pipeline::Traversal)
     /// threads its settings through here.

@@ -1305,6 +1305,43 @@ mod tests {
     }
 
     #[test]
+    fn unprofiled_cursors_record_no_stage_actuals() {
+        // The disabled profiling path, checked exactly: a cursor compiled
+        // without `profile` attaches no trace record to any stage, so a full
+        // drain leaves it no per-op actuals under any strategy (the parallel
+        // one partitioned across 2 threads, with a dedup suffix). The same
+        // plan compiled with `profile` has them, so the check is not vacuous.
+        let g = classic_social_graph();
+        let base = Traversal::over(&g)
+            .out(["knows"])
+            .out(["created"])
+            .dedup()
+            .parallel_threads(2);
+        for strategy in [
+            ExecutionStrategy::Materialized,
+            ExecutionStrategy::Streaming,
+            ExecutionStrategy::Parallel,
+        ] {
+            let t = base.clone().strategy(strategy);
+            let (snapshot, _, optimized) = t.planned().unwrap();
+            let cursors = [
+                (false, t.cursor().unwrap()),
+                (true, t.compile(snapshot, optimized, true)),
+            ];
+            for (profiled, mut cursor) in cursors {
+                let mut rows = Vec::new();
+                while cursor.next_chunk(&mut rows).unwrap() {}
+                assert_eq!(rows.len(), 2, "{strategy:?}");
+                assert_eq!(
+                    cursor.op_actuals().is_some(),
+                    profiled,
+                    "{strategy:?} profile={profiled}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn quickstart_pipeline_runs() {
         let g = classic_social_graph();
         let result = Traversal::over(&g)

@@ -1389,8 +1389,7 @@ fn push_limits_into_automata(ops: &mut [PlanOp], changed: &mut bool) {
 /// they are the ones whose walk set can grow without bound, so the per-row
 /// seen-set pays for itself. An acyclic (chain-shaped) automaton — e.g. an
 /// R5-merged `ℓ₁·ℓ₂` run — has its walk count bounded by the depth anyway,
-/// and the dedup bookkeeping would be pure overhead (`exp_optimizer`'s
-/// `dedup_limit` workload regressed 3× before this gate).
+/// and the dedup bookkeeping would be pure overhead.
 fn upgrade_automata_to_reachability(ops: &mut [PlanOp], changed: &mut bool) {
     for i in 0..ops.len() {
         let followed_by_dedup = ops[i + 1..]

@@ -1,9 +1,9 @@
 //! A deliberately small JSON reader/writer for the wire protocol.
 //!
-//! The workspace vendors no serde; like `mrpa-datagen`'s graph I/O, the
-//! server hand-rolls the subset of JSON it speaks: objects, arrays, strings,
-//! `f64` numbers, booleans, and `null`, with a nesting-depth guard so
-//! malformed input errors instead of overflowing the stack.
+//! The workspace vendors no serde, so this is its one JSON codec, hand-rolled
+//! for the subset of JSON the server speaks: objects, arrays, strings, `f64`
+//! numbers, booleans, and `null`, with a nesting-depth guard so malformed
+//! input errors instead of overflowing the stack.
 
 use std::collections::BTreeMap;
 
@@ -432,6 +432,44 @@ mod tests {
         assert_eq!(Value::Number(2.5).render(), "2.5");
         assert_eq!(Value::Number(-1.0).render(), "-1");
         assert_eq!(Value::Number(f64::NAN).render(), "null");
+    }
+
+    #[test]
+    fn surrogate_pairs_parse() {
+        // external writers (e.g. Python's json.dumps) escape non-BMP
+        // characters as UTF-16 surrogate pairs
+        let v = parse(r#"["\ud83d\ude00"]"#).unwrap();
+        assert_eq!(v, Value::Array(vec![Value::from("\u{1f600}")]));
+        // lone surrogates are rejected, not silently mangled
+        assert!(parse(r#"["\ud83d"]"#).is_err());
+        assert!(parse(r#"["\ud83d\u0041"]"#).is_err());
+    }
+
+    #[test]
+    fn strings_are_escaped() {
+        let names = Value::Array(vec![
+            Value::from("a \"quoted\""),
+            Value::from("rel\\slash"),
+            Value::from("tab\there"),
+            Value::from("bell\u{7}"),
+        ]);
+        let text = names.render();
+        assert_eq!(
+            text,
+            r#"["a \"quoted\"","rel\\slash","tab\there","bell\u0007"]"#
+        );
+        assert_eq!(parse(&text).unwrap(), names);
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        // deeply nested malformed input must fail cleanly, not blow the stack
+        let bomb = format!(
+            "{{\"vertices\": [], \"edges\": {}{}}}",
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        assert!(parse(&bomb).is_err());
     }
 
     #[test]

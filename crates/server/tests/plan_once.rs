@@ -118,7 +118,20 @@ fn every_request_plans_once_and_the_slowlog_ranks_the_executed_plan() {
             for (name, _) in STRATEGIES {
                 let before = query_plan().count();
                 for _ in 0..N {
-                    query(&mut client, &text, name);
+                    let reply = query(&mut client, &text, name);
+                    if text.starts_with("PROFILE") {
+                        let trace = reply.get("trace").expect("PROFILE returns a trace");
+                        assert!(
+                            trace.get("root").and_then(|n| n.get("op")).is_some(),
+                            "{text}: {}",
+                            trace.render()
+                        );
+                        assert_eq!(
+                            trace.get("strategy").and_then(Value::as_str),
+                            Some(name),
+                            "{text}"
+                        );
+                    }
                 }
                 let planned = query_plan().count() - before;
                 assert_eq!(
@@ -143,6 +156,11 @@ fn every_request_plans_once_and_the_slowlog_ranks_the_executed_plan() {
         let name = entry.get("strategy").and_then(Value::as_str).unwrap();
         let ranked_by = entry.get("ranked_by").and_then(Value::as_str).unwrap();
         let top_ops = entry.get("top_ops").and_then(Value::as_array).unwrap();
+        assert!(
+            entry.get("duration_us").and_then(Value::as_u64).is_some(),
+            "{text}"
+        );
+        assert!(!top_ops.is_empty(), "{text}: slow entries carry their ops");
         if text.starts_with("PROFILE") {
             assert_eq!(ranked_by, "self_time", "{text}");
             continue;

@@ -15,6 +15,9 @@
 //! fully in the log but the mutator never returned `Ok`, so recovery
 //! legitimately resurfaces the in-flight op — the classic WAL gray zone —
 //! and the matrix asserts exactly that.
+//!
+//! Without a crash, a bulk-ingested generated graph must replay every WAL
+//! record on reopen, and reopen from its checkpoint with none left to replay.
 
 use mrpa::core::Edge;
 use mrpa::engine::{ExecutionStrategy, FailPoint, PropertyGraph, StoreError, Traversal, Value};
@@ -375,6 +378,56 @@ fn no_crash_control_roundtrips_exactly() {
         let _ = std::fs::remove_dir_all(&primary_dir);
         let _ = std::fs::remove_dir_all(&twin_dir);
     }
+}
+
+#[test]
+fn bulk_ingest_replays_checkpoints_and_reopens_cold() {
+    use mrpa::datagen::{ingest_multigraph, preferential_attachment, BaConfig};
+    let source = preferential_attachment(BaConfig {
+        vertices: 400,
+        edges_per_vertex: 4,
+        labels: LABELS.len(),
+        seed: 42,
+    });
+    let edges = source.edge_count();
+    // the in-memory twin is the reference for every disk round trip
+    let twin = PropertyGraph::new();
+    ingest_multigraph(&twin, &source).unwrap();
+    let dir = temp_dir("bulk");
+    let store = PropertyGraph::open(&dir).unwrap();
+    assert_eq!(ingest_multigraph(&store, &source).unwrap(), edges);
+    for i in (0..400).step_by(10) {
+        let name = format!("v{i}");
+        let rank = Value::Int(i as i64);
+        let v = store.vertex(&name).unwrap();
+        store
+            .try_set_vertex_property(v, "rank", rank.clone())
+            .unwrap();
+        twin.set_vertex_property(twin.vertex(&name).unwrap(), "rank", rank);
+    }
+    store.persist().unwrap();
+    let records = store.stats().wal_records;
+    drop(store);
+
+    // cold reopen: the whole WAL replays into the twin's state
+    let replayed = PropertyGraph::open(&dir).unwrap();
+    assert_eq!(replayed.stats().replayed_records, records);
+    assert_eq!(replayed.edge_count(), edges);
+    assert_same_store(&replayed, &twin, "replayed vs twin");
+
+    // checkpoint, then reopen from the checkpoint alone
+    replayed.checkpoint().unwrap();
+    assert_same_store(&replayed, &twin, "checkpointed live store vs twin");
+    drop(replayed);
+    let restored = PropertyGraph::open(&dir).unwrap();
+    assert_eq!(
+        restored.stats().replayed_records,
+        0,
+        "nothing left to replay"
+    );
+    assert_same_store(&restored, &twin, "checkpoint-restored vs twin");
+    drop(restored);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

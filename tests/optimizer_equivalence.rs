@@ -12,11 +12,13 @@
 //!    agree);
 //! 3. optimizer soundness: for random pipelines, executing the rewritten
 //!    plan produces exactly the rows of the naive plan, row order included,
-//!    under every strategy.
+//!    under every strategy — and on one fixed social workload per rewrite
+//!    family, the rewrite must fire.
 
 use rand::Rng as _;
 
 use mrpa::datagen::random::{rng_stream, Rng};
+use mrpa::datagen::{social_graph, SocialConfig};
 use mrpa::engine::{
     exec, plan, ExecutionStrategy, Pipeline, PropertyGraph, QueryResult, StartSpec, Traversal,
     Value,
@@ -268,6 +270,69 @@ fn multi_label_expands_keep_their_row_order_under_limit() {
             row_sequence(&opt_rows),
             "strategy {strategy:?}"
         );
+    }
+}
+
+#[test]
+fn social_workloads_are_rewritten_and_keep_the_naive_rows() {
+    // One workload per rewrite family on the E2 social graph: filters that
+    // fuse into the expansions (R1, R6), consecutive expansions that merge
+    // into one automaton (R5), and redundant dedups and stacked limits that
+    // collapse (R2, R3).
+    let g = social_graph(SocialConfig {
+        people: 400,
+        software: 60,
+        knows_per_person: 4,
+        created_per_person: 1,
+        uses_per_person: 2,
+        seed: 11,
+    });
+    let people: Vec<String> = (0..40).map(|i| format!("person{i}")).collect();
+    let workloads = [
+        (
+            "filter_fusion",
+            Pipeline::new()
+                .is(people.clone())
+                .has("age", Predicate::Gt(30.0))
+                .out(["knows"])
+                .is(people)
+                .out(["uses"]),
+        ),
+        (
+            "expand_merge",
+            Pipeline::new()
+                .out(["knows"])
+                .out(["knows"])
+                .out(["created"]),
+        ),
+        (
+            "dedup_limit",
+            Pipeline::new()
+                .out(["knows"])
+                .out(["uses"])
+                .dedup()
+                .has("lang", Predicate::Exists)
+                .dedup()
+                .limit(500)
+                .limit(100),
+        ),
+    ];
+    let start = StartSpec::Where("kind".into(), Predicate::Eq(Value::from("person")));
+    let snapshot = g.snapshot();
+    for (name, pipeline) in workloads {
+        let naive = plan::plan(&snapshot, &start, pipeline.steps()).unwrap();
+        let optimized = plan::optimize(&snapshot, &naive);
+        assert_ne!(naive, optimized, "{name} was not rewritten");
+        for strategy in STRATEGIES {
+            let naive_rows = exec::execute(&snapshot, &naive, strategy, None).unwrap();
+            let opt_rows = exec::execute(&snapshot, &optimized, strategy, None).unwrap();
+            assert!(!naive_rows.is_empty(), "{name}: the workload is vacuous");
+            assert_eq!(
+                row_sequence(&naive_rows),
+                row_sequence(&opt_rows),
+                "{name} under {strategy:?}"
+            );
+        }
     }
 }
 

@@ -21,6 +21,7 @@
 
 use rand::Rng as _;
 
+use mrpa::core::{Edge, IdForwarder, PathArena, PathId};
 use mrpa::datagen::random::{rng_stream, Rng};
 use mrpa::engine::{
     exec, plan, Direction, ExecutionStrategy, Pipeline, PropertyGraph, QueryResult, SemiringKind,
@@ -315,4 +316,28 @@ fn id_forwarding_boundary_is_row_for_row_and_copy_free() {
         forwarded * 3 <= round_trip,
         "forwarding appended {forwarded} nodes, round-tripping would append {round_trip}"
     );
+
+    // the forwarder in isolation, over the rows a partition's prefix emits
+    // here (every prefix of every chain): each chain node crosses once, and
+    // every forwarded id names the same path in the destination arena
+    let src = PathArena::new();
+    let mut prefixes = Vec::new();
+    for c in 0..P {
+        let mut cur = PathId::EPSILON;
+        for i in 0..L {
+            let tail = (c * (L + 1) + i) as u32;
+            cur = src.append(cur, Edge::from((tail, 0, tail + 1)));
+            prefixes.push(cur);
+        }
+    }
+    let dst = PathArena::new();
+    let mut forwarder = IdForwarder::new();
+    let mut appended = 0;
+    for &id in &prefixes {
+        let (moved, nodes) = forwarder.forward(&src, &dst, id);
+        assert_eq!(dst.to_path(moved), src.to_path(id));
+        appended += nodes;
+    }
+    assert_eq!(appended, P * L);
+    assert_eq!(dst.node_count(), src.node_count());
 }

@@ -311,6 +311,26 @@ fn first_on_a_dense_match_performs_bounded_expansions() {
             "{strategy:?} expanded {expansions} edges"
         );
     }
+    // bounded to 4 hops the walk set is enumerable (12 · Σ_{d≤4} 11^d =
+    // 193,248 rows): limit(1) keeps exactly its first row, at the same
+    // one-scan cost
+    let within = Traversal::over(&g).match_within("knows+", 4);
+    for strategy in STRATEGIES {
+        let full = within.clone().strategy(strategy).execute().unwrap();
+        assert_eq!(full.len(), 193_248, "{strategy:?}");
+        let limited = within
+            .clone()
+            .limit(1)
+            .strategy(strategy)
+            .execute()
+            .unwrap();
+        assert_eq!(limited.rows(), &full.rows()[..1], "{strategy:?}");
+        let expansions = limited.stats().expansions;
+        assert!(
+            expansions <= (n * (n - 1)) as u64,
+            "{strategy:?} limit(1) within 4 hops expanded {expansions} edges"
+        );
+    }
     // exists() on the same dense automaton is equally bounded
     assert!(Traversal::over(&g).match_("knows+").exists().unwrap());
 }
@@ -338,8 +358,20 @@ fn a_limited_chunked_drain_does_the_work_of_a_one_row_drain() {
     }
     let (count, execution) = t.count_with_stats().unwrap();
     assert_eq!((count, execution.stats().expansions), (3, 22), "count()");
-    let bounded = t.max_intermediate(20).execute().unwrap();
+    let bounded = t.clone().max_intermediate(20).execute().unwrap();
     assert_eq!(row_sequence(&bounded), rows, "max_intermediate(20)");
+    // the cap is per strategy: Materialized builds the 132-row second level
+    let materialized = t
+        .strategy(ExecutionStrategy::Materialized)
+        .max_intermediate(20)
+        .execute();
+    assert!(
+        matches!(
+            materialized,
+            Err(EngineError::BoundExceeded { bound: 20, .. })
+        ),
+        "{materialized:?}"
+    );
 }
 
 #[test]

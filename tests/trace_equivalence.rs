@@ -7,7 +7,7 @@
 //!
 //! 1. **Equivalence** — a profiled run returns exactly the rows of an
 //!    unprofiled run, row order included, and the same run-wide
-//!    [`ExecStats`] counters;
+//!    [`ExecStats`] counters; the metrics registry counts both runs;
 //! 2. **Trace shape** — the trace is a chain mirroring the optimized plan:
 //!    one node per [`PlanReport`] estimate, the root's `rows_out` is the
 //!    result's row count, and every node's `rows_in` equals its child's
@@ -19,11 +19,11 @@
 use rand::Rng as _;
 
 use mrpa::datagen::random::{rng_stream, Rng};
+use mrpa::engine::{metrics, Predicate, TraceNode};
 use mrpa::engine::{
     ExecutionStrategy, Pipeline, PropertyGraph, QueryResult, QueryTrace, StartSpec, Traversal,
     Value,
 };
-use mrpa::engine::{Predicate, TraceNode};
 
 const CASES: usize = 32;
 
@@ -192,6 +192,9 @@ fn check_trace(trace: &QueryTrace, result: &QueryResult, ctx: &str) {
 
 #[test]
 fn profiled_runs_return_exactly_the_unprofiled_rows() {
+    let queries_before = metrics::queries_total().get();
+    let latencies_before = metrics::query_latency().count();
+    let mut executions = 0;
     cases(1, |r, case| {
         let g = random_graph(r);
         let n = g.vertex_count();
@@ -217,8 +220,21 @@ fn profiled_runs_return_exactly_the_unprofiled_rows() {
                 "{ctx}: profiling changed the run counters"
             );
             check_trace(&profiled.trace, &profiled.result, &ctx);
+            executions += 2;
         }
     });
+    // the process-wide registry saw every terminal execution (other tests in
+    // this binary may add more concurrently)
+    let queries = metrics::queries_total().get() - queries_before;
+    let latencies = metrics::query_latency().count() - latencies_before;
+    assert!(
+        queries >= executions,
+        "{queries} queries counted of {executions}"
+    );
+    assert!(
+        latencies >= executions,
+        "{latencies} latencies observed of {executions}"
+    );
 }
 
 #[test]

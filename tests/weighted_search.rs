@@ -16,12 +16,14 @@
 //! of `top_k(k+1)`; the three strategies agree row-for-row (weights
 //! included); unit weights count hops; and weight-resolution errors
 //! (missing property, negative weight under shortest) surface as
-//! `EngineError::BadWeight`.
+//! `EngineError::BadWeight`. On a fixed social graph, best-first `top_k(1)`
+//! must also expand strictly fewer edges than the enumeration it replaces.
 
 use rand::Rng as _;
 
 use mrpa::core::semiring::{MaxMin, MinPlus, SelectiveSemiring, Semiring};
 use mrpa::datagen::random::{rng_stream, Rng};
+use mrpa::datagen::{social_graph, SocialConfig};
 use mrpa::engine::{
     EngineError, ExecutionStrategy, PropertyGraph, QueryResult, ResultRow, Traversal, Value,
 };
@@ -201,6 +203,77 @@ fn widest_equals_brute_force_fold_and_max_under_every_strategy() {
             }
         }
     });
+}
+
+/// The `⊕`-best `⊗`-fold of the `weight` property over every enumerated walk.
+fn enumerated_optimum<S: SelectiveSemiring<Elem = f64>>(walks: &QueryResult) -> f64 {
+    let snap = walks.snapshot();
+    walks
+        .rows()
+        .iter()
+        .map(|row| {
+            S::fold_path(row.path.iter().map(|e| {
+                snap.edge_weight(e, "weight")
+                    .expect("social edges are weighted")
+            }))
+        })
+        .reduce(|a, b| S::add(&a, &b))
+        .expect("the source has matching walks")
+}
+
+#[test]
+fn top_1_costs_the_enumerated_optimum_and_expands_fewer_edges() {
+    // The best destination of knows+ within 5 hops of one person on the E2
+    // social graph: best-first top_k(1) costs exactly the optimum of
+    // enumerate-and-fold over the whole bounded walk set, and settles
+    // strictly fewer adjacency entries than that enumeration visits.
+    const HOPS: usize = 5;
+    let g = social_graph(SocialConfig {
+        people: 300,
+        software: 40,
+        knows_per_person: 8,
+        created_per_person: 1,
+        uses_per_person: 2,
+        seed: 23,
+    });
+    let from = Traversal::over(&g).v(["person0"]);
+    for strategy in STRATEGIES {
+        let walks = from
+            .clone()
+            .match_within("knows+", HOPS)
+            .strategy(strategy)
+            .execute()
+            .unwrap();
+        for widest in [false, true] {
+            let (name, search, optimum) = if widest {
+                (
+                    "widest",
+                    from.clone().widest_within("knows+", HOPS),
+                    enumerated_optimum::<MaxMin>(&walks),
+                )
+            } else {
+                (
+                    "cheapest",
+                    from.clone().cheapest_within("knows+", HOPS),
+                    enumerated_optimum::<MinPlus>(&walks),
+                )
+            };
+            let top1 = search
+                .weight_by("weight")
+                .top_k(1)
+                .strategy(strategy)
+                .execute()
+                .unwrap();
+            assert_eq!(top1.len(), 1, "{name} {strategy:?}");
+            assert_eq!(top1.rows()[0].weight, Some(optimum), "{name} {strategy:?}");
+            let (best_first, enumerated) = (top1.stats().expansions, walks.stats().expansions);
+            assert!(
+                best_first < enumerated,
+                "{name} {strategy:?}: top_k(1) expanded {best_first} edges, \
+                 enumeration {enumerated}"
+            );
+        }
+    }
 }
 
 #[test]
