@@ -26,7 +26,7 @@ pub const DEFAULT_CHUNK_SIZE: usize = 2048;
 /// Outcome of one stage pull (`Stage::pull_chunk`).
 ///
 /// A stage appends between 1 and the caller's target rows and reports
-/// `Rows`, or appends nothing and reports `Done`/`Starved`.
+/// `Rows`, or appends nothing and reports `Done`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ChunkPull {
     /// At least one row was appended; pull again for more.
@@ -34,7 +34,4 @@ pub(crate) enum ChunkPull {
     /// Nothing was appended and nothing ever will be: the stage and
     /// everything upstream is exhausted.
     Done,
-    /// Nothing was appended but rows may still arrive (a `Feed` source
-    /// awaiting its next batch; only reachable in fed pipelines).
-    Starved,
 }

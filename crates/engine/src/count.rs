@@ -242,7 +242,6 @@ fn walks(
     to: &Option<HashSet<VertexId>>,
     cap: Option<u64>,
 ) -> Result<Weights, EngineError> {
-    let max_hops = spec.max_hops();
     let start = spec.start_state();
     let mut emitted = Weights::default();
     let mut sum = 0u64;
@@ -252,7 +251,7 @@ fn walks(
             add(&mut emitted, v, m)?;
             sum = sum.checked_add(m).ok_or_else(overflow)?;
         }
-        if max_hops > 0 {
+        if spec.max_hops() > 0 {
             frontier.insert((v, start), m);
         }
     }
@@ -265,10 +264,10 @@ fn walks(
         let mut next = FxHashMap::default();
         'entries: for (&(v, state), &m) in &frontier {
             for mv in spec.moves(state) {
-                if hop.saturating_add(mv.min_edges_to_accept) > max_hops {
+                if !spec.admits(mv, hop) {
                     continue;
                 }
-                let survives = hop < max_hops && mv.target_live;
+                let survives = spec.continues(mv, hop);
                 let heads = adj.labeled(v, mv.label);
                 ctx.count_expansions(heads.len());
                 for &h in heads {
@@ -302,7 +301,6 @@ fn reach(
     from: &Option<HashSet<VertexId>>,
     to: &Option<HashSet<VertexId>>,
 ) -> Result<Weights, EngineError> {
-    let max_hops = spec.max_hops();
     let start = spec.start_state();
     let mut seen: FxHashSet<(VertexId, usize)> = FxHashSet::default();
     let mut heads = Weights::default();
@@ -312,7 +310,7 @@ fn reach(
         if spec.is_accept(start) && in_set(to, v) {
             heads.insert(v, 1);
         }
-        if max_hops > 0 {
+        if spec.max_hops() > 0 {
             frontier.push((v, start));
         }
     }
@@ -324,10 +322,10 @@ fn reach(
         let mut next = Vec::new();
         for &(v, state) in &frontier {
             for mv in spec.moves(state) {
-                if hop.saturating_add(mv.min_edges_to_accept) > max_hops {
+                if !spec.admits(mv, hop) {
                     continue;
                 }
-                let survives = hop < max_hops && mv.target_live;
+                let survives = spec.continues(mv, hop);
                 let targets = adj.labeled(v, mv.label);
                 ctx.count_expansions(targets.len());
                 for &h in targets {

@@ -3,16 +3,11 @@
 //! Every [`PlanOp`] compiles to a *stage* that yields rows on demand through
 //! one call, `Stage::pull_chunk(target, out)`. A call either appends between
 //! 1 and `target` rows to `out` and returns `Rows`, or appends nothing and
-//! returns
-//!
-//! * `Done` — the stage will never produce another row. Because a finished
-//!   consumer simply stops calling, this also acts *upstream* as
-//!   cancellation: a saturated `Limit` never pulls its input again, so an
-//!   in-flight product-automaton frontier suspended mid-layer is dropped
-//!   without finishing the walk;
-//! * `Starved` — the stage's source is a feedable queue (parallel suffix
-//!   evaluation) that has no rows *right now*. Ordinary source-backed
-//!   pipelines never produce this.
+//! returns `Done`: the stage will never produce another row. Because a
+//! finished consumer simply stops calling, `Done` also acts *upstream* as
+//! cancellation: a saturated `Limit` never pulls its input again, so an
+//! in-flight product-automaton frontier suspended mid-layer is dropped
+//! without finishing the walk.
 //!
 //! A stage never hands out more than it was asked for: work that overshoots
 //! the target stays inside the stage for the next call. `Expand` keeps its
@@ -32,10 +27,11 @@
 //! entry that reaches it.
 //!
 //! These stages are the only evaluator of every op. The materialized
-//! executor ([`crate::exec`]) runs each op as a one-op stage over the whole
-//! previous level and drains it before the next op starts; a `Repeat` stage
-//! drains its body — compiled once into a fed stage chain — one iteration
-//! at a time in the same way.
+//! executor ([`crate::exec`]) — and the parallel one, per start partition —
+//! runs each op as a one-op stage over the whole previous level and drains
+//! it before the next op starts; a `Repeat` stage drains its body —
+//! compiled once into a stage chain whose source takes each iteration's
+//! frontier — one iteration at a time in the same way.
 //!
 //! `max_intermediate` is enforced per stage: each stage counts the rows it
 //! has emitted over its lifetime and fails once the count exceeds the cap
@@ -44,7 +40,9 @@
 //! one strategy and pass under another:
 //!
 //! - Materialized checks each level: a one-op stage drains the whole
-//!   previous level, so its lifetime output *is* that op's level.
+//!   previous level, so its lifetime output *is* that op's level. Parallel
+//!   checks each partition's prefix levels, the rows leaving the prefix in
+//!   total, and each suffix level.
 //! - Streaming checks each stage's lifetime output, so a downstream `Limit`
 //!   can stop before a level exists. On the complete 12-vertex `knows`
 //!   graph, `out(knows).out(knows).dedup().limit(3)` under a cap of 20 is
@@ -56,13 +54,13 @@ use std::collections::{BinaryHeap, HashSet, VecDeque};
 use std::time::Instant;
 
 use mrpa_core::fxhash::FxHashSet;
-use mrpa_core::{ArenaWriter, Edge, IdForwarder, PathArena, VertexId};
+use mrpa_core::{ArenaWriter, Edge, PathArena, VertexId};
 
 use crate::cancel::{CancelToken, Liveness};
 use crate::chunk::{ChunkPull, DEFAULT_CHUNK_SIZE};
 use crate::error::EngineError;
 use crate::exec::{
-    check_cap, eval_until, in_set, initial_rows, materialized, ArenaRow, Counters, ExecConfig,
+    check_cap, eval_until, in_set, initial_rows, partitioned, ArenaRow, Counters, ExecConfig,
     ExecCtx, ExecStats, ExecutionStrategy,
 };
 use crate::plan::{
@@ -230,7 +228,6 @@ impl AutoWalk {
         goal: usize,
     ) {
         let adj = ctx.adjacency(spec.direction());
-        let max_hops = spec.max_hops();
         // hop-budget pruning, `WeightedWalk`'s admissible test: a move whose
         // target needs more edges to accept than the budget has left can
         // emit nothing. Under `Walks` and per-row `Reachable` the skipped
@@ -244,13 +241,13 @@ impl AutoWalk {
             let (row, state) = self.frontier[self.idx];
             self.idx += 1;
             for &m in spec.moves(state) {
-                if prune && self.hop + m.min_edges_to_accept > max_hops {
+                if prune && !spec.admits(&m, self.hop) {
                     continue;
                 }
                 // a row only joins the next frontier if it can still make
                 // progress: there are hops left and the target state moves
                 // (both facts precomputed into the move table at compile time)
-                let survives = self.hop < max_hops && m.target_live;
+                let survives = spec.continues(&m, self.hop);
                 for e in adj.labeled_edges(row.head, m.label) {
                     ctx.count_expansions(1);
                     if let Some(seen) = seen.as_deref_mut() {
@@ -289,7 +286,7 @@ impl AutoWalk {
 }
 
 /// A `Repeat` op's bounds and condition, with its body compiled once into a
-/// fed stage chain that is re-armed after every iteration.
+/// stage chain that is re-armed with each iteration's frontier.
 #[derive(Debug)]
 pub(crate) struct RepeatBody {
     chain: Box<Stage>,
@@ -329,9 +326,9 @@ impl RepeatWalk {
     }
 
     /// One iteration step: emissions for the current count `k` first, then
-    /// one application of the body's chain. The frontier is fed to it whole,
-    /// the feed is closed and the chain drained to `Done` (a level-at-a-time
-    /// body application), then the chain is re-armed for the next iteration.
+    /// one application of the body's chain: the chain is re-armed with the
+    /// whole frontier as its source rows and drained to `Done` (a
+    /// level-at-a-time body application).
     pub(crate) fn advance(
         &mut self,
         ctx: &ExecCtx<'_>,
@@ -371,12 +368,10 @@ impl RepeatWalk {
             self.done = true;
             return Ok(());
         }
-        chain.feed(self.frontier.drain(..));
-        chain.close_feed();
+        chain.rearm(std::mem::take(&mut self.frontier));
         // the body is drained whole; the chunk size only sets how often the
         // growth is charged
         chain.drain(ctx, arena, DEFAULT_CHUNK_SIZE, &mut self.frontier)?;
-        chain.rearm();
         check_cap(
             self.frontier.len() + delivered + self.pending.len(),
             ctx.cap,
@@ -555,7 +550,7 @@ impl WeightedWalk {
             // needs at least `min_edges_to_accept` more edges (precomputed at
             // compile time; moves into states that can never accept were
             // already pruned from the table)
-            if self.bounded && hop + 1 + m.min_edges_to_accept > spec.max_hops() {
+            if !spec.admits(&m, hop + 1) {
                 continue;
             }
             for e in adj.labeled_edges(row.head, m.label) {
@@ -689,8 +684,9 @@ pub(crate) struct Stage {
 }
 
 /// Per-stage profiling counters: plain `Cell`s like [`Counters`], one record
-/// per stage instance (so one per partition under the parallel strategy),
-/// summed at collection time — never atomics on the hot path. Time and
+/// per stage instance (so one per level, and per partition under the
+/// parallel strategy), summed at collection time — never atomics on the hot
+/// path. Time and
 /// counter deltas are recorded *inclusive* of upstream stages (the pull
 /// wrapper brackets the whole upstream chain) and converted to exclusive
 /// self-values when collected, since a pipeline is a chain.
@@ -705,15 +701,10 @@ struct StageTraceRec {
 
 #[derive(Debug)]
 enum StageOp {
-    /// Fixed start rows.
+    /// Fixed start rows (a repeat body's are replaced every iteration).
     Source {
         rows: Vec<ArenaRow>,
         idx: usize,
-    },
-    /// Feedable source for the parallel suffix: rows arrive in batches.
-    Feed {
-        queue: VecDeque<ArenaRow>,
-        closed: bool,
     },
     Expand {
         input: Box<Stage>,
@@ -788,7 +779,7 @@ impl Stage {
     /// The stage's upstream input, if any (sources have none).
     fn input_ref(&self) -> Option<&Stage> {
         match &self.op {
-            StageOp::Source { .. } | StageOp::Feed { .. } => None,
+            StageOp::Source { .. } => None,
             StageOp::Expand { input, .. }
             | StageOp::Automaton { input, .. }
             | StageOp::Weighted { input, .. }
@@ -802,7 +793,7 @@ impl Stage {
 
     fn input_mut(&mut self) -> Option<&mut Stage> {
         match &mut self.op {
-            StageOp::Source { .. } | StageOp::Feed { .. } => None,
+            StageOp::Source { .. } => None,
             StageOp::Expand { input, .. }
             | StageOp::Automaton { input, .. }
             | StageOp::Weighted { input, .. }
@@ -866,17 +857,6 @@ impl Stage {
             Stage::new(StageOp::Source {
                 rows: start,
                 idx: 0,
-            }),
-            ops,
-        )
-    }
-
-    /// A pipeline over a feedable source (parallel suffix evaluation).
-    pub(crate) fn fed_pipeline(ops: Vec<PlanOp>) -> Stage {
-        Self::build(
-            Stage::new(StageOp::Feed {
-                queue: VecDeque::new(),
-                closed: false,
             }),
             ops,
         )
@@ -968,7 +948,7 @@ impl Stage {
                 } => StageOp::Repeat {
                     input: Box::new(cur),
                     body: RepeatBody {
-                        chain: Box::new(Stage::fed_pipeline(body)),
+                        chain: Box::new(Stage::pipeline(Vec::new(), body)),
                         min,
                         max,
                         until,
@@ -998,50 +978,27 @@ impl Stage {
         cur
     }
 
-    /// The innermost source stage (for feeding a fed chain).
-    fn source_mut(&mut self) -> &mut Stage {
-        if self.input_ref().is_none() {
-            return self;
-        }
-        self.input_mut().expect("checked above").source_mut()
-    }
-
-    /// Enqueues rows into the feedable source.
-    pub(crate) fn feed(&mut self, rows: impl IntoIterator<Item = ArenaRow>) {
-        if let StageOp::Feed { queue, .. } = &mut self.source_mut().op {
-            queue.extend(rows);
-        } else {
-            unreachable!("feed called on a pipeline without a Feed source");
-        }
-    }
-
-    /// Marks the feedable source as complete: once its queue drains, the
-    /// pipeline reports `Done` instead of `Starved`.
-    pub(crate) fn close_feed(&mut self) {
-        if let StageOp::Feed { closed, .. } = &mut self.source_mut().op {
-            *closed = true;
-        }
-    }
-
-    /// Re-arms a fed chain drained to `Done` for its next input level: the
-    /// feed reopens and every stage's output count restarts, so the cap is
-    /// checked per level. Only repeat bodies are re-armed; they are
-    /// validated stateless at plan time, and a drained stateless stage holds
-    /// no other state.
-    fn rearm(&mut self) {
+    /// Re-arms a repeat body for its next input level: its source takes
+    /// `rows` and every stage's output count restarts, so the cap is checked
+    /// per level. Bodies are validated stateless at plan time, so a body
+    /// drained to `Done` holds no other state.
+    fn rearm(&mut self, rows: Vec<ArenaRow>) {
         self.out_count = 0;
-        if let StageOp::Feed { closed, .. } = &mut self.op {
-            *closed = false;
-        }
-        if let Some(input) = self.input_mut() {
-            input.rearm();
+        match &mut self.op {
+            StageOp::Source { rows: source, idx } => {
+                *source = rows;
+                *idx = 0;
+            }
+            _ => self
+                .input_mut()
+                .expect("a chain ends at its source")
+                .rearm(rows),
         }
     }
 
     /// Pulls the stage to `Done` in `chunk`-row calls, appending every row to
     /// `out`, and charges memory after every call: how the materialized
-    /// executor evaluates one level and a repeat body one iteration. A fed
-    /// chain's feed must be closed first.
+    /// executor evaluates one level and a repeat body one iteration.
     pub(crate) fn drain(
         &mut self,
         ctx: &ExecCtx<'_>,
@@ -1125,18 +1082,6 @@ impl Stage {
                 let end = rows.len().min(*idx + target);
                 out.extend_from_slice(&rows[*idx..end]);
                 *idx = end;
-                Ok(ChunkPull::Rows)
-            }
-            StageOp::Feed { queue, closed } => {
-                if queue.is_empty() {
-                    return Ok(if *closed {
-                        ChunkPull::Done
-                    } else {
-                        ChunkPull::Starved
-                    });
-                }
-                let n = queue.len().min(target);
-                out.extend(queue.drain(..n));
                 Ok(ChunkPull::Rows)
             }
             StageOp::Expand {
@@ -1398,8 +1343,9 @@ fn flush(out_len: usize, base: usize, empty: ChunkPull) -> ChunkPull {
 ///   [`crate::exec`]) and then yields from the buffer (early exit comes from
 ///   the optimizer's limit-pushdown annotations, not from the pull
 ///   protocol);
-/// * `Parallel` — pulls batches from partitioned prefix cursors on scoped
-///   threads, preserving partition order.
+/// * `Parallel` — the same level-at-a-time drain on the first pull, over
+///   start partitions on scoped threads (`exec::partitioned`); the
+///   buffer yields the partitions' rows in partition order.
 ///
 /// Dropping the cursor drops all suspended state; an error fuses it (further
 /// pulls return `Ok(None)`).
@@ -1412,12 +1358,10 @@ pub struct RowCursor {
     cap: Option<usize>,
     counters: Counters,
     alive: Liveness,
-    /// Byte budget for this cursor's accounting domain: the full
-    /// [`ExecConfig::budget`] for the streaming/materialized strategies, an
-    /// even share for the parallel strategy (whose partitions each carry
-    /// their own share — see [`RowCursor::compile_parallel`]).
-    budget: Option<u64>,
     inner: Inner,
+    /// The execution knobs; [`ExecConfig::budget`] is the whole query's
+    /// byte budget, which the parallel strategy splits across its
+    /// partitions and consumer.
     config: ExecConfig,
     /// Reused transport buffer for the rows a streaming pipeline hands out
     /// (one allocation per cursor, not per call).
@@ -1432,16 +1376,18 @@ enum Inner {
         root: Box<Stage>,
     },
     Batch {
-        /// The batch's result rows and the arena their paths live in, filled
-        /// on the first pull; paths are materialised only for rows
-        /// delivered into an output buffer.
-        buffered: Option<(PathArena, std::vec::IntoIter<ArenaRow>)>,
-        /// Per-op actuals read from each level's stage by the profiled run
-        /// (populated on the first pull when [`ExecConfig::profile`] is
-        /// set).
+        /// The partition bound passed to [`partitioned`]: `Some(1)` for the
+        /// materialized strategy, the forced thread count or `None`
+        /// (available parallelism) for the parallel one.
+        threads: Option<usize>,
+        /// The result rows by segment, with the arenas their paths live in,
+        /// filled on the first pull; a path is materialised only when its
+        /// row is delivered into an output buffer.
+        segments: Option<VecDeque<(PathArena, std::vec::IntoIter<ArenaRow>)>>,
+        /// Per-op actuals of the profiled run (populated on the first pull
+        /// when [`ExecConfig::profile`] is set).
         trace: Option<Vec<OpActuals>>,
     },
-    Parallel(Box<ParallelState>),
 }
 
 impl RowCursor {
@@ -1456,145 +1402,25 @@ impl RowCursor {
         threads: Option<usize>,
         config: ExecConfig,
     ) -> RowCursor {
-        match strategy {
-            ExecutionStrategy::Materialized => Self::batch(snapshot, plan, cap, config),
+        let inner = match strategy {
+            ExecutionStrategy::Materialized | ExecutionStrategy::Parallel => Inner::Batch {
+                threads: match strategy {
+                    ExecutionStrategy::Parallel => threads,
+                    _ => Some(1),
+                },
+                segments: None,
+                trace: None,
+            },
             ExecutionStrategy::Streaming => {
                 let mut root = Stage::pipeline(initial_rows(plan.start()), plan.ops().to_vec());
                 if config.profile {
                     root.enable_trace();
                 }
-                RowCursor {
-                    snapshot,
-                    plan,
-                    cap,
-                    counters: Counters::default(),
-                    alive: Liveness::default(),
-                    budget: config.budget,
-                    inner: Inner::Pipe {
-                        arena: PathArena::new(),
-                        root: Box::new(root),
-                    },
-                    config,
-                    chunk_buf: Vec::new(),
-                    fused: false,
-                }
-            }
-            ExecutionStrategy::Parallel => {
-                Self::compile_parallel(snapshot, plan, cap, threads, config)
-            }
-        }
-    }
-
-    fn batch(
-        snapshot: GraphSnapshot,
-        plan: LogicalPlan,
-        cap: Option<usize>,
-        config: ExecConfig,
-    ) -> RowCursor {
-        RowCursor {
-            snapshot,
-            plan,
-            cap,
-            counters: Counters::default(),
-            alive: Liveness::default(),
-            budget: config.budget,
-            inner: Inner::Batch {
-                buffered: None,
-                trace: None,
-            },
-            config,
-            chunk_buf: Vec::new(),
-            fused: false,
-        }
-    }
-
-    /// Compiles the parallel variant, optionally forcing the thread count.
-    /// Falls back to the materialized batch cursor when partitioning cannot
-    /// help (single thread, single start vertex, or a plan that begins with a
-    /// stateful op and therefore has no parallelizable prefix).
-    pub(crate) fn compile_parallel(
-        snapshot: GraphSnapshot,
-        plan: LogicalPlan,
-        cap: Option<usize>,
-        threads: Option<usize>,
-        config: ExecConfig,
-    ) -> RowCursor {
-        let threads = threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .min(plan.start().len().max(1));
-        // stateful-across-rows ops must run in the global single-threaded
-        // suffix: Dedup/Limit, and a GlobalReachable automaton (its shared
-        // seen-set makes each row's output depend on every earlier row —
-        // per-partition seen-sets would change emissions, unlike the R7/R9
-        // emission caps, which are sound per-partition over-approximations)
-        let stateful = |op: &PlanOp| {
-            matches!(op, PlanOp::DedupByVertex | PlanOp::Limit(_))
-                || matches!(
-                    op,
-                    PlanOp::ExpandAutomaton { spec, .. }
-                        if spec.semantics() == Semantics::GlobalReachable
-                )
-        };
-        let split = plan
-            .ops()
-            .iter()
-            .position(stateful)
-            .unwrap_or(plan.ops().len());
-        if threads <= 1 || plan.start().len() <= 1 || split == 0 {
-            return Self::batch(snapshot, plan, cap, config);
-        }
-        // build the CSR directions the plan's expansions will scan once, up
-        // front — otherwise every worker's first hop would block on the lazy
-        // per-generation build (only the directions actually used — see the
-        // csr_cache regression suite)
-        let (out, in_) = plan.csr_directions();
-        snapshot.prewarm_csr(out, in_);
-        let (prefix, suffix) = plan.ops().split_at(split);
-        let has_suffix = !suffix.is_empty();
-        let start = plan.start();
-        let chunk_size = start.len().div_ceil(threads);
-        // each accounting domain — every partition plus the suffix/consumer —
-        // gets an even share of the query budget (conservative: a query whose
-        // growth is skewed onto one partition trips earlier than a perfectly
-        // balanced one, never later)
-        let domains = start.chunks(chunk_size).count() as u64 + 1;
-        let share = config.budget.map(|b| (b / domains).max(1));
-        let partitions: Vec<Partition> = start
-            .chunks(chunk_size)
-            .map(|chunk| {
-                let mut root = Stage::pipeline(initial_rows(chunk), prefix.to_vec());
-                if config.profile {
-                    root.enable_trace();
-                }
-                Partition {
+                Inner::Pipe {
                     arena: PathArena::new(),
-                    root,
-                    counters: Counters::default(),
-                    rows: Vec::new(),
-                    finished: VecDeque::new(),
-                    materialise: !has_suffix,
-                    forward: IdForwarder::new(),
-                    budget: share,
-                    done: false,
+                    root: Box::new(root),
                 }
-            })
-            .collect();
-        let suffix = if suffix.is_empty() {
-            None
-        } else {
-            let mut root = Stage::fed_pipeline(suffix.to_vec());
-            if config.profile {
-                root.enable_trace();
             }
-            Some(SuffixPipe {
-                arena: PathArena::new(),
-                root,
-                rows: Vec::new(),
-            })
         };
         RowCursor {
             snapshot,
@@ -1602,16 +1428,7 @@ impl RowCursor {
             cap,
             counters: Counters::default(),
             alive: Liveness::default(),
-            budget: share,
-            inner: Inner::Parallel(Box::new(ParallelState {
-                partitions,
-                current: 0,
-                suffix,
-                feed_closed: false,
-                fed: 0,
-                batch: INITIAL_BATCH,
-                boundary_interned: 0,
-            })),
+            inner,
             config,
             chunk_buf: Vec::new(),
             fused: false,
@@ -1696,7 +1513,7 @@ impl RowCursor {
             cap: self.cap,
             counters: &self.counters,
             alive: self.alive.active(),
-            budget: self.budget,
+            budget: self.config.budget,
         };
         match &mut self.inner {
             Inner::Pipe { arena, root } => {
@@ -1713,40 +1530,44 @@ impl RowCursor {
                 }
                 Ok(rows.len())
             }
-            Inner::Batch { buffered, trace } => {
-                if buffered.is_none() {
+            Inner::Batch {
+                threads,
+                segments,
+                trace,
+            } => {
+                if segments.is_none() {
                     let mut actuals = self.config.profile.then(Vec::new);
-                    let (arena, rows) = materialized(
+                    let joined = partitioned(
                         &ctx,
-                        self.plan.start(),
-                        self.plan.ops(),
+                        &self.plan,
+                        *threads,
                         self.config.chunk,
                         actuals.as_mut(),
                     )?;
                     *trace = actuals;
-                    *buffered = Some((arena, rows.into_iter()));
+                    *segments = Some(
+                        joined
+                            .into_iter()
+                            .map(|(arena, rows)| (arena, rows.into_iter()))
+                            .collect(),
+                    );
                 }
-                let (arena, rows) = buffered.as_mut().expect("filled above");
-                let rows = rows.take(target);
-                Ok(match out {
-                    Some(out) => {
-                        let before = out.len();
-                        out.extend(rows.map(|row| row.materialise(arena)));
-                        out.len() - before
-                    }
-                    None => rows.count(),
-                })
-            }
-            Inner::Parallel(state) => {
+                let segments = segments.as_mut().expect("filled above");
                 let mut delivered = 0;
-                while delivered < target {
-                    let Some(row) = state.next_row(&ctx)? else {
-                        break;
+                while delivered < target && !segments.is_empty() {
+                    let (arena, rows) = &mut segments[0];
+                    let take = rows.by_ref().take(target - delivered);
+                    delivered += match out.as_deref_mut() {
+                        Some(out) => {
+                            let before = out.len();
+                            out.extend(take.map(|row| row.materialise(arena)));
+                            out.len() - before
+                        }
+                        None => take.count(),
                     };
-                    if let Some(out) = out.as_deref_mut() {
-                        out.push(row);
+                    if rows.len() == 0 {
+                        segments.pop_front();
                     }
-                    delivered += 1;
                 }
                 Ok(delivered)
             }
@@ -1757,10 +1578,9 @@ impl RowCursor {
     /// is the start frontier, aligned with
     /// [`PlanReport::estimates`](crate::plan::PlanReport::estimates)).
     /// `None` unless the cursor was compiled with [`ExecConfig::profile`]
-    /// (for the materialized strategy, also until the first pull runs the
-    /// batch). For the parallel strategy, per-partition prefix counters are
-    /// summed elementwise and the global suffix ops appended (the feed
-    /// boundary stage is plumbing, not a plan op, and is dropped).
+    /// (for the batch strategies, also until the first pull runs the
+    /// batch). Parallel runs sum the partitions' prefix actuals (see
+    /// [`partitioned`]).
     pub(crate) fn op_actuals(&self) -> Option<Vec<OpActuals>> {
         match &self.inner {
             Inner::Pipe { root, .. } => root.has_trace().then(|| {
@@ -1769,53 +1589,13 @@ impl RowCursor {
                 out
             }),
             Inner::Batch { trace, .. } => trace.clone(),
-            Inner::Parallel(state) => {
-                let mut summed: Option<Vec<OpActuals>> = None;
-                for p in &state.partitions {
-                    if !p.root.has_trace() {
-                        return None;
-                    }
-                    let mut part = Vec::new();
-                    p.root.collect_trace(&mut part);
-                    match &mut summed {
-                        None => summed = Some(part),
-                        Some(acc) => {
-                            for (a, b) in acc.iter_mut().zip(&part) {
-                                a.merge(b);
-                            }
-                        }
-                    }
-                }
-                let mut out = summed?;
-                // the boundary id-forwarding interns into the suffix arena
-                // between pulls; credit it to the prefix root, the op whose
-                // rows crossed the boundary
-                if let Some(last) = out.last_mut() {
-                    last.interned += state.boundary_interned;
-                }
-                if let Some(sfx) = &state.suffix {
-                    let mut tail = Vec::new();
-                    sfx.root.collect_trace(&mut tail);
-                    out.extend(tail.into_iter().skip(1));
-                }
-                Some(out)
-            }
         }
     }
 
-    /// Work counters accumulated so far (across all partitions for the
-    /// parallel strategy).
+    /// Work counters accumulated so far (for the parallel strategy, the
+    /// partitions' included once they have joined).
     pub fn stats(&self) -> ExecStats {
-        let mut stats = self.counters.stats();
-        if let Inner::Parallel(state) = &self.inner {
-            for p in &state.partitions {
-                let ps = p.counters.stats();
-                stats.expansions += ps.expansions;
-                stats.interned_nodes += ps.interned_nodes;
-                stats.bytes_charged += ps.bytes_charged;
-            }
-        }
-        stats
+        self.counters.stats()
     }
 
     /// Ends the cursor, keeping what ran: its snapshot, its plan and the
@@ -1833,240 +1613,5 @@ impl Iterator for RowCursor {
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_row().transpose()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The parallel cursor
-// ---------------------------------------------------------------------------
-
-const INITIAL_BATCH: usize = 64;
-const MAX_BATCH: usize = 8192;
-
-/// One start-frontier partition: its own arena, prefix pipeline, counters
-/// (merged into [`RowCursor::stats`] on demand), the queue of rows it has
-/// produced but the consumer has not reached yet, and the memoized
-/// partition-arena → suffix-arena id translation used when those rows cross
-/// the boundary into the stateful suffix.
-#[derive(Debug)]
-struct Partition {
-    arena: PathArena,
-    root: Stage,
-    counters: Counters,
-    /// Rows awaiting the suffix boundary (id-forwarding plans).
-    rows: Vec<ArenaRow>,
-    /// Rows materialised on the worker thread (suffix-free plans).
-    finished: VecDeque<ResultRow>,
-    /// Whether this partition's rows are final output (no suffix pipeline):
-    /// then workers materialise in parallel inside [`Partition::pull_batch`];
-    /// otherwise rows stay as ids for the forwarder.
-    materialise: bool,
-    forward: IdForwarder,
-    /// This partition's even share of the query memory budget (its own
-    /// accounting domain: own arena, own counters, own mark).
-    budget: Option<u64>,
-    done: bool,
-}
-
-impl Partition {
-    /// Rows queued and not yet consumed (either representation).
-    fn queued(&self) -> usize {
-        self.rows.len() + self.finished.len()
-    }
-
-    /// Asks the partition's prefix pipeline for up to `batch` rows in one
-    /// call (runs on a scoped worker thread). Suffix-free plans materialise here — path
-    /// reconstruction runs in parallel across partitions; plans with a
-    /// stateful suffix keep [`ArenaRow`]s for the consumer's id forwarder.
-    fn pull_batch(
-        &mut self,
-        snapshot: &GraphSnapshot,
-        cap: Option<usize>,
-        alive: Option<&Liveness>,
-        batch: usize,
-    ) -> Result<(), EngineError> {
-        let ctx = ExecCtx {
-            snapshot,
-            cap,
-            counters: &self.counters,
-            alive,
-            budget: self.budget,
-        };
-        let base = self.rows.len();
-        if self
-            .root
-            .pull_chunk(&ctx, &self.arena, batch, &mut self.rows)?
-            != ChunkPull::Rows
-        {
-            self.done = true;
-        }
-        let produced = (self.rows.len() - base) as u64;
-        if self.materialise {
-            let arena = &self.arena;
-            self.finished
-                .extend(self.rows.drain(base..).map(|row| row.materialise(arena)));
-        }
-        if ctx.budgeted() {
-            // per-batch backstop for the queued rows (arena growth was
-            // charged inside the stage pulls against this partition's share)
-            ctx.charge_bytes(produced * crate::exec::ROW_BYTES)?;
-        }
-        Ok(())
-    }
-}
-
-#[derive(Debug)]
-struct SuffixPipe {
-    arena: PathArena,
-    root: Stage,
-    /// Reused buffer for the suffix's one-row pulls.
-    rows: Vec<ArenaRow>,
-}
-
-/// Start-partitioned parallel evaluation as a cursor.
-///
-/// The plan is split at the first *stateful* op (`Dedup`/`Limit` — only ever
-/// top-level; repeat bodies are validated stateless at plan time). The
-/// stateless prefix distributes over rows, so each partition evaluates it
-/// with its own pull pipeline; scoped threads refill the partition queues in
-/// growing batches, and the consumer drains the queues strictly in partition
-/// order (row-major order is preserved, because stateless ops map each input
-/// row to a contiguous run of output rows) — feeding the stateful suffix
-/// pipeline, which runs globally, single-threaded. The result is row-for-row
-/// identical to the materialized strategy; when the suffix reports
-/// `Done` (a saturated `Limit`), the partition cursors are
-/// simply never pulled again, so at most one speculative batch per partition
-/// is wasted.
-///
-/// The partition → suffix boundary is **copy-free**: instead of
-/// materialising each row's path and re-interning it into the suffix arena
-/// (O(path length) per row, discarding the partition arena's prefix
-/// sharing), each partition keeps a memoized [`IdForwarder`] that translates
-/// its arena ids into the suffix arena — O(new nodes) amortised, counted in
-/// [`ExecStats::interned_nodes`](crate::exec::ExecStats).
-#[derive(Debug)]
-struct ParallelState {
-    partitions: Vec<Partition>,
-    current: usize,
-    suffix: Option<SuffixPipe>,
-    feed_closed: bool,
-    fed: usize,
-    batch: usize,
-    /// Arena nodes interned by partition → suffix id forwarding. The
-    /// forwarding runs between stage pulls, so no stage trace record
-    /// brackets it; profiling attributes it to the prefix root instead
-    /// (see [`RowCursor::op_actuals`]).
-    boundary_interned: u64,
-}
-
-impl ParallelState {
-    fn next_row(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<ResultRow>, EngineError> {
-        loop {
-            // 1. serve from the suffix pipeline if there is one
-            if let Some(sfx) = &mut self.suffix {
-                sfx.rows.clear();
-                match sfx.root.pull_chunk(ctx, &sfx.arena, 1, &mut sfx.rows)? {
-                    ChunkPull::Done => return Ok(None),
-                    ChunkPull::Rows => {
-                        return Ok(Some(sfx.rows[0].materialise(&sfx.arena)));
-                    }
-                    ChunkPull::Starved => {} // feed below
-                }
-            } else if self.current < self.partitions.len() {
-                // suffix-free plans: the worker threads already materialised
-                if let Some(row) = self.partitions[self.current].finished.pop_front() {
-                    self.fed += 1;
-                    check_cap(self.fed, ctx.cap)?;
-                    return Ok(Some(row));
-                }
-            }
-
-            // 2. make sure the current partition has queued rows (or move on)
-            loop {
-                if self.current >= self.partitions.len() {
-                    match &mut self.suffix {
-                        None => return Ok(None),
-                        Some(sfx) => {
-                            if self.feed_closed {
-                                // the suffix was already flushed and is
-                                // starved again — nothing more will come
-                                return Ok(None);
-                            }
-                            sfx.root.close_feed();
-                            self.feed_closed = true;
-                            break; // flush the suffix
-                        }
-                    }
-                }
-                let part = &self.partitions[self.current];
-                if part.queued() > 0 {
-                    break;
-                }
-                if part.done {
-                    self.current += 1;
-                    continue;
-                }
-                self.fill_round(ctx)?;
-            }
-
-            // 3. feed the suffix from the current partition, in order —
-            // id forwarding, not a materialise/re-intern round trip: each
-            // partition-arena node crosses the boundary at most once
-            if let Some(sfx) = &mut self.suffix {
-                if self.current < self.partitions.len() {
-                    let part = &mut self.partitions[self.current];
-                    let mut rows: Vec<ArenaRow> = Vec::with_capacity(part.rows.len());
-                    for row in part.rows.drain(..) {
-                        self.fed += 1;
-                        let (path, appended) =
-                            part.forward.forward(&part.arena, &sfx.arena, row.path);
-                        ctx.count_interned(appended);
-                        self.boundary_interned += appended as u64;
-                        rows.push(ArenaRow {
-                            source: row.source,
-                            path,
-                            head: row.head,
-                            weight: row.weight,
-                        });
-                    }
-                    check_cap(self.fed, ctx.cap)?;
-                    if ctx.budgeted() {
-                        // the forwarder's appends grew the suffix arena (no
-                        // writer is held here), and the fed rows join the
-                        // suffix queue — both on the consumer's share
-                        ctx.charge_arena_growth(sfx.arena.node_count())?;
-                        ctx.charge_bytes(rows.len() as u64 * crate::exec::ROW_BYTES)?;
-                    }
-                    sfx.root.feed(rows);
-                }
-            }
-        }
-    }
-
-    /// One parallel refill round: every live partition whose queue is below
-    /// the batch target pulls a batch on its own scoped thread.
-    fn fill_round(&mut self, ctx: &ExecCtx<'_>) -> Result<(), EngineError> {
-        let batch = self.batch;
-        let cap = ctx.cap;
-        let snapshot = ctx.snapshot;
-        let alive = ctx.alive;
-        let results: Vec<Result<(), EngineError>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .partitions
-                .iter_mut()
-                .filter(|p| !p.done && p.queued() < batch)
-                .map(|part| scope.spawn(move |_| part.pull_batch(snapshot, cap, alive, batch)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("partition thread panicked"))
-                .collect()
-        })
-        .expect("thread scope failed");
-        for r in results {
-            r?;
-        }
-        self.batch = (self.batch * 2).min(MAX_BATCH);
-        Ok(())
     }
 }

@@ -20,14 +20,13 @@
 //!   saturated `Limit` stops pulling, so an in-flight `(vertex, dfa-state)`
 //!   product-automaton frontier is dropped mid-layer without finishing the
 //!   walk.
-//! * [`ExecutionStrategy::Parallel`] — partitions the start frontier across
-//!   threads; each partition evaluates the plan's stateless prefix
-//!   (everything before the first `Dedup`/`Limit`) through its own cursor,
-//!   pulled in growing batches by scoped threads, and the stateful suffix
-//!   consumes the batches globally *in partition order* — so the output is
-//!   row-for-row identical to the materialized strategy, and a suffix that
-//!   finishes early stops all partition cursors with only their last
-//!   speculative batch wasted.
+//! * [`ExecutionStrategy::Parallel`] — the materialized executor over start
+//!   partitions (`partitioned`), one scoped thread each. Joins distribute
+//!   over a union of start sets, so the partitions' stateless prefixes,
+//!   concatenated in partition order, are row-for-row the materialized
+//!   levels; the stateful suffix (from the first `Dedup`, `Limit` or global
+//!   reachability automaton) runs over them. Like Materialized, it exits
+//!   early only through the R7/R9 emission caps, applied per partition.
 //!
 //! Expansion is **frontier-driven**: each row's next edges come straight from
 //! the snapshot's per-generation [`CsrTopology`] — the only adjacency any
@@ -48,7 +47,7 @@
 //! the labels with transitions out of the current state, and rows landing in
 //! accepting states are emitted at every depth up to the spec's bound
 //! (deduplicated by `(vertex, state)` under
-//! [`Semantics::Reachable`](crate::plan::Semantics::Reachable)). Rows
+//! [`Semantics::Reachable`]). Rows
 //! are materialised into [`ResultRow`]s only once, at the cursor boundary.
 //!
 //! Every execution shares one [`ExecStats`] counter set (exposed through
@@ -65,13 +64,13 @@
 use std::cell::Cell;
 use std::collections::HashSet;
 
-use mrpa_core::{PathArena, PathId, VertexId};
+use mrpa_core::{IdForwarder, PathArena, PathId, VertexId};
 
 use crate::cancel::Liveness;
 use crate::csr::CsrTopology;
 use crate::cursor::{RowCursor, Stage};
 use crate::error::EngineError;
-use crate::plan::{Direction, LogicalPlan, PlanOp};
+use crate::plan::{Direction, LogicalPlan, PlanOp, Semantics};
 use crate::query::{QueryResult, ResultRow};
 use crate::store::GraphSnapshot;
 use crate::trace::OpActuals;
@@ -86,7 +85,8 @@ pub enum ExecutionStrategy {
     Materialized,
     /// Demand-driven pull-cursor evaluation (row-at-a-time).
     Streaming,
-    /// Start-partitioned multi-threaded evaluation over partition cursors.
+    /// Level-at-a-time evaluation over start partitions, one scoped thread
+    /// per partition.
     Parallel,
 }
 
@@ -135,8 +135,8 @@ pub(crate) const ROW_BYTES: u64 = std::mem::size_of::<ArenaRow>() as u64;
 /// Mutable work counters. Deliberately *not* atomic: counting happens on
 /// every visited edge, so it must be a plain increment. Each `Counters`
 /// instance is only ever touched by one thread — the parallel strategy gives
-/// every partition its own instance (moved into the worker via
-/// `&mut Partition`) and sums them in `RowCursor::stats`.
+/// every partition its own instance on its worker thread and adds them into
+/// the cursor's after the join ([`partitioned`]).
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     pub(crate) expansions: Cell<u64>,
@@ -159,6 +159,15 @@ impl Counters {
             bytes_charged: self.bytes.get(),
         }
     }
+
+    /// Adds another accounting domain's counts (a joined partition's).
+    fn add(&self, other: ExecStats) {
+        self.expansions
+            .set(self.expansions.get() + other.expansions);
+        self.interned_nodes
+            .set(self.interned_nodes.get() + other.interned_nodes);
+        self.bytes.set(self.bytes.get() + other.bytes_charged);
+    }
 }
 
 /// Compile-time execution knobs threaded from the traversal surface
@@ -173,7 +182,7 @@ pub(crate) struct ExecConfig {
     pub(crate) profile: bool,
     /// Per-query memory budget in bytes (`Traversal::memory_budget`;
     /// default: none). The parallel strategy splits it evenly across its
-    /// accounting domains (each partition plus the suffix/consumer).
+    /// accounting domains (each partition plus the consumer).
     pub(crate) budget: Option<u64>,
 }
 
@@ -397,41 +406,221 @@ pub(crate) fn eval_until(
     until.1.eval(snapshot.vertex_property(v, &until.0))
 }
 
-/// Level-at-a-time evaluation: each plan op runs as a one-op [`Stage`] over
-/// a source holding the whole previous level, drained in `chunk`-row calls
-/// until it reports `Done` before the next op starts. No op sees a partial
-/// input, so nothing exits early except the R7/R9 emission caps;
-/// `max_intermediate` is each level stage's lifetime output check, and
-/// memory is charged after every drain call. With `trace`, the start
-/// frontier's and each level's actuals are appended to it. Returns the
-/// final rows with the arena their paths live in; the caller materialises
-/// only the rows it delivers (`count()` materialises none).
+/// Level-at-a-time evaluation of `ops` over `rows`, whose paths live in
+/// `arena`: each op runs as a one-op [`Stage`] over a source holding the
+/// whole previous level, drained in `chunk`-row calls until it reports
+/// `Done` before the next op starts. No op sees a partial input, so nothing
+/// exits early except the R7/R9 emission caps; `max_intermediate` is checked
+/// on the input rows and on each level stage's lifetime output, and memory
+/// is charged after every drain call. With `trace`, each level's actuals
+/// are appended to it. Returns the final rows; the caller materialises only
+/// the rows it delivers (`count()` materialises none).
 pub(crate) fn materialized(
     ctx: &ExecCtx<'_>,
-    start: &[VertexId],
+    arena: &PathArena,
+    mut rows: Vec<ArenaRow>,
     ops: &[PlanOp],
     chunk: usize,
     mut trace: Option<&mut Vec<OpActuals>>,
-) -> Result<(PathArena, Vec<ArenaRow>), EngineError> {
-    let arena = PathArena::new();
-    let mut rows = initial_rows(start);
+) -> Result<Vec<ArenaRow>, EngineError> {
     check_cap(rows.len(), ctx.cap)?;
-    if let Some(trace) = trace.as_deref_mut() {
-        trace.push(OpActuals {
-            rows_out: rows.len() as u64,
-            ..OpActuals::default()
-        });
-    }
     for op in ops {
         let mut stage = Stage::level(rows, op.clone(), trace.is_some());
         let mut next = Vec::new();
-        stage.drain(ctx, &arena, chunk, &mut next)?;
+        stage.drain(ctx, arena, chunk, &mut next)?;
         if let Some(trace) = trace.as_deref_mut() {
             trace.push(stage.level_actuals());
         }
         rows = next;
     }
-    Ok((arena, rows))
+    Ok(rows)
+}
+
+/// A run of result rows in delivery order, with the arena their paths live
+/// in.
+pub(crate) type Segment = (PathArena, Vec<ArenaRow>);
+
+/// The batch strategies' evaluator: [`materialized`] over start partitions.
+///
+/// `threads` bounds the partition count (`Some(1)` under Materialized; under
+/// Parallel the forced count, or `None` for `available_parallelism`), at most
+/// one partition per start vertex. The plan splits at its first op that is
+/// stateful across rows — `Dedup`, `Limit`, or a
+/// [`Semantics::GlobalReachable`] automaton, whose shared seen-set makes a
+/// row's output depend on earlier rows (the R7/R9 emission caps are sound
+/// per-partition over-approximations). With one partition or no stateless
+/// prefix, the whole plan runs on the calling thread. Otherwise the plan's
+/// CSR directions are built first, and each partition evaluates the prefix
+/// on its own scoped thread, spawned once per query, with its own arena,
+/// [`Counters`] and an even share of the memory budget (the consumer holds
+/// one more share). Stateless ops map each input row to a contiguous run of
+/// output rows, so the partitions in order are the materialized row order:
+/// they are the result segments, or, with a suffix, they cross into one
+/// suffix arena through a per-partition [`IdForwarder`] (each node appended
+/// once, counted in [`ExecStats::interned_nodes`]) and the suffix runs as
+/// [`materialized`] levels over them. `max_intermediate` bounds each
+/// partition level, the rows leaving the prefix, and each suffix level. The
+/// partitions' counters join `ctx`'s at the end; `trace` sums per-op actuals
+/// over partitions, credits the boundary's interns to the prefix's last op
+/// and appends the suffix levels.
+pub(crate) fn partitioned(
+    ctx: &ExecCtx<'_>,
+    plan: &LogicalPlan,
+    threads: Option<usize>,
+    chunk: usize,
+    mut trace: Option<&mut Vec<OpActuals>>,
+) -> Result<Vec<Segment>, EngineError> {
+    let start = plan.start();
+    let threads = threads
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        })
+        .min(start.len().max(1));
+    let stateful = |op: &PlanOp| {
+        matches!(op, PlanOp::DedupByVertex | PlanOp::Limit(_))
+            || matches!(
+                op,
+                PlanOp::ExpandAutomaton { spec, .. }
+                    if spec.semantics() == Semantics::GlobalReachable
+            )
+    };
+    let split = plan
+        .ops()
+        .iter()
+        .position(stateful)
+        .unwrap_or(plan.ops().len());
+    let (snapshot, cap, alive, profile) = (ctx.snapshot, ctx.cap, ctx.alive, trace.is_some());
+    let run = move |starts: &[VertexId], ops: &[PlanOp], budget: Option<u64>| {
+        let counters = Counters::default();
+        let ctx = ExecCtx {
+            snapshot,
+            cap,
+            counters: &counters,
+            alive,
+            budget,
+        };
+        let mut trace = profile.then(|| {
+            vec![OpActuals {
+                rows_out: starts.len() as u64,
+                ..OpActuals::default()
+            }]
+        });
+        let arena = PathArena::new();
+        let rows = materialized(
+            &ctx,
+            &arena,
+            initial_rows(starts),
+            ops,
+            chunk,
+            trace.as_mut(),
+        );
+        Partition {
+            stats: counters.stats(),
+            arena,
+            rows,
+            trace,
+        }
+    };
+    let (partitions, suffix, ctx) = if threads <= 1 || start.len() <= 1 || split == 0 {
+        (vec![run(start, plan.ops(), ctx.budget)], &[][..], *ctx)
+    } else {
+        let (out, in_) = plan.csr_directions();
+        snapshot.prewarm_csr(out, in_);
+        let (prefix, suffix) = plan.ops().split_at(split);
+        let per_partition = start.len().div_ceil(threads);
+        let domains = start.chunks(per_partition).count() as u64 + 1;
+        let share = ctx.budget.map(|b| (b / domains).max(1));
+        let partitions = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = start
+                .chunks(per_partition)
+                .map(|starts| scope.spawn(move |_| run(starts, prefix, share)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("partition thread panicked"))
+                .collect()
+        })
+        .expect("thread scope failed");
+        let consumer = ExecCtx {
+            budget: share,
+            ..*ctx
+        };
+        (partitions, suffix, consumer)
+    };
+    let joined = Counters::default();
+    let mut segments = Vec::with_capacity(partitions.len());
+    let mut failed = None;
+    for p in partitions {
+        joined.add(p.stats);
+        if let (Some(acc), Some(part)) = (trace.as_deref_mut(), p.trace) {
+            acc.resize(part.len(), OpActuals::default());
+            acc.iter_mut().zip(&part).for_each(|(a, b)| a.merge(b));
+        }
+        match p.rows {
+            Ok(rows) => segments.push((p.arena, rows)),
+            Err(e) => failed = failed.or(Some(e)),
+        }
+    }
+    let result = match failed {
+        Some(e) => Err(e),
+        None => join(&ctx, segments, suffix, chunk, trace),
+    };
+    // added only now: each partition was charged against its own share, not
+    // the consumer's
+    ctx.counters.add(joined.stats());
+    result
+}
+
+/// One partition's prefix evaluation, returned from its worker thread.
+struct Partition {
+    stats: ExecStats,
+    arena: PathArena,
+    rows: Result<Vec<ArenaRow>, EngineError>,
+    trace: Option<Vec<OpActuals>>,
+}
+
+/// Joins the partitions' prefix rows in partition order and runs the
+/// `suffix` over them (see [`partitioned`]).
+fn join(
+    ctx: &ExecCtx<'_>,
+    segments: Vec<Segment>,
+    suffix: &[PlanOp],
+    chunk: usize,
+    mut trace: Option<&mut Vec<OpActuals>>,
+) -> Result<Vec<Segment>, EngineError> {
+    let total = segments.iter().map(|(_, rows)| rows.len()).sum();
+    if suffix.is_empty() {
+        check_cap(total, ctx.cap)?;
+        return Ok(segments);
+    }
+    let arena = PathArena::new();
+    let mut rows = Vec::with_capacity(total);
+    let mut interned = 0;
+    // each partition's arena and rows are freed once they have crossed
+    for (part, part_rows) in segments {
+        let mut forward = IdForwarder::new();
+        for row in &part_rows {
+            let (path, appended) = forward.forward(&part, &arena, row.path);
+            interned += appended;
+            rows.push(ArenaRow { path, ..*row });
+        }
+        if ctx.budgeted() {
+            // the forwarder grew the suffix arena, and the rows join the
+            // suffix's input — both on the consumer's share
+            ctx.charge_arena_growth(arena.node_count())?;
+            ctx.charge_bytes(part_rows.len() as u64 * ROW_BYTES)?;
+        }
+    }
+    ctx.count_interned(interned);
+    // the forwarding runs between levels, so no stage records it: credit it
+    // to the prefix's last op, whose rows crossed the boundary
+    if let Some(last) = trace.as_deref_mut().and_then(|t| t.last_mut()) {
+        last.interned += interned as u64;
+    }
+    let rows = materialized(ctx, &arena, rows, suffix, chunk, trace)?;
+    Ok(vec![(arena, rows)])
 }
 
 #[cfg(test)]

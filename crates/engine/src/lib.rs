@@ -18,8 +18,9 @@
 //!   with an explicit optimizer pass. `Traversal::explain` returns the
 //!   pre-/post-rewrite plans plus cardinality estimates.
 //! * [`exec`] — three executors over the same logical plan: materialized
-//!   (path-set, the reference), streaming (row-at-a-time), and parallel
-//!   (start-partitioned, crossbeam scoped threads).
+//!   (level-at-a-time, the reference), streaming (row-at-a-time), and
+//!   parallel (materialized over start partitions, one crossbeam scoped
+//!   thread per partition).
 //!
 //! ```
 //! use mrpa_engine::{classic_social_graph, Predicate, Traversal};

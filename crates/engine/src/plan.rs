@@ -404,6 +404,19 @@ impl AutomatonSpec {
         &self.by_label[state]
     }
 
+    /// The hop-budget test: whether a walk with `hops` edges after move `m`
+    /// can still accept within `max_hops` (saturating, so an unbounded walk
+    /// admits every move).
+    pub fn admits(&self, m: &AutoMove, hops: usize) -> bool {
+        hops.saturating_add(m.min_edges_to_accept) <= self.max_hops
+    }
+
+    /// The frontier test: whether a row with `hops` edges after move `m` can
+    /// make progress — hops are left and the target state has moves.
+    pub fn continues(&self, m: &AutoMove, hops: usize) -> bool {
+        hops < self.max_hops && m.target_live
+    }
+
     /// Minimum number of edges any word needs to reach an accepting state
     /// from `state` (over the graph's label alphabet); `None` if acceptance
     /// is unreachable. `Some(0)` exactly for accepting states.

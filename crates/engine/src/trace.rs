@@ -18,15 +18,19 @@
 //!
 //! Semantics by strategy:
 //!
-//! * **Streaming / Parallel** — `pulls`/`chunks` count protocol traffic per
-//!   stage: every stage call asks for some number of rows, and a call that
-//!   asks for one counts as a pull, any other as a chunk. Times are measured
+//! * **Streaming** — `pulls`/`chunks` count protocol traffic per stage:
+//!   every stage call asks for some number of rows, and a call that asks
+//!   for one counts as a pull, any other as a chunk. Times are measured
 //!   around each call and reported *exclusive* (self time, upstream stages
 //!   subtracted).
-//! * **Materialized** — each op's stage is drained over the whole previous
-//!   level, so `pulls`/`chunks` count that level's drain calls (each asks
-//!   for `Traversal::chunk_size` rows; the last one reports `Done`) and the
-//!   wall time is the level's. The start frontier node reports no calls.
+//! * **Materialized / Parallel** — each op's stage is drained over the whole
+//!   previous level, so `pulls`/`chunks` count that level's drain calls
+//!   (each asks for `Traversal::chunk_size` rows; the last one reports
+//!   `Done`) and the wall time is the level's. Under Parallel, a prefix
+//!   op's drain calls, times and counters are summed over the partitions
+//!   (its time is CPU time across threads, not wall time), and the
+//!   partition → suffix id forwarding is credited to the prefix's last op.
+//!   The start frontier node reports no calls.
 
 use crate::exec::{ExecStats, ExecutionStrategy};
 use crate::plan::OpEstimate;
@@ -80,7 +84,7 @@ pub struct TraceNode {
     /// `count`, and the one-row input pulls of walker stages).
     pub pulls: u64,
     /// Calls to this op's stage that asked for more than one row (chunked
-    /// drains and parallel partition batches).
+    /// and level drains).
     pub chunks: u64,
     /// Wall time in this op alone (upstream excluded), nanoseconds.
     pub self_time_ns: u64,

@@ -185,11 +185,16 @@ impl Default for ServerConfig {
     }
 }
 
-/// The `retry_after_ms` hint attached to `overloaded` refusals: half the
-/// queue deadline — long enough for the backlog to move, short enough that
-/// a well-behaved client re-arrives while its turn is still fresh.
-pub(crate) fn retry_hint_ms(config: &ServerConfig) -> u64 {
-    (config.queue_deadline.as_millis() as u64 / 2).max(10)
+/// The `retry_after_ms` hint attached to `overloaded` refusals: how long the
+/// queued work should take to clear — `depth` jobs at the running mean
+/// service time, spread over the worker threads — clamped to at least
+/// 10 ms and at most half the queue deadline, so a client re-arrives about
+/// when a worker frees and never later than while its turn is still fresh.
+pub(crate) fn retry_hint_ms(config: &ServerConfig, depth: usize, mean_service: Duration) -> u64 {
+    let ceiling = (config.queue_deadline.as_millis() as u64 / 2).max(10);
+    let workers = config.worker_threads.max(1) as u128;
+    let clear_ms = mean_service.as_micros().saturating_mul(depth as u128) / workers / 1000;
+    (clear_ms.min(u128::from(ceiling)) as u64).max(10)
 }
 
 /// Server-side metrics, registered in the process-wide
@@ -315,6 +320,29 @@ pub(crate) struct Shared {
     pub(crate) query_share: Option<u64>,
     /// Live connection count, checked against `max_connections` on accept.
     conns: AtomicUsize,
+    /// Running mean of per-job service time in µs (see
+    /// [`Shared::record_service`]); 0 until the first job finishes.
+    service_us: AtomicU64,
+}
+
+impl Shared {
+    /// The `retry_after_ms` hint for a refusal issued now, from the queue's
+    /// depth and the running mean service time ([`retry_hint_ms`]).
+    pub(crate) fn retry_hint_ms(&self) -> u64 {
+        let mean = Duration::from_micros(self.service_us.load(Ordering::Relaxed));
+        retry_hint_ms(&self.config, self.queue.depth(), mean)
+    }
+
+    /// Folds one job's service time into the running mean, an exponential
+    /// average that gives the newest job a weight of 1/8.
+    pub(crate) fn record_service(&self, took: Duration) {
+        let us = took.as_micros().min(u64::MAX as u128 / 8) as u64;
+        let _ = self
+            .service_us
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |mean| {
+                Some(if mean == 0 { us } else { (mean * 7 + us) / 8 })
+            });
+    }
 }
 
 /// Releases everything a dying connection holds — the writer slot, the
@@ -450,6 +478,7 @@ pub fn serve(
         cancel: CancelToken::new(),
         query_share,
         conns: AtomicUsize::new(0),
+        service_us: AtomicU64::new(0),
     });
     let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -477,7 +506,7 @@ pub fn serve(
             let max = accept_shared.config.max_connections;
             if accept_shared.conns.load(Ordering::SeqCst) >= max {
                 srv_metrics::connections_rejected().inc();
-                let line = rejection_line(max, retry_hint_ms(&accept_shared.config));
+                let line = rejection_line(max, accept_shared.retry_hint_ms());
                 let _ = stream.write_all(line.as_bytes());
                 continue; // dropping the stream closes the connection
             }
@@ -983,12 +1012,12 @@ impl<'a> Session<'a> {
                         "admission queue is full ({} queued)",
                         self.shared.config.queue_capacity
                     ),
-                    retry_hint_ms(&self.shared.config),
+                    self.shared.retry_hint_ms(),
                 ))
             }
             pool::Admission::Draining => Err(Failure::overloaded(
                 "server is draining; new queries are refused",
-                retry_hint_ms(&self.shared.config),
+                self.shared.retry_hint_ms(),
             )),
         }
     }
@@ -1572,6 +1601,24 @@ mod tests {
         .unwrap();
         let client = Client::connect(server.local_addr()).unwrap();
         (server, client)
+    }
+
+    #[test]
+    fn the_retry_hint_is_the_queued_work_between_a_floor_and_half_the_deadline() {
+        let config = ServerConfig {
+            worker_threads: 2,
+            queue_deadline: Duration::from_millis(500),
+            ..ServerConfig::default()
+        };
+        let hint = |depth, mean_ms| retry_hint_ms(&config, depth, Duration::from_millis(mean_ms));
+        // an empty queue (or no job measured yet): the 10 ms floor
+        assert_eq!(hint(0, 40), 10);
+        assert_eq!(hint(6, 0), 10);
+        // 6 queued jobs of 40 ms over 2 workers clear in 120 ms
+        assert_eq!(hint(6, 40), 120);
+        // a deep queue of slow jobs: the old ceiling, half the deadline
+        assert_eq!(hint(64, 1_000), 250);
+        assert_eq!(hint(usize::MAX, u64::MAX), 250);
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub(crate) fn worker_loop(shared: Arc<Shared>) {
                         waited.as_millis(),
                         shared.config.queue_deadline.as_millis()
                     ),
-                    crate::retry_hint_ms(&shared.config),
+                    shared.retry_hint_ms(),
                 )),
                 rows: 0,
             });
@@ -174,9 +174,11 @@ pub(crate) fn worker_loop(shared: Arc<Shared>) {
         if let Some(share) = shared.query_share {
             srv_metrics::bytes_inflight().add(share as i64);
         }
+        let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             run_query(&shared, job.session, &job.req)
         }));
+        shared.record_service(started.elapsed());
         if let Some(share) = shared.query_share {
             srv_metrics::bytes_inflight().add(-(share as i64));
         }

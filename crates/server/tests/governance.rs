@@ -187,8 +187,8 @@ fn saturation_sheds_typed_overloaded_and_control_plane_stays_responsive() {
         ServerConfig {
             worker_threads: 1,
             queue_capacity: 1,
-            // the retry hint is half the deadline: a refused retrier
-            // sleeps 1 s, not 15 s
+            // the retry hint is the queued work, at most half the
+            // deadline: a refused retrier sleeps at most 1 s, not 15 s
             queue_deadline: Duration::from_secs(2),
             memory_budget: Some(256 << 20),
             ..ServerConfig::default()
@@ -226,6 +226,7 @@ fn saturation_sheds_typed_overloaded_and_control_plane_stays_responsive() {
                             .and_then(Value::as_u64)
                             .expect("overloaded carries retry_after_ms");
                         assert!(hint > 0);
+                        assert!(hint <= 1_000, "hint {hint} ms over half the deadline");
                         shed.fetch_add(1, Ordering::Relaxed);
                     }
                 }

@@ -18,8 +18,9 @@
 //! graph performs a *bounded* number of expansions (asserted via the
 //! expansion counter, not wall time); a limited chunked `execute()` does the
 //! work of a `next_row` drain (the cursor has one stage protocol, and a
-//! one-row pull is a chunk of one); the materialized strategy finishes a
-//! level before `limit` sees it, through every terminal; and
+//! one-row pull is a chunk of one); the materialized and parallel
+//! strategies finish a level before `limit` sees it, through every
+//! terminal; and
 //! `Semantics::Reachable` terminates on cyclic graphs where walk
 //! enumeration trips `max_intermediate`.
 
@@ -244,10 +245,25 @@ fn terminals_agree_with_execute() {
     cases(3, |r, case| {
         let g = random_cyclic_graph(r);
         for (pi, (counted, base)) in pipelines(&g).into_iter().enumerate() {
+            let mut materialized = None;
             for strategy in STRATEGIES {
                 let t = base.clone().strategy(strategy).parallel_threads(2);
                 let ctx = format!("case {case} pipeline {pi} {strategy:?}");
                 let all = t.execute().unwrap();
+                // Parallel is Materialized over start partitions: the same
+                // work, except where each partition applies an emission cap
+                // to its own walks
+                match strategy {
+                    ExecutionStrategy::Materialized => materialized = Some(all.stats().expansions),
+                    ExecutionStrategy::Parallel if !emission_capped(all.execution().plan()) => {
+                        assert_eq!(
+                            Some(all.stats().expansions),
+                            materialized,
+                            "{ctx} expansions"
+                        );
+                    }
+                    _ => {}
+                }
                 let (n, execution) = t.count_with_stats().unwrap();
                 assert_eq!(n, all.len(), "{ctx} count");
                 assert_eq!(
@@ -274,6 +290,18 @@ fn terminals_agree_with_execute() {
             }
         }
     });
+}
+
+/// Whether the plan carries an R7/R9 emission cap (which each parallel
+/// partition applies to its own walks).
+fn emission_capped(plan: &plan::LogicalPlan) -> bool {
+    plan.ops().iter().any(|op| {
+        matches!(
+            op,
+            plan::PlanOp::ExpandAutomaton { limit: Some(_), .. }
+                | plan::PlanOp::ExpandWeighted { k: Some(_), .. }
+        )
+    })
 }
 
 #[test]
@@ -304,8 +332,9 @@ fn first_on_a_dense_match_performs_bounded_expansions() {
         let row = cursor.next_row().unwrap().expect("one row");
         assert_eq!(row.path.len(), 1);
         let expansions = cursor.stats().expansions;
-        // at most one adjacency scan per partition (the parallel strategy
-        // speculatively pulls one batch per partition)
+        // at most one adjacency scan per partition (under the parallel
+        // strategy, each partition's R7-capped walk stops at its first
+        // emission)
         assert!(
             expansions <= (n * (n - 1)) as u64,
             "{strategy:?} expanded {expansions} edges"
@@ -360,35 +389,40 @@ fn a_limited_chunked_drain_does_the_work_of_a_one_row_drain() {
     assert_eq!((count, execution.stats().expansions), (3, 22), "count()");
     let bounded = t.clone().max_intermediate(20).execute().unwrap();
     assert_eq!(row_sequence(&bounded), rows, "max_intermediate(20)");
-    // the cap is per strategy: Materialized builds the 132-row second level
-    let materialized = t
-        .strategy(ExecutionStrategy::Materialized)
-        .max_intermediate(20)
-        .execute();
-    assert!(
-        matches!(
-            materialized,
-            Err(EngineError::BoundExceeded { bound: 20, .. })
-        ),
-        "{materialized:?}"
-    );
+    // the cap is per strategy: Materialized builds the 132-row second level,
+    // and each of Parallel's two partitions its 66-row first one
+    for strategy in [ExecutionStrategy::Materialized, ExecutionStrategy::Parallel] {
+        let batch = t
+            .clone()
+            .strategy(strategy)
+            .parallel_threads(2)
+            .max_intermediate(20)
+            .execute();
+        assert!(
+            matches!(batch, Err(EngineError::BoundExceeded { bound: 20, .. })),
+            "{strategy:?}: {batch:?}"
+        );
+    }
 }
 
 #[test]
 fn materialized_limit_expands_the_whole_level_and_streaming_one_row() {
     // out(knows).limit(1) on K12 has no emission cap to push into: the
     // materialized strategy finishes the expansion level before `Limit`
-    // sees it (all 132 edges), the streaming one expands only the first
-    // row's 11 neighbours — through every terminal.
+    // sees it (all 132 edges), and so do the parallel strategy's partitions
+    // between them; the streaming one expands only the first row's 11
+    // neighbours — through every terminal.
     let g = complete_knows_graph(12);
     for (strategy, expected) in [
         (ExecutionStrategy::Materialized, 132),
+        (ExecutionStrategy::Parallel, 132),
         (ExecutionStrategy::Streaming, 11),
     ] {
         let t = Traversal::over(&g)
             .out(["knows"])
             .limit(1)
-            .strategy(strategy);
+            .strategy(strategy)
+            .parallel_threads(2);
         let (row, first) = t.first_with_stats().unwrap();
         assert!(row.is_some(), "{strategy:?}");
         let (count, counted) = t.count_with_stats().unwrap();
