@@ -11,18 +11,19 @@
 //!   name counts twice);
 //! * `Expand` multiplies the vector by the CSR segments of its labels and
 //!   direction (`Both` = Out + In), honouring its `from`/`to` masks;
-//! * `ExpandAutomaton` under [`Semantics::Walks`] is a layered product over
-//!   `(vertex, DFA state)` pairs up to `max_hops` that sums the accepting
-//!   pairs, with the walkers' hop-budget pruning. Its R7 emission cap is
-//!   `min(·, cap)`, reached early, and the `Limit(n ≥ cap)` that R7 leaves
-//!   after it ends the plan;
-//! * a [`Semantics::Reachable`] automaton that a `DedupByVertex` directly
-//!   follows is a Boolean multi-source BFS over the same pairs: each pair is
-//!   reached at its least depth over all sources, which is within
-//!   `max_hops` iff some source reaches it within `max_hops` — exactly the
-//!   union of the per-row walks the dedup collapses. A
-//!   [`Semantics::GlobalReachable`] one qualifies only without a hop bound,
-//!   because its shared seen-set makes a bounded walk depend on row order;
+//! * `ExpandAutomaton` is one layered product over `(vertex, DFA state)`
+//!   pairs up to `max_hops` that sums the accepting pairs, stepping each
+//!   pair through the walkers' move step and its hop-budget pruning. Under
+//!   [`Semantics::Walks`] it carries walk multiplicities; its R7 emission
+//!   cap is `min(·, cap)`, reached early, and the `Limit(n ≥ cap)` that R7
+//!   leaves after it ends the plan. Under reachability, which qualifies only
+//!   with a `DedupByVertex` directly after it, it is the Boolean product: a
+//!   seen-set lets each pair into the frontier only at its least depth over
+//!   all sources, which is within `max_hops` iff some source reaches it
+//!   within `max_hops` — exactly the union of the per-row walks the dedup
+//!   collapses. A [`Semantics::GlobalReachable`] one qualifies only without
+//!   a hop bound, because its shared seen-set makes a bounded walk depend
+//!   on row order;
 //! * `RestrictVertices`/`RestrictProperty` mask the vector, and
 //!   `DedupByVertex` clamps it to its support.
 //!
@@ -45,9 +46,12 @@ use std::collections::HashSet;
 use mrpa_core::fxhash::{FxHashMap, FxHashSet};
 use mrpa_core::{LabelId, VertexId};
 
+use crate::cursor::{expand_segments, move_step};
 use crate::error::EngineError;
 use crate::exec::{in_set, ExecCtx};
-use crate::plan::{AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, UNBOUNDED_MATCH_HOPS};
+use crate::plan::{
+    AutoMove, AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, UNBOUNDED_MATCH_HOPS,
+};
 
 /// Row multiplicity per head vertex.
 type Weights = FxHashMap<VertexId, u64>;
@@ -123,20 +127,15 @@ fn product(ctx: &ExecCtx<'_>, plan: &LogicalPlan) -> Result<u64, EngineError> {
                 from,
                 to,
                 limit,
-            } => match spec.semantics() {
-                Semantics::Walks => {
-                    let cap = limit.map(|n| n as u64);
-                    let emitted = walks(ctx, spec, &rows, from, to, cap)?;
-                    match cap {
-                        // R7 set the cap because a Limit(n ≥ cap) ends the plan
-                        Some(cap) => return Ok(total(&emitted)?.min(cap)),
-                        None => emitted,
-                    }
+            } => {
+                let cap = limit.map(|n| n as u64);
+                let emitted = walks(ctx, spec, &rows, from, to, cap)?;
+                match cap {
+                    // R7 set the cap because a Limit(n ≥ cap) ends the plan
+                    Some(cap) => return Ok(total(&emitted)?.min(cap)),
+                    None => emitted,
                 }
-                Semantics::Reachable | Semantics::GlobalReachable => {
-                    reach(ctx, spec, &rows, from, to)?
-                }
-            },
+            }
             PlanOp::RestrictVertices(vs) => {
                 rows.retain(|v, _| vs.contains(v));
                 rows
@@ -192,48 +191,25 @@ fn expand(
     from: &Option<HashSet<VertexId>>,
     to: &Option<HashSet<VertexId>>,
 ) -> Result<Weights, EngineError> {
-    let directions: &[Direction] = match direction {
-        Direction::Out => &[Direction::Out],
-        Direction::In => &[Direction::In],
-        Direction::Both => &[Direction::Out, Direction::In],
-    };
     let mut next = Weights::default();
-    for (&v, &m) in rows {
-        if !in_set(from, v) {
-            continue;
-        }
-        for &d in directions {
-            let csr = ctx.adjacency(d);
-            let mut visit = |heads: &[VertexId]| -> Result<(), EngineError> {
-                ctx.count_expansions(heads.len());
-                for &h in heads.iter().filter(|&&h| in_set(to, h)) {
-                    add(&mut next, h, m)?;
-                }
-                Ok(())
-            };
-            match labels {
-                None => {
-                    for (_, heads) in csr.segments(v) {
-                        visit(heads)?;
-                    }
-                }
-                Some(labels) => {
-                    for &label in labels {
-                        visit(csr.labeled(v, label))?;
-                    }
-                }
+    for (&v, &m) in rows.iter().filter(|(v, _)| in_set(from, **v)) {
+        expand_segments(ctx, direction, labels, v, |_, heads| {
+            for &h in heads.iter().filter(|&&h| in_set(to, h)) {
+                add(&mut next, h, m)?;
             }
-        }
+            Ok::<_, EngineError>(())
+        })?;
     }
     ctx.charge_bytes(next.len() as u64 * ENTRY_BYTES)?;
     Ok(next)
 }
 
-/// A walk-semantics automaton: per hop, the `(vertex, state)` frontier times
-/// each state's label moves, summing multiplicities into the accepting heads
-/// in `to`. Moves whose target cannot accept within the remaining hops are
-/// skipped, as the walkers skip them. With `cap`, stops as soon as the
-/// emitted total reaches it.
+/// An automaton: per hop, the `(vertex, state)` frontier times each state's
+/// label moves, summing multiplicities into the accepting heads in `to`.
+/// With `cap`, stops at the CSR entry where the emitted total reaches it.
+/// Under reachability every start counts once and the seen-set admits each
+/// pair once, so a head reached in several accepting states is emitted once
+/// per state; the `DedupByVertex` after it clamps that.
 fn walks(
     ctx: &ExecCtx<'_>,
     spec: &AutomatonSpec,
@@ -243,10 +219,17 @@ fn walks(
     cap: Option<u64>,
 ) -> Result<Weights, EngineError> {
     let start = spec.start_state();
+    let mut seen = (spec.semantics() != Semantics::Walks).then(FxHashSet::default);
     let mut emitted = Weights::default();
     let mut sum = 0u64;
     let mut frontier: FxHashMap<(VertexId, usize), u64> = FxHashMap::default();
     for (&v, &m) in rows.iter().filter(|(v, _)| in_set(from, **v)) {
+        let m = if let Some(seen) = &mut seen {
+            seen.insert((v, start));
+            1
+        } else {
+            m
+        };
         if spec.is_accept(start) && in_set(to, v) {
             add(&mut emitted, v, m)?;
             sum = sum.checked_add(m).ok_or_else(overflow)?;
@@ -262,26 +245,25 @@ fn walks(
         ctx.charge_bytes(frontier.len() as u64 * ENTRY_BYTES)?;
         ctx.ensure_alive()?;
         let mut next = FxHashMap::default();
-        'entries: for (&(v, state), &m) in &frontier {
-            for mv in spec.moves(state) {
-                if !spec.admits(mv, hop) {
-                    continue;
+        for (&pair, &m) in &frontier {
+            let visit = |mv: &AutoMove, survives: bool, h: VertexId| {
+                if seen
+                    .as_mut()
+                    .is_some_and(|seen| !seen.insert((h, mv.target)))
+                {
+                    return Ok(true);
                 }
-                let survives = spec.continues(mv, hop);
-                let heads = adj.labeled(v, mv.label);
-                ctx.count_expansions(heads.len());
-                for &h in heads {
-                    if mv.accepts && in_set(to, h) {
-                        add(&mut emitted, h, m)?;
-                        sum = sum.checked_add(m).ok_or_else(overflow)?;
-                    }
-                    if survives {
-                        add(&mut next, (h, mv.target), m)?;
-                    }
+                if mv.accepts && in_set(to, h) {
+                    add(&mut emitted, h, m)?;
+                    sum = sum.checked_add(m).ok_or_else(overflow)?;
                 }
-                if capped(sum) {
-                    break 'entries;
+                if survives {
+                    add(&mut next, (h, mv.target), m)?;
                 }
+                Ok(!capped(sum))
+            };
+            if !move_step(ctx, adj, spec, pair, hop, true, visit)? {
+                break;
             }
         }
         frontier = next;
@@ -289,61 +271,4 @@ fn walks(
     }
     ctx.charge_bytes(emitted.len() as u64 * ENTRY_BYTES)?;
     Ok(emitted)
-}
-
-/// A reachability automaton under a dedup: a Boolean BFS from every input
-/// head in `from` at once, expanding each `(vertex, state)` pair at its
-/// least depth; returns each accepting head in `to` once.
-fn reach(
-    ctx: &ExecCtx<'_>,
-    spec: &AutomatonSpec,
-    rows: &Weights,
-    from: &Option<HashSet<VertexId>>,
-    to: &Option<HashSet<VertexId>>,
-) -> Result<Weights, EngineError> {
-    let start = spec.start_state();
-    let mut seen: FxHashSet<(VertexId, usize)> = FxHashSet::default();
-    let mut heads = Weights::default();
-    let mut frontier = Vec::new();
-    for &v in rows.keys().filter(|v| in_set(from, **v)) {
-        seen.insert((v, start));
-        if spec.is_accept(start) && in_set(to, v) {
-            heads.insert(v, 1);
-        }
-        if spec.max_hops() > 0 {
-            frontier.push((v, start));
-        }
-    }
-    let adj = ctx.adjacency(spec.direction());
-    let mut hop = 1usize;
-    while !frontier.is_empty() {
-        ctx.charge_bytes(frontier.len() as u64 * ENTRY_BYTES)?;
-        ctx.ensure_alive()?;
-        let mut next = Vec::new();
-        for &(v, state) in &frontier {
-            for mv in spec.moves(state) {
-                if !spec.admits(mv, hop) {
-                    continue;
-                }
-                let survives = spec.continues(mv, hop);
-                let targets = adj.labeled(v, mv.label);
-                ctx.count_expansions(targets.len());
-                for &h in targets {
-                    if !seen.insert((h, mv.target)) {
-                        continue;
-                    }
-                    if mv.accepts && in_set(to, h) {
-                        heads.insert(h, 1);
-                    }
-                    if survives {
-                        next.push((h, mv.target));
-                    }
-                }
-            }
-        }
-        frontier = next;
-        hop += 1;
-    }
-    ctx.charge_bytes(heads.len() as u64 * ENTRY_BYTES)?;
-    Ok(heads)
 }

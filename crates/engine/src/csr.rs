@@ -73,8 +73,7 @@ impl CsrTopology {
     /// O(V + E + S log S) where S is the number of distinct
     /// `(vertex, label)` buckets; within each segment the source bucket's
     /// order is preserved verbatim. An In segment of `v` holds the tails of
-    /// `v`'s in-edges, so [`CsrTopology::labeled_edges`] yields them in the
-    /// walked orientation `(v, α, tail)`.
+    /// `v`'s in-edges: the far ends of the walked edges `(v, α, tail)`.
     ///
     /// # Panics
     ///
@@ -134,15 +133,6 @@ impl CsrTopology {
             }
             Err(_) => &[],
         }
-    }
-
-    /// Iterates `v`'s edges labeled `label` as materialized [`Edge`]s in the
-    /// walked orientation (tail = `v`), in source-bucket order.
-    #[inline]
-    pub fn labeled_edges(&self, v: VertexId, label: LabelId) -> impl Iterator<Item = Edge> + '_ {
-        self.labeled(v, label)
-            .iter()
-            .map(move |&head| Edge::new(v, label, head))
     }
 
     /// Walks `v`'s segments in label-ascending order, yielding each label
@@ -246,28 +236,13 @@ mod tests {
                 assert_eq!(csr.labeled(v, l), want.as_slice(), "bucket ({v}, {l})");
             }
         }
-        // walked orientation: the In edges of 2 leave 2
-        let edges: Vec<Edge> = csr.labeled_edges(VertexId(2), LabelId(0)).collect();
-        assert_eq!(edges, vec![Edge::new(VertexId(2), LabelId(0), VertexId(1))]);
+        // walked orientation: the In segment of 2 holds the tail of (1, 0, 2)
+        assert_eq!(csr.labeled(VertexId(2), LabelId(0)), &[VertexId(1)]);
         // without removals the In CSR is the reversed graph's Out CSR
         let h = graph(&[(0, 1, 2), (3, 1, 2), (1, 0, 2), (4, 1, 2), (2, 0, 0)]);
         assert_eq!(
             CsrTopology::build(&h, Direction::In),
             CsrTopology::build(&h.reversed(), Direction::Out)
-        );
-    }
-
-    #[test]
-    fn labeled_edges_materialize_the_stored_orientation() {
-        let g = graph(&[(0, 1, 2), (0, 1, 3)]);
-        let csr = CsrTopology::build(&g, Direction::Out);
-        let edges: Vec<Edge> = csr.labeled_edges(VertexId(0), LabelId(1)).collect();
-        assert_eq!(
-            edges,
-            vec![
-                Edge::new(VertexId(0), LabelId(1), VertexId(2)),
-                Edge::new(VertexId(0), LabelId(1), VertexId(3)),
-            ]
         );
     }
 

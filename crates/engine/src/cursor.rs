@@ -12,19 +12,26 @@
 //! A stage never hands out more than it was asked for: work that overshoots
 //! the target stays inside the stage for the next call. `Expand` keeps its
 //! unexpanded input rows and the extra output rows of the row it was
-//! expanding; the walkers keep extra emissions in their `pending` queue.
+//! expanding; a walk stage keeps extra emissions in its `pending` queue.
 //! So the work a consumer causes depends only on how many rows it takes,
 //! not on how it asks for them: `next_row` (a one-row call), a cursor-drained
 //! `count` and a chunked `execute` of `limit(k)` perform the same
 //! expansions. (A `count` that [`crate::count::by_product`] accepts does not
 //! run a cursor at all.)
 //!
-//! Composite ops keep resumable per-input-row state. The automaton stage
-//! holds an `AutoWalk`: the current `(row, dfa-state)` frontier layer, the
-//! index of the next entry to expand (the mid-layer suspension point), the
-//! half-built next layer, and the emissions awaiting delivery. One call
-//! expands frontier entries until it has its target, stopping after the
-//! entry that reaches it.
+//! The ops that walk per input row — `ExpandAutomaton`, `ExpandWeighted`
+//! and `Repeat` — are one stage, `StageOp::Walk`. It owns the input, the
+//! `from` mask, the R7/R9 emission budget and the pending queue, pulls input
+//! rows one at a time, and steps each row's resumable `Walk` until it has
+//! its target, stopping after the entry that reaches it. The walk holds the
+//! suspended state: an automaton's `(row, dfa-state)` frontier layer and the
+//! next entry to expand (the mid-layer suspension point), a weighted
+//! search's priority queue, a repeat's iteration frontier. Both product
+//! walks and [`crate::count`]'s layered product cross the CSR through one
+//! move step, `move_step`, which applies a state's moves with their
+//! hop-budget pruning and counts one expansion per head visited; they
+//! differ only in their discipline — a FIFO of arena rows, a best-first
+//! heap, a vector of multiplicities.
 //!
 //! These stages are the only evaluator of every op. The materialized
 //! executor ([`crate::exec`]) — and the parallel one, per start partition —
@@ -51,39 +58,40 @@
 
 use std::cell::Cell;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::convert::Infallible;
 use std::time::Instant;
 
 use mrpa_core::fxhash::FxHashSet;
-use mrpa_core::{ArenaWriter, Edge, PathArena, VertexId};
+use mrpa_core::{ArenaWriter, Edge, LabelId, PathArena, VertexId};
 
 use crate::cancel::{CancelToken, Liveness};
 use crate::chunk::{ChunkPull, DEFAULT_CHUNK_SIZE};
+use crate::csr::CsrTopology;
 use crate::error::EngineError;
 use crate::exec::{
     check_cap, eval_until, in_set, initial_rows, partitioned, ArenaRow, Counters, ExecConfig,
     ExecCtx, ExecStats, ExecutionStrategy,
 };
 use crate::plan::{
-    AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, SemiringKind, WeightSource,
+    AutoMove, AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, SemiringKind, WeightSource,
 };
 use crate::query::{Execution, ResultRow};
 use crate::store::GraphSnapshot;
 use crate::trace::OpActuals;
 use crate::value::Predicate;
 
-use mrpa_core::LabelId;
-
-/// Consumes one unit of an optional emission budget. Returns whether the
-/// emission is allowed.
-fn take_budget(remaining: &mut Option<usize>) -> bool {
-    match remaining {
-        None => true,
-        Some(0) => false,
-        Some(n) => {
-            *n -= 1;
-            true
-        }
+/// Emits `row` into `sink` against the R7/R9 emission budget. Returns
+/// whether the walk may go on: `false` once the budget is spent, and the
+/// walk halts.
+fn emit(remaining: &mut Option<usize>, sink: &mut impl Extend<ArenaRow>, row: ArenaRow) -> bool {
+    if *remaining == Some(0) {
+        return false;
     }
+    sink.extend([row]);
+    if let Some(n) = remaining {
+        *n -= 1;
+    }
+    *remaining != Some(0)
 }
 
 /// Moves queued rows into `out` until it holds `goal` rows.
@@ -93,264 +101,351 @@ fn drain_to(queue: &mut VecDeque<ArenaRow>, out: &mut Vec<ArenaRow>, goal: usize
 }
 
 // ---------------------------------------------------------------------------
-// Resumable walkers (driven by the composite stages)
+// The adjacency kernels
 // ---------------------------------------------------------------------------
 
-/// The frontier dedup set of (global) reachability evaluation: `(vertex,
-/// dfa-state)` pairs already reached. Owned by the *caller* of the walk —
-/// created per input row under [`Semantics::Reachable`], shared across every
-/// input row of the op under [`Semantics::GlobalReachable`], absent under
-/// [`Semantics::Walks`].
-pub(crate) type SeenSet = FxHashSet<(VertexId, usize)>;
+/// The product-automaton move step, the one place a walk crosses the CSR.
+///
+/// For the product entry `(v, state)`, with `hops` edges walked after the
+/// move, hands `visit` every head of every move of `state`, in move order
+/// and then segment order, with the move and whether a row there can still
+/// continue ([`AutomatonSpec::continues`]). With `prune`, a move that
+/// [`AutomatonSpec::admits`] rejects is skipped: its target cannot accept
+/// within the hop budget. Each head handed to `visit` counts as one
+/// expansion. `visit` returns whether to go on; `false` or an error stops
+/// the step mid-segment, and the heads after it are neither visited nor
+/// counted. Returns whether the step ran to the end.
+#[inline]
+pub(crate) fn move_step(
+    ctx: &ExecCtx<'_>,
+    adj: &CsrTopology,
+    spec: &AutomatonSpec,
+    (v, state): (VertexId, usize),
+    hops: usize,
+    prune: bool,
+    mut visit: impl FnMut(&AutoMove, bool, VertexId) -> Result<bool, EngineError>,
+) -> Result<bool, EngineError> {
+    for m in spec.moves(state) {
+        if prune && !spec.admits(m, hops) {
+            continue;
+        }
+        let survives = spec.continues(m, hops);
+        let heads = adj.labeled(v, m.label);
+        for (i, &head) in heads.iter().enumerate() {
+            let go_on = visit(m, survives, head);
+            if !matches!(go_on, Ok(true)) {
+                ctx.count_expansions(i + 1);
+                return go_on;
+            }
+        }
+        ctx.count_expansions(heads.len());
+    }
+    Ok(true)
+}
 
-/// A resumable product-automaton walk for **one input row**: breadth-first
-/// over `(row, dfa-state)` pairs, suspended between frontier entries.
+/// The adjacency of `v` that an `Expand` step reads, one CSR segment at a
+/// time, each segment's entries counted as expansions: `Out` reads the Out
+/// CSR, `In` the In CSR (so a result edge `(v, α, h)` walks the stored edge
+/// `(h, α, v)` backwards), and `Both` Out, then In. Within a direction,
+/// `labels` are visited in the list's order, or for a wildcard every label
+/// ascending.
+#[inline]
+pub(crate) fn expand_segments<E>(
+    ctx: &ExecCtx<'_>,
+    direction: Direction,
+    labels: Option<&[LabelId]>,
+    v: VertexId,
+    mut visit: impl FnMut(LabelId, &[VertexId]) -> Result<(), E>,
+) -> Result<(), E> {
+    let directions: &[Direction] = match direction {
+        Direction::Out => &[Direction::Out],
+        Direction::In => &[Direction::In],
+        Direction::Both => &[Direction::Out, Direction::In],
+    };
+    for &d in directions {
+        let csr = ctx.adjacency(d);
+        let mut segment = |label: LabelId, heads: &[VertexId]| {
+            ctx.count_expansions(heads.len());
+            visit(label, heads)
+        };
+        match labels {
+            None => {
+                for (label, heads) in csr.segments(v) {
+                    segment(label, heads)?;
+                }
+            }
+            Some(labels) => {
+                for &label in labels {
+                    segment(label, csr.labeled(v, label))?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Resumable per-row walks (driven by the walk stage)
+// ---------------------------------------------------------------------------
+
+/// The resumable walk a `StageOp::Walk` runs for each input row that passes
+/// its `from` mask. The stage owns the emission budget (`remaining`) and the
+/// queue of emissions awaiting delivery (`pending`); the walk owns its op's
+/// parameters and the current row's suspended state.
+#[derive(Debug)]
+enum Walk {
+    Automaton(AutoWalk),
+    Weighted(WeightedWalk),
+    Repeat(RepeatWalk),
+}
+
+impl Walk {
+    /// Begins the walk for `row`, discarding the previous row's state. The
+    /// stage has checked the emission budget is not exhausted.
+    fn start(
+        &mut self,
+        row: ArenaRow,
+        remaining: &mut Option<usize>,
+        pending: &mut VecDeque<ArenaRow>,
+    ) {
+        match self {
+            Walk::Automaton(w) => w.start(row, remaining, pending),
+            Walk::Weighted(w) => w.start(row),
+            Walk::Repeat(w) => w.start(row),
+        }
+    }
+
+    /// Whether the walk can produce no further emissions.
+    fn finished(&self) -> bool {
+        match self {
+            Walk::Automaton(w) => w.frontier.is_empty() && w.next.is_empty(),
+            Walk::Weighted(w) => w.heap.is_empty(),
+            Walk::Repeat(w) => w.done,
+        }
+    }
+
+    /// One bounded unit of work: emissions go to `out` until it holds
+    /// `goal` rows, the rest to `pending`. `delivered` is what the stage
+    /// has handed out, this call's rows included; each walk checks the cap
+    /// on it plus `pending` plus its own frontier or queue.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &mut self,
+        ctx: &ExecCtx<'_>,
+        arena: &PathArena,
+        remaining: &mut Option<usize>,
+        pending: &mut VecDeque<ArenaRow>,
+        delivered: usize,
+        out: &mut Vec<ArenaRow>,
+        goal: usize,
+    ) -> Result<(), EngineError> {
+        match self {
+            Walk::Automaton(w) => w.advance(ctx, arena, remaining, pending, delivered, out, goal),
+            Walk::Weighted(w) => w.advance(ctx, arena, remaining, pending, delivered),
+            Walk::Repeat(w) => w.advance(ctx, arena, pending, delivered),
+        }
+    }
+}
+
+/// A breadth-first product-automaton walk per input row, behind
+/// [`PlanOp::ExpandAutomaton`]: over `(row, dfa-state)` pairs, suspended
+/// between frontier entries.
 ///
 /// * `frontier`/`idx` — the current layer and the next entry to expand;
-/// * `next` — the half-built next layer;
-/// * `pending` — emissions generated but not yet handed out.
+/// * `next` — the half-built next layer, whose rows have walked `hop` edges.
 ///
-/// Reachability dedup state lives outside the walk (see [`SeenSet`]) so one
-/// set can span input rows under [`Semantics::GlobalReachable`].
+/// The layer buffers are reused from row to row.
 #[derive(Debug)]
-pub(crate) struct AutoWalk {
+struct AutoWalk {
+    spec: AutomatonSpec,
+    to: Option<HashSet<VertexId>>,
+    /// Reachability dedup state: reset per input row under
+    /// [`Semantics::Reachable`], carried across rows under
+    /// [`Semantics::GlobalReachable`], `None` under [`Semantics::Walks`].
+    seen: Option<FxHashSet<(VertexId, usize)>>,
     frontier: Vec<(ArenaRow, usize)>,
     next: Vec<(ArenaRow, usize)>,
     hop: usize,
     idx: usize,
-    pending: VecDeque<ArenaRow>,
 }
 
 impl AutoWalk {
-    /// Begins the walk for one input row. The caller has already applied the
-    /// `from` restriction and checked the emission budget is non-empty. Seeds
-    /// the depth-0 emission when the start state accepts. A start pair the
-    /// shared seen-set has already reached yields an immediately-finished
-    /// walk (its expansions and emission happened at first reach).
-    pub(crate) fn start(
-        spec: &AutomatonSpec,
-        to: &Option<HashSet<VertexId>>,
-        row: ArenaRow,
-        remaining: &mut Option<usize>,
-        seen: Option<&mut SeenSet>,
-    ) -> AutoWalk {
-        if let Some(seen) = seen {
-            if !seen.insert((row.head, spec.start_state())) {
-                return AutoWalk {
-                    frontier: Vec::new(),
-                    next: Vec::new(),
-                    hop: 1,
-                    idx: 0,
-                    pending: VecDeque::new(),
-                };
-            }
-        }
-        let mut pending = VecDeque::new();
-        if spec.is_accept(spec.start_state()) && in_set(to, row.head) && take_budget(remaining) {
-            pending.push_back(row);
-        }
-        let halted = matches!(remaining, Some(0));
-        let frontier = if spec.max_hops() == 0 || halted {
-            Vec::new()
-        } else {
-            vec![(row, spec.start_state())]
-        };
+    fn new(spec: AutomatonSpec, to: Option<HashSet<VertexId>>) -> AutoWalk {
+        let seen = (spec.semantics() == Semantics::GlobalReachable).then(FxHashSet::default);
         AutoWalk {
-            frontier,
+            spec,
+            to,
+            seen,
+            frontier: Vec::new(),
             next: Vec::new(),
             hop: 1,
             idx: 0,
-            pending,
         }
     }
 
-    /// Moves pending emissions into `out` until it holds `goal` rows.
-    pub(crate) fn drain_pending_into(&mut self, out: &mut Vec<ArenaRow>, goal: usize) {
-        drain_to(&mut self.pending, out, goal);
-    }
-
-    /// Whether the walk can produce no further emissions.
-    pub(crate) fn finished(&self) -> bool {
-        self.pending.is_empty() && self.frontier.is_empty() && self.next.is_empty()
-    }
-
-    fn halt(&mut self) {
+    /// Seeds the depth-0 emission when the start state accepts. A start pair
+    /// the shared seen-set has already reached starts a finished walk (its
+    /// expansions and emission happened at first reach).
+    fn start(
+        &mut self,
+        row: ArenaRow,
+        remaining: &mut Option<usize>,
+        pending: &mut VecDeque<ArenaRow>,
+    ) {
+        let start = self.spec.start_state();
         self.frontier.clear();
         self.next.clear();
+        self.hop = 1;
         self.idx = 0;
-    }
-
-    /// Whether the current layer is exhausted and the walk must roll over to
-    /// the next one before another entry can be expanded.
-    pub(crate) fn needs_roll(&self) -> bool {
-        self.idx >= self.frontier.len()
-    }
-
-    /// Rolls the layer over: the half-built next layer becomes current. This
-    /// is where the intermediate-size cap is checked — `delivered` (rows the
-    /// enclosing op already handed out) plus the pending emissions plus the
-    /// live frontier, exactly the materialized executor's per-layer check.
-    pub(crate) fn roll(
-        &mut self,
-        ctx: &ExecCtx<'_>,
-        spec: &AutomatonSpec,
-        delivered: usize,
-    ) -> Result<(), EngineError> {
-        self.frontier = std::mem::take(&mut self.next);
-        self.idx = 0;
-        self.hop += 1;
-        check_cap(
-            self.frontier.len() + delivered + self.pending.len(),
-            ctx.cap,
-        )?;
-        if self.hop > spec.max_hops() {
-            self.frontier.clear();
+        if self.spec.semantics() == Semantics::Reachable {
+            // per-row reachability: fresh dedup state per walk
+            self.seen = Some(FxHashSet::default());
         }
-        Ok(())
+        if let Some(seen) = &mut self.seen {
+            if !seen.insert((row.head, start)) {
+                return;
+            }
+        }
+        let accepts = self.spec.is_accept(start) && in_set(&self.to, row.head);
+        if accepts && !emit(remaining, pending, row) {
+            return;
+        }
+        if self.spec.max_hops() > 0 {
+            self.frontier.push((row, start));
+        }
     }
 
-    /// Expands the current layer's frontier entries in order, pushing
-    /// emissions into `out`, until the layer is exhausted or `out` holds
-    /// `goal` rows. It stops after the entry that reaches the goal; that
-    /// entry's extra emissions move to the pending queue, so a one-row pull
-    /// expands no further than the first entry that emits. Must not be
-    /// called when [`AutoWalk::needs_roll`] — entries only exist mid-layer.
+    /// One unit of work. An exhausted layer rolls over: the half-built next
+    /// layer becomes current, and the intermediate-size cap is checked on
+    /// `delivered` plus the pending emissions plus the live frontier,
+    /// exactly the materialized executor's per-layer check. Otherwise the
+    /// current layer's entries are expanded in order, emissions pushed into
+    /// `out`, until the layer is exhausted or `out` holds `goal` rows. It
+    /// stops after the entry that reaches the goal, whose extra emissions
+    /// go to `pending`, so a one-row pull expands no further than the first
+    /// entry that emits.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_layer(
+    fn advance(
         &mut self,
         ctx: &ExecCtx<'_>,
-        writer: &mut ArenaWriter<'_>,
-        spec: &AutomatonSpec,
-        to: &Option<HashSet<VertexId>>,
+        arena: &PathArena,
         remaining: &mut Option<usize>,
-        mut seen: Option<&mut SeenSet>,
+        pending: &mut VecDeque<ArenaRow>,
+        delivered: usize,
         out: &mut Vec<ArenaRow>,
         goal: usize,
-    ) {
-        let adj = ctx.adjacency(spec.direction());
-        // hop-budget pruning, `WeightedWalk`'s admissible test: a move whose
-        // target needs more edges to accept than the budget has left can
-        // emit nothing. Under `Walks` and per-row `Reachable` the skipped
+    ) -> Result<(), EngineError> {
+        if self.idx >= self.frontier.len() {
+            std::mem::swap(&mut self.frontier, &mut self.next);
+            self.next.clear();
+            self.idx = 0;
+            self.hop += 1;
+            check_cap(self.frontier.len() + delivered + pending.len(), ctx.cap)?;
+            if self.hop > self.spec.max_hops() {
+                self.frontier.clear();
+            }
+            return Ok(());
+        }
+        let adj = ctx.adjacency(self.spec.direction());
+        let mut writer = arena.writer();
+        // the move step's hop-budget pruning: a move whose target needs
+        // more edges to accept than the budget has left can emit nothing. Under `Walks` and per-row `Reachable` the skipped
         // visits feed nothing else (a later visit to the same `(vertex,
         // state)` of the row is no shallower), but under `GlobalReachable`
         // the seen-set spans rows: a skipped deep visit would let a later
         // row expand that `(vertex, state)` itself, so that case keeps
         // every move.
-        let prune = spec.semantics() != Semantics::GlobalReachable;
-        'entries: while self.idx < self.frontier.len() && out.len() < goal {
+        let prune = self.spec.semantics() != Semantics::GlobalReachable;
+        while self.idx < self.frontier.len() && out.len() < goal {
             let (row, state) = self.frontier[self.idx];
             self.idx += 1;
-            for &m in spec.moves(state) {
-                if prune && !spec.admits(&m, self.hop) {
-                    continue;
+            let visit = |m: &AutoMove, survives: bool, head: VertexId| {
+                if self
+                    .seen
+                    .as_mut()
+                    .is_some_and(|seen| !seen.insert((head, m.target)))
+                {
+                    return Ok(true);
                 }
-                // a row only joins the next frontier if it can still make
-                // progress: there are hops left and the target state moves
-                // (both facts precomputed into the move table at compile time)
-                let survives = spec.continues(&m, self.hop);
-                for e in adj.labeled_edges(row.head, m.label) {
-                    ctx.count_expansions(1);
-                    if let Some(seen) = seen.as_deref_mut() {
-                        if !seen.insert((e.head, m.target)) {
-                            continue;
-                        }
-                    }
-                    let produced = ArenaRow {
-                        source: row.source,
-                        path: writer.push(row.path, e),
-                        head: e.head,
-                        weight: row.weight,
-                    };
-                    if m.accepts && in_set(to, e.head) {
-                        if take_budget(remaining) {
-                            out.push(produced);
-                            if matches!(remaining, Some(0)) {
-                                self.halt();
-                                break 'entries;
-                            }
-                        } else {
-                            self.halt();
-                            break 'entries;
-                        }
-                    }
-                    if survives {
-                        self.next.push((produced, m.target));
-                    }
+                let produced = ArenaRow {
+                    source: row.source,
+                    path: writer.push(row.path, Edge::new(row.head, m.label, head)),
+                    head,
+                    weight: row.weight,
+                };
+                if m.accepts && in_set(&self.to, head) && !emit(remaining, out, produced) {
+                    return Ok(false);
                 }
+                if survives {
+                    self.next.push((produced, m.target));
+                }
+                Ok(true)
+            };
+            let stepped = move_step(
+                ctx,
+                adj,
+                &self.spec,
+                (row.head, state),
+                self.hop,
+                prune,
+                visit,
+            );
+            if !matches!(stepped, Ok(true)) {
+                // the emission budget ran out: halt
+                self.frontier.clear();
+                self.next.clear();
+                self.idx = 0;
+                break;
             }
         }
         if out.len() > goal {
-            self.pending.extend(out.drain(goal..));
+            pending.extend(out.drain(goal..));
         }
+        Ok(())
     }
 }
 
-/// A `Repeat` op's bounds and condition, with its body compiled once into a
-/// stage chain that is re-armed with each iteration's frontier.
+/// A bounded-Kleene iteration per input row, behind [`PlanOp::Repeat`],
+/// suspended at iteration granularity: one `advance` emits the rows due at
+/// the current iteration count and applies the body once. The body is
+/// compiled once into a stage chain that is re-armed with each iteration's
+/// frontier.
 #[derive(Debug)]
-pub(crate) struct RepeatBody {
+struct RepeatWalk {
     chain: Box<Stage>,
     min: usize,
     max: usize,
     until: Option<(String, Predicate)>,
-}
-
-/// A resumable bounded-Kleene iteration for **one input row**, suspended at
-/// iteration granularity: one `advance` emits the rows due at the current
-/// iteration count and applies the body once.
-#[derive(Debug)]
-pub(crate) struct RepeatWalk {
     frontier: Vec<ArenaRow>,
     k: usize,
-    pending: VecDeque<ArenaRow>,
     done: bool,
 }
 
 impl RepeatWalk {
-    pub(crate) fn new(row: ArenaRow) -> RepeatWalk {
-        RepeatWalk {
-            frontier: vec![row],
-            k: 0,
-            pending: VecDeque::new(),
-            done: false,
-        }
-    }
-
-    pub(crate) fn finished(&self) -> bool {
-        self.pending.is_empty() && self.done
-    }
-
-    /// Moves pending emissions into `out` until it holds `goal` rows.
-    pub(crate) fn drain_pending_into(&mut self, out: &mut Vec<ArenaRow>, goal: usize) {
-        drain_to(&mut self.pending, out, goal);
+    fn start(&mut self, row: ArenaRow) {
+        self.frontier.clear();
+        self.frontier.push(row);
+        self.k = 0;
+        self.done = false;
     }
 
     /// One iteration step: emissions for the current count `k` first, then
     /// one application of the body's chain: the chain is re-armed with the
     /// whole frontier as its source rows and drained to `Done` (a
     /// level-at-a-time body application).
-    pub(crate) fn advance(
+    fn advance(
         &mut self,
         ctx: &ExecCtx<'_>,
         arena: &PathArena,
-        body: &mut RepeatBody,
+        pending: &mut VecDeque<ArenaRow>,
         delivered: usize,
     ) -> Result<(), EngineError> {
-        let RepeatBody {
-            chain,
-            min,
-            max,
-            until,
-        } = body;
-        if self.done {
-            return Ok(());
-        }
-        match until {
-            Some(cond) if self.k >= *min => {
+        match &self.until {
+            Some(cond) if self.k >= self.min => {
                 let mut stay = Vec::with_capacity(self.frontier.len());
                 for row in std::mem::take(&mut self.frontier) {
                     if eval_until(ctx.snapshot, cond, row.head) {
-                        self.pending.push_back(row);
+                        pending.push_back(row);
                     } else {
                         stay.push(row);
                     }
@@ -359,23 +454,21 @@ impl RepeatWalk {
             }
             Some(_) => {}
             None => {
-                if self.k >= *min {
-                    self.pending.extend(self.frontier.iter().copied());
+                if self.k >= self.min {
+                    pending.extend(self.frontier.iter().copied());
                 }
             }
         }
-        if self.k == *max || self.frontier.is_empty() {
+        if self.k == self.max || self.frontier.is_empty() {
             self.done = true;
             return Ok(());
         }
-        chain.rearm(std::mem::take(&mut self.frontier));
+        self.chain.rearm(std::mem::take(&mut self.frontier));
         // the body is drained whole; the chunk size only sets how often the
         // growth is charged
-        chain.drain(ctx, arena, DEFAULT_CHUNK_SIZE, &mut self.frontier)?;
-        check_cap(
-            self.frontier.len() + delivered + self.pending.len(),
-            ctx.cap,
-        )?;
+        self.chain
+            .drain(ctx, arena, DEFAULT_CHUNK_SIZE, &mut self.frontier)?;
+        check_cap(self.frontier.len() + delivered + pending.len(), ctx.cap)?;
         self.k += 1;
         Ok(())
     }
@@ -421,8 +514,8 @@ impl Ord for WeightedEntry {
     }
 }
 
-/// A resumable **best-first** (Dijkstra-style) product-automaton walk for one
-/// input row, behind [`PlanOp::ExpandWeighted`].
+/// A **best-first** (Dijkstra-style) product-automaton walk per input row,
+/// behind [`PlanOp::ExpandWeighted`].
 ///
 /// The priority queue holds `(cost, row, dfa-state, hops)` entries ordered by
 /// the semiring's selection order. One [`WeightedWalk::advance`] pops one
@@ -440,152 +533,127 @@ impl Ord for WeightedEntry {
 /// * Bounded: a cheapest bounded walk may be forced through a vertex whose
 ///   unbounded-optimal path is too long, so settling is per
 ///   `(vertex, state, hops)` — the layered product space is a DAG and the
-///   same optimality argument applies per layer. The DFA's
-///   distance-to-accept hook prunes entries that cannot finish in budget.
+///   same optimality argument applies per layer. The move step's hop-budget
+///   pruning drops entries that cannot finish in budget.
 #[derive(Debug)]
-pub(crate) struct WeightedWalk {
+struct WeightedWalk {
+    spec: AutomatonSpec,
+    semiring: SemiringKind,
+    weight: WeightSource,
+    to: Option<HashSet<VertexId>>,
     heap: BinaryHeap<WeightedEntry>,
     settled: FxHashSet<(VertexId, usize, usize)>,
     emitted_heads: FxHashSet<VertexId>,
-    pending: VecDeque<ArenaRow>,
     seq: u64,
-    bounded: bool,
 }
 
 impl WeightedWalk {
-    /// Begins the walk for one input row (the caller has applied the `from`
-    /// restriction). Nothing is emitted here — even the depth-0 emission of a
-    /// nullable pattern goes through the settle-ordered queue.
-    pub(crate) fn start(spec: &AutomatonSpec, semiring: SemiringKind, row: ArenaRow) -> Self {
-        let one = semiring.one();
-        let mut heap = BinaryHeap::new();
-        heap.push(WeightedEntry {
-            key: semiring.key(one),
+    /// Nothing is emitted here — even the depth-0 emission of a nullable
+    /// pattern goes through the settle-ordered queue.
+    fn start(&mut self, row: ArenaRow) {
+        let one = self.semiring.one();
+        self.heap.clear();
+        self.heap.push(WeightedEntry {
+            key: self.semiring.key(one),
             seq: 0,
             cost: one,
             row,
-            state: spec.start_state(),
+            state: self.spec.start_state(),
             hop: 0,
         });
-        WeightedWalk {
-            heap,
-            settled: FxHashSet::default(),
-            emitted_heads: FxHashSet::default(),
-            pending: VecDeque::new(),
-            seq: 0,
-            bounded: spec.max_hops() != usize::MAX,
-        }
-    }
-
-    /// Moves pending emissions into `out` until it holds `goal` rows.
-    pub(crate) fn drain_pending_into(&mut self, out: &mut Vec<ArenaRow>, goal: usize) {
-        drain_to(&mut self.pending, out, goal);
-    }
-
-    /// Whether the walk can produce no further emissions.
-    pub(crate) fn finished(&self) -> bool {
-        self.pending.is_empty() && self.heap.is_empty()
-    }
-
-    fn halt(&mut self) {
-        self.heap.clear();
-    }
-
-    fn settle_key(&self, v: VertexId, state: usize, hop: usize) -> (VertexId, usize, usize) {
-        (v, state, if self.bounded { hop } else { 0 })
+        self.settled = FxHashSet::default();
+        self.emitted_heads = FxHashSet::default();
+        self.seq = 0;
     }
 
     /// Pops (and, if fresh, settles and expands) one queue entry — the
-    /// bounded-work unit of the lazy cursor stage. `remaining` is the
-    /// op-level R9 top-k budget; reaching zero halts the walk.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn advance(
+    /// bounded-work unit of the walk stage. `remaining` is the op-level R9
+    /// top-k budget; reaching zero halts the walk.
+    fn advance(
         &mut self,
         ctx: &ExecCtx<'_>,
         arena: &PathArena,
-        spec: &AutomatonSpec,
-        semiring: SemiringKind,
-        weight: &WeightSource,
-        to: &Option<HashSet<VertexId>>,
-        delivered: usize,
         remaining: &mut Option<usize>,
+        pending: &mut VecDeque<ArenaRow>,
+        delivered: usize,
     ) -> Result<(), EngineError> {
-        let Some(entry) = self.heap.pop() else {
-            return Ok(());
-        };
-        let WeightedEntry {
+        let Some(WeightedEntry {
             cost,
             row,
             state,
             hop,
             ..
-        } = entry;
-        if !self.settled.insert(self.settle_key(row.head, state, hop)) {
+        }) = self.heap.pop()
+        else {
+            return Ok(());
+        };
+        // settle per product key, layered by hop only under a bound
+        let bounded = self.spec.max_hops() != usize::MAX;
+        let layer = |hop: usize| if bounded { hop } else { 0 };
+        if !self.settled.insert((row.head, state, layer(hop))) {
             return Ok(()); // a stale (worse) duplicate of an earlier settle
         }
         // an accepting settle is this head's semiring-optimal match; emit it
         // once per head — a head suppressed by `to` still counts as emitted,
         // so the output equals post-filtering the unrestricted emissions
-        if spec.is_accept(state) && self.emitted_heads.insert(row.head) && in_set(to, row.head) {
-            let mut emitted = row;
-            emitted.weight = Some(cost);
-            if take_budget(remaining) {
-                self.pending.push_back(emitted);
-                if matches!(remaining, Some(0)) {
-                    self.halt();
-                    return Ok(());
-                }
-            } else {
-                self.halt();
-                return Ok(());
-            }
-        }
-        if hop >= spec.max_hops() {
+        if self.spec.is_accept(state)
+            && self.emitted_heads.insert(row.head)
+            && in_set(&self.to, row.head)
+            && !emit(
+                remaining,
+                pending,
+                ArenaRow {
+                    weight: Some(cost),
+                    ..row
+                },
+            )
+        {
+            self.heap.clear();
             return Ok(());
         }
-        let adj = ctx.adjacency(spec.direction());
-        let mut writer = arena.writer();
-        for &m in spec.moves(state) {
-            // admissible bound pruning: any completion from the move's target
-            // needs at least `min_edges_to_accept` more edges (precomputed at
-            // compile time; moves into states that can never accept were
-            // already pruned from the table)
-            if !spec.admits(&m, hop + 1) {
-                continue;
-            }
-            for e in adj.labeled_edges(row.head, m.label) {
-                ctx.count_expansions(1);
-                if self
-                    .settled
-                    .contains(&self.settle_key(e.head, m.target, hop + 1))
-                {
-                    continue;
-                }
-                // property lookup always uses the stored orientation
-                let stored = match spec.direction() {
-                    Direction::In => Edge::new(e.head, e.label, e.tail),
-                    _ => e,
-                };
-                let w = weight.resolve(ctx.snapshot, &stored, semiring)?;
-                let cost2 = semiring.extend(cost, w);
-                self.seq += 1;
-                self.heap.push(WeightedEntry {
-                    key: semiring.key(cost2),
-                    seq: self.seq,
-                    cost: cost2,
-                    row: ArenaRow {
-                        source: row.source,
-                        path: writer.push(row.path, e),
-                        head: e.head,
-                        weight: row.weight,
-                    },
-                    state: m.target,
-                    hop: hop + 1,
-                });
-            }
+        if hop >= self.spec.max_hops() {
+            return Ok(());
         }
-        check_cap(self.heap.len() + delivered + self.pending.len(), ctx.cap)?;
-        Ok(())
+        let adj = ctx.adjacency(self.spec.direction());
+        let mut writer = arena.writer();
+        let visit = |m: &AutoMove, _: bool, head: VertexId| {
+            if self.settled.contains(&(head, m.target, layer(hop + 1))) {
+                return Ok(true);
+            }
+            let walked = Edge::new(row.head, m.label, head);
+            // property lookup always uses the stored orientation
+            let stored = match self.spec.direction() {
+                Direction::In => Edge::new(head, m.label, row.head),
+                _ => walked,
+            };
+            let w = self.weight.resolve(ctx.snapshot, &stored, self.semiring)?;
+            let cost = self.semiring.extend(cost, w);
+            self.seq += 1;
+            self.heap.push(WeightedEntry {
+                key: self.semiring.key(cost),
+                seq: self.seq,
+                cost,
+                row: ArenaRow {
+                    source: row.source,
+                    path: writer.push(row.path, walked),
+                    head,
+                    weight: row.weight,
+                },
+                state: m.target,
+                hop: hop + 1,
+            });
+            Ok(true)
+        };
+        move_step(
+            ctx,
+            adj,
+            &self.spec,
+            (row.head, state),
+            hop + 1,
+            true,
+            visit,
+        )?;
+        check_cap(self.heap.len() + delivered + pending.len(), ctx.cap)
     }
 }
 
@@ -602,11 +670,9 @@ impl ExpandStep {
     /// Expands `rows` in order, appending each row's expansions to `out`,
     /// until `out` holds `goal` rows; returns how many rows it consumed. A
     /// row is expanded whole, so `out` may end up to one out-degree past the
-    /// goal. Each row's edges are read one CSR segment at a time: restricted
-    /// to `labels` in the list's order or, for a wildcard, every label
-    /// ascending. An `In` step reads the In CSR, so a result edge `(h, α, t)`
-    /// walks the stored edge `(t, α, h)` backwards and the produced paths
-    /// are joint paths of the reversed graph; `Both` reads Out, then In.
+    /// goal. Each row's edges are read one CSR segment at a time, through
+    /// [`expand_segments`]; the produced paths of an `In` step are joint
+    /// paths of the reversed graph.
     ///
     /// Kept out of line: inlined into the stage dispatch, this loop ran
     /// measurably slower than the same loop on its own.
@@ -619,11 +685,6 @@ impl ExpandStep {
         out: &mut Vec<ArenaRow>,
         goal: usize,
     ) -> usize {
-        let directions: &[Direction] = match self.direction {
-            Direction::Out => &[Direction::Out],
-            Direction::In => &[Direction::In],
-            Direction::Both => &[Direction::Out, Direction::In],
-        };
         let mut consumed = 0;
         for row in rows {
             if out.len() >= goal {
@@ -633,8 +694,7 @@ impl ExpandStep {
             if !in_set(&self.from, row.head) {
                 continue;
             }
-            let mut visit = |label: LabelId, heads: &[VertexId]| {
-                ctx.count_expansions(heads.len());
+            let visit = |label: LabelId, heads: &[VertexId]| {
                 let mut extend = |head: VertexId| ArenaRow {
                     source: row.source,
                     path: writer.push(row.path, Edge::new(row.head, label, head)),
@@ -647,27 +707,14 @@ impl ExpandStep {
                         out.extend(heads.iter().filter(|h| to.contains(h)).map(|&h| extend(h)))
                     }
                 }
+                Ok::<(), Infallible>(())
             };
-            for &direction in directions {
-                let csr = ctx.adjacency(direction);
-                match &self.labels {
-                    None => {
-                        for (label, heads) in csr.segments(row.head) {
-                            visit(label, heads);
-                        }
-                    }
-                    Some(labels) => {
-                        for &label in labels {
-                            visit(label, csr.labeled(row.head, label));
-                        }
-                    }
-                }
-            }
+            let Ok(()) =
+                expand_segments(ctx, self.direction, self.labels.as_deref(), row.head, visit);
         }
         consumed
     }
 }
-
 // ---------------------------------------------------------------------------
 // Stages
 // ---------------------------------------------------------------------------
@@ -676,6 +723,8 @@ impl ExpandStep {
 #[derive(Debug)]
 pub(crate) struct Stage {
     op: StageOp,
+    /// The upstream stage (a source has none).
+    input: Option<Box<Stage>>,
     out_count: usize,
     /// Profiling counters, attached only when the cursor was compiled with
     /// [`ExecConfig::profile`]. `None` (the production default) costs one
@@ -707,7 +756,6 @@ enum StageOp {
         idx: usize,
     },
     Expand {
-        input: Box<Stage>,
         step: ExpandStep,
         /// The last input chunk, expanded up to `next_input`.
         input_rows: Vec<ArenaRow>,
@@ -719,96 +767,55 @@ enum StageOp {
         /// delivered, so only growth past the mark is charged.
         surplus_mark: usize,
     },
-    Automaton {
-        input: Box<Stage>,
-        spec: AutomatonSpec,
+    /// A per-row walk: an automaton, a weighted search or a repeat.
+    Walk {
         from: Option<HashSet<VertexId>>,
-        to: Option<HashSet<VertexId>>,
-        /// The R7 emission budget; `Some(0)` saturates the stage.
+        /// The R7/R9 emission budget; `Some(0)` saturates the stage.
         remaining: Option<usize>,
-        walk: Option<AutoWalk>,
-        /// Reachability dedup state: reset per input row under
-        /// [`Semantics::Reachable`], carried across rows under
-        /// [`Semantics::GlobalReachable`], `None` under [`Semantics::Walks`].
-        seen: Option<SeenSet>,
-    },
-    Weighted {
-        input: Box<Stage>,
-        spec: AutomatonSpec,
-        semiring: SemiringKind,
-        weight: WeightSource,
-        from: Option<HashSet<VertexId>>,
-        to: Option<HashSet<VertexId>>,
-        /// The R9 top-k budget; `Some(0)` saturates the stage.
-        remaining: Option<usize>,
-        walk: Option<WeightedWalk>,
-    },
-    Repeat {
-        input: Box<Stage>,
-        body: RepeatBody,
-        walk: Option<RepeatWalk>,
+        /// Emissions awaiting delivery.
+        pending: VecDeque<ArenaRow>,
+        walk: Box<Walk>,
     },
     RestrictVertices {
-        input: Box<Stage>,
         vs: HashSet<VertexId>,
     },
     RestrictProperty {
-        input: Box<Stage>,
         key: String,
         predicate: Predicate,
     },
     Dedup {
-        input: Box<Stage>,
         seen: HashSet<VertexId>,
     },
     Limit {
-        input: Box<Stage>,
         remaining: usize,
     },
 }
 
+impl StageOp {
+    fn walk(from: Option<HashSet<VertexId>>, remaining: Option<usize>, walk: Walk) -> StageOp {
+        StageOp::Walk {
+            from,
+            remaining,
+            pending: VecDeque::new(),
+            walk: Box::new(walk),
+        }
+    }
+}
+
 impl Stage {
-    fn new(op: StageOp) -> Stage {
+    fn new(op: StageOp, input: Option<Stage>) -> Stage {
         Stage {
             op,
+            input: input.map(Box::new),
             out_count: 0,
             trace: None,
-        }
-    }
-
-    /// The stage's upstream input, if any (sources have none).
-    fn input_ref(&self) -> Option<&Stage> {
-        match &self.op {
-            StageOp::Source { .. } => None,
-            StageOp::Expand { input, .. }
-            | StageOp::Automaton { input, .. }
-            | StageOp::Weighted { input, .. }
-            | StageOp::Repeat { input, .. }
-            | StageOp::RestrictVertices { input, .. }
-            | StageOp::RestrictProperty { input, .. }
-            | StageOp::Dedup { input, .. }
-            | StageOp::Limit { input, .. } => Some(input),
-        }
-    }
-
-    fn input_mut(&mut self) -> Option<&mut Stage> {
-        match &mut self.op {
-            StageOp::Source { .. } => None,
-            StageOp::Expand { input, .. }
-            | StageOp::Automaton { input, .. }
-            | StageOp::Weighted { input, .. }
-            | StageOp::Repeat { input, .. }
-            | StageOp::RestrictVertices { input, .. }
-            | StageOp::RestrictProperty { input, .. }
-            | StageOp::Dedup { input, .. }
-            | StageOp::Limit { input, .. } => Some(input),
         }
     }
 
     /// Attaches a profiling record to every stage in the chain.
     pub(crate) fn enable_trace(&mut self) {
         self.trace = Some(Box::default());
-        if let Some(input) = self.input_mut() {
+        if let Some(input) = self.input.as_deref_mut() {
             input.enable_trace();
         }
     }
@@ -826,7 +833,7 @@ impl Stage {
     }
 
     fn collect_trace_inner(&self, out: &mut Vec<OpActuals>, upstream: &mut (u64, u64, u64)) {
-        if let Some(input) = self.input_ref() {
+        if let Some(input) = self.input.as_deref() {
             input.collect_trace_inner(out, upstream);
         }
         let (nanos, expansions, interned, pulls, chunks) = match &self.trace {
@@ -854,10 +861,13 @@ impl Stage {
     /// compilation moves plan ops into the stage tree rather than cloning.
     pub(crate) fn pipeline(start: Vec<ArenaRow>, ops: Vec<PlanOp>) -> Stage {
         Self::build(
-            Stage::new(StageOp::Source {
-                rows: start,
-                idx: 0,
-            }),
+            Stage::new(
+                StageOp::Source {
+                    rows: start,
+                    idx: 0,
+                },
+                None,
+            ),
             ops,
         )
     }
@@ -867,7 +877,7 @@ impl Stage {
     /// actuals, so [`Stage::level_actuals`] reads its inclusive counters as
     /// its own.
     pub(crate) fn level(rows: Vec<ArenaRow>, op: PlanOp, traced: bool) -> Stage {
-        let mut stage = Self::build(Stage::new(StageOp::Source { rows, idx: 0 }), [op]);
+        let mut stage = Self::build(Stage::new(StageOp::Source { rows, idx: 0 }, None), [op]);
         if traced {
             stage.trace = Some(Box::default());
         }
@@ -891,7 +901,6 @@ impl Stage {
                     from,
                     to,
                 } => StageOp::Expand {
-                    input: Box::new(cur),
                     step: ExpandStep {
                         direction,
                         labels,
@@ -908,21 +917,7 @@ impl Stage {
                     from,
                     to,
                     limit,
-                } => {
-                    let seen = match spec.semantics() {
-                        Semantics::GlobalReachable => Some(SeenSet::default()),
-                        Semantics::Walks | Semantics::Reachable => None,
-                    };
-                    StageOp::Automaton {
-                        input: Box::new(cur),
-                        spec,
-                        from,
-                        to,
-                        remaining: limit,
-                        walk: None,
-                        seen,
-                    }
-                }
+                } => StageOp::walk(from, limit, Walk::Automaton(AutoWalk::new(spec, to))),
                 PlanOp::ExpandWeighted {
                     spec,
                     semiring,
@@ -930,50 +925,46 @@ impl Stage {
                     from,
                     to,
                     k,
-                } => StageOp::Weighted {
-                    input: Box::new(cur),
-                    spec,
-                    semiring,
-                    weight,
-                    from,
-                    to,
-                    remaining: k,
-                    walk: None,
-                },
+                } => {
+                    let walk = WeightedWalk {
+                        spec,
+                        semiring,
+                        weight,
+                        to,
+                        heap: BinaryHeap::new(),
+                        settled: FxHashSet::default(),
+                        emitted_heads: FxHashSet::default(),
+                        seq: 0,
+                    };
+                    StageOp::walk(from, k, Walk::Weighted(walk))
+                }
                 PlanOp::Repeat {
                     body,
                     min,
                     max,
                     until,
-                } => StageOp::Repeat {
-                    input: Box::new(cur),
-                    body: RepeatBody {
+                } => {
+                    let walk = RepeatWalk {
                         chain: Box::new(Stage::pipeline(Vec::new(), body)),
                         min,
                         max,
                         until,
-                    },
-                    walk: None,
-                },
-                PlanOp::RestrictVertices(vs) => StageOp::RestrictVertices {
-                    input: Box::new(cur),
-                    vs,
-                },
-                PlanOp::RestrictProperty { key, predicate } => StageOp::RestrictProperty {
-                    input: Box::new(cur),
-                    key,
-                    predicate,
-                },
+                        frontier: Vec::new(),
+                        k: 0,
+                        done: true,
+                    };
+                    StageOp::walk(None, None, Walk::Repeat(walk))
+                }
+                PlanOp::RestrictVertices(vs) => StageOp::RestrictVertices { vs },
+                PlanOp::RestrictProperty { key, predicate } => {
+                    StageOp::RestrictProperty { key, predicate }
+                }
                 PlanOp::DedupByVertex => StageOp::Dedup {
-                    input: Box::new(cur),
                     seen: HashSet::new(),
                 },
-                PlanOp::Limit(n) => StageOp::Limit {
-                    input: Box::new(cur),
-                    remaining: n,
-                },
+                PlanOp::Limit(n) => StageOp::Limit { remaining: n },
             };
-            cur = Stage::new(op);
+            cur = Stage::new(op, Some(cur));
         }
         cur
     }
@@ -990,7 +981,8 @@ impl Stage {
                 *idx = 0;
             }
             _ => self
-                .input_mut()
+                .input
+                .as_deref_mut()
                 .expect("a chain ends at its source")
                 .rearm(rows),
         }
@@ -1038,7 +1030,15 @@ impl Stage {
         let res = if self.trace.is_some() {
             let before = ctx.counters.stats();
             let started = Instant::now();
-            let res = Self::pull_op(&mut self.op, self.out_count, ctx, arena, target, out);
+            let res = Self::pull_op(
+                &mut self.op,
+                self.input.as_deref_mut(),
+                self.out_count,
+                ctx,
+                arena,
+                target,
+                out,
+            );
             let elapsed = started.elapsed().as_nanos() as u64;
             let after = ctx.counters.stats();
             let tr = self.trace.as_deref().expect("checked above");
@@ -1051,7 +1051,15 @@ impl Stage {
                 .set(tr.interned.get() + (after.interned_nodes - before.interned_nodes));
             res?
         } else {
-            Self::pull_op(&mut self.op, self.out_count, ctx, arena, target, out)?
+            Self::pull_op(
+                &mut self.op,
+                self.input.as_deref_mut(),
+                self.out_count,
+                ctx,
+                arena,
+                target,
+                out,
+            )?
         };
         let appended = out.len() - base;
         debug_assert!(
@@ -1066,6 +1074,7 @@ impl Stage {
 
     fn pull_op(
         op: &mut StageOp,
+        input: Option<&mut Stage>,
         delivered: usize,
         ctx: &ExecCtx<'_>,
         arena: &PathArena,
@@ -1074,8 +1083,8 @@ impl Stage {
     ) -> Result<ChunkPull, EngineError> {
         let base = out.len();
         let goal = base + target;
-        match op {
-            StageOp::Source { rows, idx } => {
+        match (op, input) {
+            (StageOp::Source { rows, idx }, _) => {
                 if *idx >= rows.len() {
                     return Ok(ChunkPull::Done);
                 }
@@ -1084,14 +1093,16 @@ impl Stage {
                 *idx = end;
                 Ok(ChunkPull::Rows)
             }
-            StageOp::Expand {
-                input,
-                step,
-                input_rows,
-                next_input,
-                surplus,
-                surplus_mark,
-            } => {
+            (
+                StageOp::Expand {
+                    step,
+                    input_rows,
+                    next_input,
+                    surplus,
+                    surplus_mark,
+                },
+                Some(input),
+            ) => {
                 drain_to(surplus, out, goal);
                 while out.len() < goal {
                     if *next_input == input_rows.len() {
@@ -1119,48 +1130,31 @@ impl Stage {
                 }
                 Ok(ChunkPull::Rows)
             }
-            StageOp::Automaton {
-                input,
-                spec,
-                from,
-                to,
-                remaining,
-                walk,
-                seen,
-            } => loop {
-                if let Some(w) = walk {
-                    w.drain_pending_into(out, goal);
-                    if out.len() >= goal {
-                        return Ok(ChunkPull::Rows);
-                    }
-                    if w.finished() {
-                        *walk = None;
-                        continue;
-                    }
+            (
+                StageOp::Walk {
+                    from,
+                    remaining,
+                    pending,
+                    walk,
+                },
+                Some(input),
+            ) => loop {
+                drain_to(pending, out, goal);
+                if out.len() >= goal {
+                    return Ok(ChunkPull::Rows);
+                }
+                if !walk.finished() {
                     ctx.ensure_alive()?;
-                    if w.needs_roll() {
-                        w.roll(ctx, spec, delivered + (out.len() - base))?;
-                    } else {
-                        let mut writer = arena.writer();
-                        w.run_layer(
-                            ctx,
-                            &mut writer,
-                            spec,
-                            to,
-                            remaining,
-                            seen.as_mut(),
-                            out,
-                            goal,
-                        );
-                        // per-layer budget check (mirrors the batch
-                        // executor): dense frontiers die mid-walk
-                        if ctx.budgeted() {
-                            ctx.charge_arena_growth(writer.node_count())?;
-                        }
+                    let delivered = delivered + (out.len() - base);
+                    walk.step(ctx, arena, remaining, pending, delivered, out, goal)?;
+                    // per-step budget check (mirrors the batch executor):
+                    // dense frontiers die mid-walk
+                    if ctx.budgeted() {
+                        ctx.charge_arena_growth(arena.node_count())?;
                     }
                     continue;
                 }
-                if matches!(remaining, Some(0)) {
+                if *remaining == Some(0) {
                     return Ok(flush(out.len(), base, ChunkPull::Done));
                 }
                 // input rows arrive one at a time: each starts a walk whose
@@ -1170,103 +1164,24 @@ impl Stage {
                     end => return Ok(flush(out.len(), base, end)),
                 }
                 let row = out.pop().expect("a one-row pull appends one row");
-                if !in_set(from, row.head) {
-                    continue;
+                if in_set(from, row.head) {
+                    walk.start(row, remaining, pending);
                 }
-                if spec.semantics() == Semantics::Reachable {
-                    // per-row reachability: fresh dedup state per walk
-                    *seen = Some(SeenSet::default());
-                }
-                *walk = Some(AutoWalk::start(spec, to, row, remaining, seen.as_mut()));
             },
-            StageOp::Weighted {
-                input,
-                spec,
-                semiring,
-                weight,
-                from,
-                to,
-                remaining,
-                walk,
-            } => loop {
-                if let Some(w) = walk {
-                    w.drain_pending_into(out, goal);
-                    if out.len() >= goal {
-                        return Ok(ChunkPull::Rows);
-                    }
-                    if w.finished() {
-                        *walk = None;
-                        continue;
-                    }
-                    ctx.ensure_alive()?;
-                    w.advance(
-                        ctx,
-                        arena,
-                        spec,
-                        *semiring,
-                        weight,
-                        to,
-                        delivered + (out.len() - base),
-                        remaining,
-                    )?;
-                    if ctx.budgeted() {
-                        ctx.charge_arena_growth(arena.node_count())?;
-                    }
-                    continue;
-                }
-                if matches!(remaining, Some(0)) {
-                    return Ok(flush(out.len(), base, ChunkPull::Done));
-                }
-                match input.pull_chunk(ctx, arena, 1, out)? {
-                    ChunkPull::Rows => {}
-                    end => return Ok(flush(out.len(), base, end)),
-                }
-                let row = out.pop().expect("a one-row pull appends one row");
-                if !in_set(from, row.head) {
-                    continue;
-                }
-                *walk = Some(WeightedWalk::start(spec, *semiring, row));
-            },
-            StageOp::Repeat { input, body, walk } => loop {
-                if let Some(w) = walk {
-                    w.drain_pending_into(out, goal);
-                    if out.len() >= goal {
-                        return Ok(ChunkPull::Rows);
-                    }
-                    if w.finished() {
-                        *walk = None;
-                        continue;
-                    }
-                    ctx.ensure_alive()?;
-                    w.advance(ctx, arena, body, delivered + (out.len() - base))?;
-                    if ctx.budgeted() {
-                        ctx.charge_arena_growth(arena.node_count())?;
-                    }
-                    continue;
-                }
-                match input.pull_chunk(ctx, arena, 1, out)? {
-                    ChunkPull::Rows => {}
-                    end => return Ok(flush(out.len(), base, end)),
-                }
-                let row = out.pop().expect("a one-row pull appends one row");
-                *walk = Some(RepeatWalk::new(row));
-            },
-            StageOp::RestrictVertices { input, vs } => {
+            (StageOp::RestrictVertices { vs }, Some(input)) => {
                 Self::filtered_chunk(input, ctx, arena, goal, out, |row, _| {
                     vs.contains(&row.head)
                 })
             }
-            StageOp::RestrictProperty {
-                input,
-                key,
-                predicate,
-            } => Self::filtered_chunk(input, ctx, arena, goal, out, |row, ctx| {
-                predicate.eval(ctx.snapshot.vertex_property(row.head, key))
-            }),
-            StageOp::Dedup { input, seen } => {
+            (StageOp::RestrictProperty { key, predicate }, Some(input)) => {
+                Self::filtered_chunk(input, ctx, arena, goal, out, |row, ctx| {
+                    predicate.eval(ctx.snapshot.vertex_property(row.head, key))
+                })
+            }
+            (StageOp::Dedup { seen }, Some(input)) => {
                 Self::filtered_chunk(input, ctx, arena, goal, out, |row, _| seen.insert(row.head))
             }
-            StageOp::Limit { input, remaining } => {
+            (StageOp::Limit { remaining }, Some(input)) => {
                 if *remaining == 0 {
                     // saturated: never pull upstream again — this is the
                     // `Done` that cancels suspended walks above
@@ -1276,6 +1191,7 @@ impl Stage {
                 *remaining -= out.len() - base;
                 Ok(res)
             }
+            (_, None) => unreachable!("every stage but a source has an input"),
         }
     }
 

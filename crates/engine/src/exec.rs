@@ -25,30 +25,32 @@
 //!   over a union of start sets, so the partitions' stateless prefixes,
 //!   concatenated in partition order, are row-for-row the materialized
 //!   levels; the stateful suffix (from the first `Dedup`, `Limit` or global
-//!   reachability automaton) runs over them. Like Materialized, it exits
-//!   early only through the R7/R9 emission caps, applied per partition.
+//!   reachability automaton) runs over them. A suffix that starts with a
+//!   `Dedup` runs it as the rows cross, so only its survivors are forwarded.
+//!   Like Materialized, it exits early only through the R7/R9 emission caps,
+//!   applied per partition.
 //!
 //! Expansion is **frontier-driven**: each row's next edges come straight from
 //! the snapshot's per-generation [`CsrTopology`] — the only adjacency any
-//! executor reads. An `Out` step scans the Out CSR, an `In` step the In CSR
-//! (so a result edge `(h, α, t)` walks the stored edge `(t, α, h)`
-//! backwards), and `Both` scans Out then In. A label-restricted step visits
-//! its labels in the step's order through [`CsrTopology::labeled_edges`]; a
-//! wildcard step walks [`CsrTopology::segments`], labels ascending, then
-//! bucket order within a label. The row's path is a [`PathId`] into a
+//! executor reads — through one of two kernels in [`crate::cursor`]. An
+//! `Expand` step reads whole segments (`expand_segments`): the Out CSR for
+//! `Out`, the In CSR for `In` (so a result edge `(h, α, t)` walks the stored
+//! edge `(t, α, h)` backwards), Out then In for `Both`; its labels in the
+//! step's order, or for a wildcard [`CsrTopology::segments`], labels
+//! ascending, then bucket order within a label. Every product-automaton
+//! walk, and `count()`'s product, steps one `(vertex, dfa-state)` entry at a
+//! time (`move_step`). The row's path is a [`PathId`] into a
 //! per-execution [`PathArena`] — extending a row is one arena push
 //! ([`mrpa_core::ArenaWriter::push`]) instead of cloning the whole edge
 //! vector. The push skips the arena's intern map: rows are walks, a
 //! multiset, and no executor compares `PathId`s, so two rows with equal paths
 //! (a duplicated start vertex, a self-loop walked both ways) simply get two
 //! nodes. Only the parallel boundary's id forwarding hash-conses.
-//! [`PlanOp::ExpandAutomaton`] runs the product construction: the frontier
-//! carries `(row, dfa-state)` pairs, each hop walks the adjacency index for
-//! the labels with transitions out of the current state, and rows landing in
-//! accepting states are emitted at every depth up to the spec's bound
-//! (deduplicated by `(vertex, state)` under
-//! [`Semantics::Reachable`]). Rows
-//! are materialised into [`ResultRow`]s only once, at the cursor boundary.
+//! [`PlanOp::ExpandAutomaton`] runs the product construction: a per-row walk
+//! over `(row, dfa-state)` pairs that emits the rows landing in accepting
+//! states at every depth up to the spec's bound (deduplicated by `(vertex,
+//! state)` under [`Semantics::Reachable`]). Rows are materialised into
+//! [`ResultRow`]s only once, at the cursor boundary.
 //!
 //! Every execution shares one [`ExecStats`] counter set (exposed through
 //! [`QueryResult::stats`] and `RowCursor::stats`), so early-exit claims are
@@ -63,7 +65,9 @@
 
 use std::cell::Cell;
 use std::collections::HashSet;
+use std::time::Instant;
 
+use mrpa_core::fxhash::FxHashSet;
 use mrpa_core::{IdForwarder, PathArena, PathId, VertexId};
 
 use crate::cancel::Liveness;
@@ -458,7 +462,8 @@ pub(crate) type Segment = (PathArena, Vec<ArenaRow>);
 /// they are the result segments, or, with a suffix, they cross into one
 /// suffix arena through a per-partition [`IdForwarder`] (each node appended
 /// once, counted in [`ExecStats::interned_nodes`]) and the suffix runs as
-/// [`materialized`] levels over them. `max_intermediate` bounds each
+/// [`materialized`] levels over them (a leading `Dedup` drops its rows as
+/// they cross, see [`join`]). `max_intermediate` bounds each
 /// partition level, the rows leaving the prefix, and each suffix level. The
 /// partitions' counters join `ctx`'s at the end; `trace` sums per-op actuals
 /// over partitions, credits the boundary's interns to the prefix's last op
@@ -582,7 +587,10 @@ struct Partition {
 }
 
 /// Joins the partitions' prefix rows in partition order and runs the
-/// `suffix` over them (see [`partitioned`]).
+/// `suffix` over them (see [`partitioned`]). A suffix that starts with a
+/// `Dedup` runs it as the rows cross: a row whose head an earlier row
+/// already had is dropped before it is forwarded, so only the survivors are
+/// interned into the suffix arena and buffered for the rest of the suffix.
 fn join(
     ctx: &ExecCtx<'_>,
     segments: Vec<Segment>,
@@ -591,17 +599,26 @@ fn join(
     mut trace: Option<&mut Vec<OpActuals>>,
 ) -> Result<Vec<Segment>, EngineError> {
     let total = segments.iter().map(|(_, rows)| rows.len()).sum();
+    check_cap(total, ctx.cap)?;
     if suffix.is_empty() {
-        check_cap(total, ctx.cap)?;
         return Ok(segments);
     }
+    let (mut heads, suffix) = match suffix {
+        [PlanOp::DedupByVertex, rest @ ..] => (Some(FxHashSet::default()), rest),
+        _ => (None, suffix),
+    };
+    let started = Instant::now();
     let arena = PathArena::new();
-    let mut rows = Vec::with_capacity(total);
+    let mut rows = Vec::with_capacity(if heads.is_some() { 0 } else { total });
     let mut interned = 0;
     // each partition's arena and rows are freed once they have crossed
     for (part, part_rows) in segments {
         let mut forward = IdForwarder::new();
+        let crossed = rows.len();
         for row in &part_rows {
+            if heads.as_mut().is_some_and(|seen| !seen.insert(row.head)) {
+                continue;
+            }
             let (path, appended) = forward.forward(&part, &arena, row.path);
             interned += appended;
             rows.push(ArenaRow { path, ..*row });
@@ -610,14 +627,25 @@ fn join(
             // the forwarder grew the suffix arena, and the rows join the
             // suffix's input — both on the consumer's share
             ctx.charge_arena_growth(arena.node_count())?;
-            ctx.charge_bytes(part_rows.len() as u64 * ROW_BYTES)?;
+            ctx.charge_bytes((rows.len() - crossed) as u64 * ROW_BYTES)?;
         }
     }
     ctx.count_interned(interned);
-    // the forwarding runs between levels, so no stage records it: credit it
-    // to the prefix's last op, whose rows crossed the boundary
-    if let Some(last) = trace.as_deref_mut().and_then(|t| t.last_mut()) {
-        last.interned += interned as u64;
+    if let Some(trace) = trace.as_deref_mut() {
+        // the forwarding runs between levels, so no stage records it: credit
+        // it to the prefix's last op, whose rows crossed the boundary
+        if let Some(last) = trace.last_mut() {
+            last.interned += interned as u64;
+        }
+        // a crossing Dedup is a level of its own, timed with the crossing
+        if heads.is_some() {
+            trace.push(OpActuals {
+                rows_out: rows.len() as u64,
+                chunks: 1,
+                nanos: started.elapsed().as_nanos() as u64,
+                ..OpActuals::default()
+            });
+        }
     }
     let rows = materialized(ctx, &arena, rows, suffix, chunk, trace)?;
     Ok(vec![(arena, rows)])

@@ -173,6 +173,38 @@ fn a_bounded_global_reachability_count_follows_row_order() {
 }
 
 #[test]
+fn a_reachability_count_expands_each_pair_once_at_its_least_depth() {
+    // K12 from v0: knows+ has a start state s0 and one accepting state s1.
+    // (v0, s0) expands its 11 edges, and each of the 12 (v, s1) pairs —
+    // v0's 11 neighbours at depth 1, v0 itself at depth 2 — its 11 once:
+    // 11 + 12 · 11 = 143. The product's seen-set and the cursor's per-row
+    // walk expand the same pairs.
+    let g = PropertyGraph::new();
+    for i in 0..12 {
+        for j in (0..12).filter(|&j| j != i) {
+            g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
+        }
+    }
+    for strategy in STRATEGIES {
+        let t = Traversal::over(&g)
+            .v(["v0"])
+            .match_reachable("knows+")
+            .dedup()
+            .strategy(strategy)
+            .parallel_threads(2);
+        let (n, execution) = t.count_with_stats().unwrap();
+        assert!(count::by_product(execution.plan(), None), "{strategy:?}");
+        assert_eq!((n, execution.stats().expansions), (12, 143), "{strategy:?}");
+        let rows = t.execute().unwrap();
+        assert_eq!(
+            (rows.len(), rows.stats().expansions),
+            (12, 143),
+            "{strategy:?}"
+        );
+    }
+}
+
+#[test]
 fn walk_counts_past_enumeration_are_exact_and_past_u64_an_error() {
     // K12: 12 · 11^d knows-walks of length d. Up to 17 hops that is ~6.7e18
     // walks — no cursor drains it, and the product's frontier never holds

@@ -341,3 +341,31 @@ fn id_forwarding_boundary_is_row_for_row_and_copy_free() {
     assert_eq!(appended, P * L);
     assert_eq!(dst.node_count(), src.node_count());
 }
+
+#[test]
+fn a_dedup_suffix_forwards_only_the_surviving_rows() {
+    // K12: the two-hop prefix yields 1,452 rows over 12 heads. The dedup
+    // runs as the rows cross the boundary, so only its 12 survivors, 2
+    // edges each, are forwarded into the suffix arena
+    let g = PropertyGraph::new();
+    for i in 0..12 {
+        for j in (0..12).filter(|&j| j != i) {
+            g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
+        }
+    }
+    let t = Traversal::over(&g)
+        .out(["knows"])
+        .out(["knows"])
+        .dedup()
+        .parallel_threads(2);
+    let reference = t
+        .clone()
+        .strategy(ExecutionStrategy::Materialized)
+        .execute()
+        .unwrap();
+    let parallel = t.strategy(ExecutionStrategy::Parallel).execute().unwrap();
+    assert_eq!(parallel.len(), 12);
+    assert_eq!(parallel.rows(), reference.rows(), "boundary reorders rows");
+    let forwarded = parallel.stats().interned_nodes;
+    assert!(forwarded <= 24, "forwarding appended {forwarded} nodes");
+}

@@ -309,56 +309,53 @@ fn first_on_a_dense_match_performs_bounded_expansions() {
     // A complete knows-digraph: the walk set of knows+ within 16 hops is
     // astronomically large (Σ_{d≤16} 11·10^{d-1} walks from one vertex), so
     // anything that enumerates it will not finish. The assertion is on the
-    // expansion counter, not wall time: one frontier entry's adjacency is
-    // enough to surface the first row.
-    let n = 12usize;
-    let g = complete_knows_graph(n);
-    // the terminal itself (default strategy) is bounded
-    let row = Traversal::over(&g)
-        .v(["v0"])
-        .match_("knows+")
-        .first()
-        .unwrap()
-        .expect("a complete graph has knows-walks");
-    assert_eq!(row.path.len(), 1);
-    // and the bound holds under every strategy, from the whole-graph start
-    for strategy in STRATEGIES {
+    // expansion counter, not wall time.
+    let g = complete_knows_graph(12);
+    // the first row costs one expansion per walk that must emit: the
+    // R7-capped walk stops at the CSR entry of its first emission, and under
+    // the parallel strategy each of the two partitions runs its own
+    let per_strategy = [1, 1, 2];
+    for (strategy, expected) in STRATEGIES.into_iter().zip(per_strategy) {
+        // the terminal itself, from one start: one expansion
+        let (row, execution) = Traversal::over(&g)
+            .v(["v0"])
+            .match_("knows+")
+            .strategy(strategy)
+            .parallel_threads(2)
+            .first_with_stats()
+            .unwrap();
+        let row = row.expect("a complete graph has knows-walks");
+        assert_eq!(row.path.len(), 1);
+        assert_eq!(execution.stats().expansions, 1, "{strategy:?} first()");
+        // from the whole-graph start
         let mut cursor = Traversal::over(&g)
             .match_("knows+")
             .limit(1)
             .strategy(strategy)
+            .parallel_threads(2)
             .cursor()
             .unwrap();
         let row = cursor.next_row().unwrap().expect("one row");
         assert_eq!(row.path.len(), 1);
         let expansions = cursor.stats().expansions;
-        // at most one adjacency scan per partition (under the parallel
-        // strategy, each partition's R7-capped walk stops at its first
-        // emission)
-        assert!(
-            expansions <= (n * (n - 1)) as u64,
-            "{strategy:?} expanded {expansions} edges"
-        );
+        assert_eq!(expansions, expected, "{strategy:?} limit(1)");
     }
     // bounded to 4 hops the walk set is enumerable (12 · Σ_{d≤4} 11^d =
-    // 193,248 rows): limit(1) keeps exactly its first row, at the same
-    // one-scan cost
+    // 193,248 rows): limit(1) keeps exactly its first row, at the same cost
     let within = Traversal::over(&g).match_within("knows+", 4);
-    for strategy in STRATEGIES {
+    for (strategy, expected) in STRATEGIES.into_iter().zip(per_strategy) {
         let full = within.clone().strategy(strategy).execute().unwrap();
         assert_eq!(full.len(), 193_248, "{strategy:?}");
         let limited = within
             .clone()
             .limit(1)
             .strategy(strategy)
+            .parallel_threads(2)
             .execute()
             .unwrap();
         assert_eq!(limited.rows(), &full.rows()[..1], "{strategy:?}");
         let expansions = limited.stats().expansions;
-        assert!(
-            expansions <= (n * (n - 1)) as u64,
-            "{strategy:?} limit(1) within 4 hops expanded {expansions} edges"
-        );
+        assert_eq!(expansions, expected, "{strategy:?} limit(1) within 4 hops");
     }
     // exists() on the same dense automaton is equally bounded
     assert!(Traversal::over(&g).match_("knows+").exists().unwrap());
