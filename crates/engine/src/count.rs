@@ -28,12 +28,8 @@
 //!   `DedupByVertex` clamps it to its support.
 //!
 //! [`by_product`] is the one decision: everything else — weighted and
-//! repeat ops, per-row reachability without a dedup after it, a `Limit`
-//! that a lazy cursor would stop early at, and any traversal under
-//! `max_intermediate` — drains the cursor. The cap is checked on the rows
-//! each strategy buffers (a streaming `Limit` stops its upstream, a parallel
-//! partition counts its own rows, an automaton checks each input row's
-//! walk), which no level total reproduces.
+//! repeat ops, per-row reachability without a dedup after it, and a `Limit`
+//! that a lazy cursor would stop early at — drains the cursor.
 //!
 //! The vectors are sparse hash maps, so a point count costs the CSR entries
 //! it visits, not `O(|V| · |Q|)`. `ExecStats::expansions` reports those
@@ -61,12 +57,9 @@ type Weights = FxHashMap<VertexId, u64>;
 const ENTRY_BYTES: u64 = std::mem::size_of::<((VertexId, usize), u64)>() as u64;
 
 /// Whether `count()` evaluates `plan` as a product rather than by draining
-/// a cursor. Pure over the plan and the traversal's `max_intermediate`, and
-/// the same under every execution strategy.
-pub fn by_product(plan: &LogicalPlan, max_intermediate: Option<usize>) -> bool {
-    if max_intermediate.is_some() {
-        return false;
-    }
+/// a cursor. Pure over the plan, and the same under every execution
+/// strategy.
+pub fn by_product(plan: &LogicalPlan) -> bool {
     let ops = plan.ops();
     ops.iter().enumerate().all(|(i, op)| {
         let rest = &ops[i + 1..];

@@ -40,21 +40,9 @@
 //! compiled once into a stage chain whose source takes each iteration's
 //! frontier — one iteration at a time in the same way.
 //!
-//! `max_intermediate` is enforced per stage: each stage counts the rows it
-//! has emitted over its lifetime and fails once the count exceeds the cap
-//! (a repeat body's count restarts every iteration). What that checks
-//! depends on the strategy, so the same traversal and cap can fail under
-//! one strategy and pass under another:
-//!
-//! - Materialized checks each level: a one-op stage drains the whole
-//!   previous level, so its lifetime output *is* that op's level. Parallel
-//!   checks each partition's prefix levels, the rows leaving the prefix in
-//!   total, and each suffix level.
-//! - Streaming checks each stage's lifetime output, so a downstream `Limit`
-//!   can stop before a level exists. On the complete 12-vertex `knows`
-//!   graph, `out(knows).out(knows).dedup().limit(3)` under a cap of 20 is
-//!   `Ok(3)` streamed and `BoundExceeded` materialized: the 132-row second
-//!   level is never built.
+//! A traversal's answer does not depend on the strategy: only its resource
+//! bounds (the memory budget, the deadline, a cancel token) may end one
+//! strategy's run where another's would have finished.
 
 use std::cell::Cell;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -69,8 +57,8 @@ use crate::chunk::{ChunkPull, DEFAULT_CHUNK_SIZE};
 use crate::csr::CsrTopology;
 use crate::error::EngineError;
 use crate::exec::{
-    check_cap, eval_until, in_set, initial_rows, partitioned, ArenaRow, Counters, ExecConfig,
-    ExecCtx, ExecStats, ExecutionStrategy,
+    eval_until, in_set, initial_rows, partitioned, ArenaRow, Counters, ExecConfig, ExecCtx,
+    ExecStats, ExecutionStrategy,
 };
 use crate::plan::{
     AutoMove, AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, SemiringKind, WeightSource,
@@ -225,24 +213,20 @@ impl Walk {
     }
 
     /// One bounded unit of work: emissions go to `out` until it holds
-    /// `goal` rows, the rest to `pending`. `delivered` is what the stage
-    /// has handed out, this call's rows included; each walk checks the cap
-    /// on it plus `pending` plus its own frontier or queue.
-    #[allow(clippy::too_many_arguments)]
+    /// `goal` rows, the rest to `pending`.
     fn step(
         &mut self,
         ctx: &ExecCtx<'_>,
         arena: &PathArena,
         remaining: &mut Option<usize>,
         pending: &mut VecDeque<ArenaRow>,
-        delivered: usize,
         out: &mut Vec<ArenaRow>,
         goal: usize,
     ) -> Result<(), EngineError> {
         match self {
-            Walk::Automaton(w) => w.advance(ctx, arena, remaining, pending, delivered, out, goal),
-            Walk::Weighted(w) => w.advance(ctx, arena, remaining, pending, delivered),
-            Walk::Repeat(w) => w.advance(ctx, arena, pending, delivered),
+            Walk::Automaton(w) => w.advance(ctx, arena, remaining, pending, out, goal),
+            Walk::Weighted(w) => w.advance(ctx, arena, remaining, pending),
+            Walk::Repeat(w) => w.advance(ctx, arena, pending),
         }
     }
 }
@@ -316,22 +300,17 @@ impl AutoWalk {
     }
 
     /// One unit of work. An exhausted layer rolls over: the half-built next
-    /// layer becomes current, and the intermediate-size cap is checked on
-    /// `delivered` plus the pending emissions plus the live frontier,
-    /// exactly the materialized executor's per-layer check. Otherwise the
-    /// current layer's entries are expanded in order, emissions pushed into
-    /// `out`, until the layer is exhausted or `out` holds `goal` rows. It
-    /// stops after the entry that reaches the goal, whose extra emissions
-    /// go to `pending`, so a one-row pull expands no further than the first
-    /// entry that emits.
-    #[allow(clippy::too_many_arguments)]
+    /// layer becomes current. Otherwise the current layer's entries are
+    /// expanded in order, emissions pushed into `out`, until the layer is
+    /// exhausted or `out` holds `goal` rows. It stops after the entry that
+    /// reaches the goal, whose extra emissions go to `pending`, so a one-row
+    /// pull expands no further than the first entry that emits.
     fn advance(
         &mut self,
         ctx: &ExecCtx<'_>,
         arena: &PathArena,
         remaining: &mut Option<usize>,
         pending: &mut VecDeque<ArenaRow>,
-        delivered: usize,
         out: &mut Vec<ArenaRow>,
         goal: usize,
     ) -> Result<(), EngineError> {
@@ -340,7 +319,6 @@ impl AutoWalk {
             self.next.clear();
             self.idx = 0;
             self.hop += 1;
-            check_cap(self.frontier.len() + delivered + pending.len(), ctx.cap)?;
             if self.hop > self.spec.max_hops() {
                 self.frontier.clear();
             }
@@ -438,7 +416,6 @@ impl RepeatWalk {
         ctx: &ExecCtx<'_>,
         arena: &PathArena,
         pending: &mut VecDeque<ArenaRow>,
-        delivered: usize,
     ) -> Result<(), EngineError> {
         match &self.until {
             Some(cond) if self.k >= self.min => {
@@ -468,7 +445,6 @@ impl RepeatWalk {
         // growth is charged
         self.chain
             .drain(ctx, arena, DEFAULT_CHUNK_SIZE, &mut self.frontier)?;
-        check_cap(self.frontier.len() + delivered + pending.len(), ctx.cap)?;
         self.k += 1;
         Ok(())
     }
@@ -575,7 +551,6 @@ impl WeightedWalk {
         arena: &PathArena,
         remaining: &mut Option<usize>,
         pending: &mut VecDeque<ArenaRow>,
-        delivered: usize,
     ) -> Result<(), EngineError> {
         let Some(WeightedEntry {
             cost,
@@ -653,7 +628,7 @@ impl WeightedWalk {
             true,
             visit,
         )?;
-        check_cap(self.heap.len() + delivered + pending.len(), ctx.cap)
+        Ok(())
     }
 }
 
@@ -719,7 +694,8 @@ impl ExpandStep {
 // Stages
 // ---------------------------------------------------------------------------
 
-/// One pull-based stage with its lifetime output counter (the cap check).
+/// One pull-based stage with its lifetime output count (a profiled run's
+/// `rows_out`).
 #[derive(Debug)]
 pub(crate) struct Stage {
     op: StageOp,
@@ -970,11 +946,9 @@ impl Stage {
     }
 
     /// Re-arms a repeat body for its next input level: its source takes
-    /// `rows` and every stage's output count restarts, so the cap is checked
-    /// per level. Bodies are validated stateless at plan time, so a body
+    /// `rows`. Bodies are validated stateless at plan time, so a body
     /// drained to `Done` holds no other state.
     fn rearm(&mut self, rows: Vec<ArenaRow>) {
-        self.out_count = 0;
         match &mut self.op {
             StageOp::Source { rows: source, idx } => {
                 *source = rows;
@@ -1012,8 +986,7 @@ impl Stage {
     }
 
     /// Asks the stage for up to `target` rows (`target ≥ 1`), appended to
-    /// `out`: the one stage protocol (see the module docs). Counts the
-    /// appended rows against the stage's lifetime cap. Every call is a
+    /// `out`: the one stage protocol (see the module docs). Every call is a
     /// cancellation point: an expired deadline or a fired
     /// [`CancelToken`](crate::CancelToken) surfaces here as
     /// [`EngineError::Cancelled`], killing suspended frontiers cleanly.
@@ -1033,7 +1006,6 @@ impl Stage {
             let res = Self::pull_op(
                 &mut self.op,
                 self.input.as_deref_mut(),
-                self.out_count,
                 ctx,
                 arena,
                 target,
@@ -1054,7 +1026,6 @@ impl Stage {
             Self::pull_op(
                 &mut self.op,
                 self.input.as_deref_mut(),
-                self.out_count,
                 ctx,
                 arena,
                 target,
@@ -1068,14 +1039,12 @@ impl Stage {
         );
         debug_assert_eq!(appended > 0, res == ChunkPull::Rows);
         self.out_count += appended;
-        check_cap(self.out_count, ctx.cap)?;
         Ok(res)
     }
 
     fn pull_op(
         op: &mut StageOp,
         input: Option<&mut Stage>,
-        delivered: usize,
         ctx: &ExecCtx<'_>,
         arena: &PathArena,
         target: usize,
@@ -1145,8 +1114,7 @@ impl Stage {
                 }
                 if !walk.finished() {
                     ctx.ensure_alive()?;
-                    let delivered = delivered + (out.len() - base);
-                    walk.step(ctx, arena, remaining, pending, delivered, out, goal)?;
+                    walk.step(ctx, arena, remaining, pending, out, goal)?;
                     // per-step budget check (mirrors the batch executor):
                     // dense frontiers die mid-walk
                     if ctx.budgeted() {
@@ -1271,7 +1239,6 @@ pub struct RowCursor {
     /// The optimized plan this cursor executes. The stage trees hold copies
     /// of its ops; the start frontier is read from here, never copied.
     plan: LogicalPlan,
-    cap: Option<usize>,
     counters: Counters,
     alive: Liveness,
     inner: Inner,
@@ -1314,7 +1281,6 @@ impl RowCursor {
         snapshot: GraphSnapshot,
         plan: LogicalPlan,
         strategy: ExecutionStrategy,
-        cap: Option<usize>,
         threads: Option<usize>,
         config: ExecConfig,
     ) -> RowCursor {
@@ -1341,7 +1307,6 @@ impl RowCursor {
         RowCursor {
             snapshot,
             plan,
-            cap,
             counters: Counters::default(),
             alive: Liveness::default(),
             inner,
@@ -1426,7 +1391,6 @@ impl RowCursor {
     ) -> Result<usize, EngineError> {
         let ctx = ExecCtx {
             snapshot: &self.snapshot,
-            cap: self.cap,
             counters: &self.counters,
             alive: self.alive.active(),
             budget: self.config.budget,

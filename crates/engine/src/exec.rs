@@ -26,7 +26,8 @@
 //!   concatenated in partition order, are row-for-row the materialized
 //!   levels; the stateful suffix (from the first `Dedup`, `Limit` or global
 //!   reachability automaton) runs over them. A suffix that starts with a
-//!   `Dedup` runs it as the rows cross, so only its survivors are forwarded.
+//!   `Dedup` or a `Limit` runs it as the rows cross, so only its survivors
+//!   are forwarded.
 //!   Like Materialized, it exits early only through the R7/R9 emission caps,
 //!   applied per partition.
 //!
@@ -204,7 +205,6 @@ impl Default for ExecConfig {
 #[derive(Clone, Copy)]
 pub(crate) struct ExecCtx<'a> {
     pub(crate) snapshot: &'a GraphSnapshot,
-    pub(crate) cap: Option<usize>,
     pub(crate) counters: &'a Counters,
     /// Cancellation/deadline bounds; `None` when the execution is unbounded,
     /// so the hot path pays a single branch.
@@ -318,9 +318,8 @@ pub fn execute(
     snapshot: &GraphSnapshot,
     plan: &LogicalPlan,
     strategy: ExecutionStrategy,
-    max_intermediate: Option<usize>,
 ) -> Result<QueryResult, EngineError> {
-    execute_with_threads(snapshot, plan, strategy, max_intermediate, None)
+    execute_with_threads(snapshot, plan, strategy, None)
 }
 
 /// Executes a plan, optionally forcing the parallel strategy's worker thread
@@ -333,14 +332,12 @@ pub fn execute_with_threads(
     snapshot: &GraphSnapshot,
     plan: &LogicalPlan,
     strategy: ExecutionStrategy,
-    max_intermediate: Option<usize>,
     threads: Option<usize>,
 ) -> Result<QueryResult, EngineError> {
     let mut cursor = RowCursor::compile_with_config(
         snapshot.clone(),
         plan.clone(),
         strategy,
-        max_intermediate,
         threads,
         ExecConfig::default(),
     );
@@ -386,18 +383,6 @@ impl ArenaRow {
     }
 }
 
-pub(crate) fn check_cap(len: usize, cap: Option<usize>) -> Result<(), EngineError> {
-    if let Some(cap) = cap {
-        if len > cap {
-            return Err(EngineError::BoundExceeded {
-                bound: cap,
-                what: "intermediate row count",
-            });
-        }
-    }
-    Ok(())
-}
-
 pub(crate) fn in_set(set: &Option<HashSet<VertexId>>, v: VertexId) -> bool {
     set.as_ref().map(|s| s.contains(&v)).unwrap_or(true)
 }
@@ -414,11 +399,10 @@ pub(crate) fn eval_until(
 /// `arena`: each op runs as a one-op [`Stage`] over a source holding the
 /// whole previous level, drained in `chunk`-row calls until it reports
 /// `Done` before the next op starts. No op sees a partial input, so nothing
-/// exits early except the R7/R9 emission caps; `max_intermediate` is checked
-/// on the input rows and on each level stage's lifetime output, and memory
-/// is charged after every drain call. With `trace`, each level's actuals
-/// are appended to it. Returns the final rows; the caller materialises only
-/// the rows it delivers (`count()` materialises none).
+/// exits early except the R7/R9 emission caps; memory is charged after
+/// every drain call. With `trace`, each level's actuals are appended to it.
+/// Returns the final rows; the caller materialises only the rows it
+/// delivers (`count()` materialises none).
 pub(crate) fn materialized(
     ctx: &ExecCtx<'_>,
     arena: &PathArena,
@@ -427,7 +411,6 @@ pub(crate) fn materialized(
     chunk: usize,
     mut trace: Option<&mut Vec<OpActuals>>,
 ) -> Result<Vec<ArenaRow>, EngineError> {
-    check_cap(rows.len(), ctx.cap)?;
     for op in ops {
         let mut stage = Stage::level(rows, op.clone(), trace.is_some());
         let mut next = Vec::new();
@@ -462,12 +445,10 @@ pub(crate) type Segment = (PathArena, Vec<ArenaRow>);
 /// they are the result segments, or, with a suffix, they cross into one
 /// suffix arena through a per-partition [`IdForwarder`] (each node appended
 /// once, counted in [`ExecStats::interned_nodes`]) and the suffix runs as
-/// [`materialized`] levels over them (a leading `Dedup` drops its rows as
-/// they cross, see [`join`]). `max_intermediate` bounds each
-/// partition level, the rows leaving the prefix, and each suffix level. The
-/// partitions' counters join `ctx`'s at the end; `trace` sums per-op actuals
-/// over partitions, credits the boundary's interns to the prefix's last op
-/// and appends the suffix levels.
+/// [`materialized`] levels over them (a leading `Dedup` or `Limit` drops its
+/// rows as they cross, see [`join`]). The partitions' counters join `ctx`'s
+/// at the end; `trace` sums per-op actuals over partitions, credits the
+/// boundary's interns to the prefix's last op and appends the suffix levels.
 pub(crate) fn partitioned(
     ctx: &ExecCtx<'_>,
     plan: &LogicalPlan,
@@ -496,12 +477,11 @@ pub(crate) fn partitioned(
         .iter()
         .position(stateful)
         .unwrap_or(plan.ops().len());
-    let (snapshot, cap, alive, profile) = (ctx.snapshot, ctx.cap, ctx.alive, trace.is_some());
+    let (snapshot, alive, profile) = (ctx.snapshot, ctx.alive, trace.is_some());
     let run = move |starts: &[VertexId], ops: &[PlanOp], budget: Option<u64>| {
         let counters = Counters::default();
         let ctx = ExecCtx {
             snapshot,
-            cap,
             counters: &counters,
             alive,
             budget,
@@ -588,9 +568,11 @@ struct Partition {
 
 /// Joins the partitions' prefix rows in partition order and runs the
 /// `suffix` over them (see [`partitioned`]). A suffix that starts with a
-/// `Dedup` runs it as the rows cross: a row whose head an earlier row
-/// already had is dropped before it is forwarded, so only the survivors are
-/// interned into the suffix arena and buffered for the rest of the suffix.
+/// `Dedup` or a `Limit` runs it as the rows cross: a row whose head an
+/// earlier row already had, or that comes after the limit's `n`th, is
+/// dropped before it is forwarded, so only the survivors are interned into
+/// the suffix arena and buffered for the rest of the suffix. Once a limit
+/// is full, the remaining partitions are dropped without crossing.
 fn join(
     ctx: &ExecCtx<'_>,
     segments: Vec<Segment>,
@@ -598,24 +580,31 @@ fn join(
     chunk: usize,
     mut trace: Option<&mut Vec<OpActuals>>,
 ) -> Result<Vec<Segment>, EngineError> {
-    let total = segments.iter().map(|(_, rows)| rows.len()).sum();
-    check_cap(total, ctx.cap)?;
     if suffix.is_empty() {
         return Ok(segments);
     }
-    let (mut heads, suffix) = match suffix {
-        [PlanOp::DedupByVertex, rest @ ..] => (Some(FxHashSet::default()), rest),
+    let (crossing, suffix) = match suffix {
+        [op @ (PlanOp::DedupByVertex | PlanOp::Limit(_)), rest @ ..] => (Some(op), rest),
         _ => (None, suffix),
+    };
+    let mut heads = matches!(crossing, Some(PlanOp::DedupByVertex)).then(FxHashSet::default);
+    let limit = match crossing {
+        Some(&PlanOp::Limit(n)) => n,
+        _ => usize::MAX,
     };
     let started = Instant::now();
     let arena = PathArena::new();
-    let mut rows = Vec::with_capacity(if heads.is_some() { 0 } else { total });
+    let total: usize = segments.iter().map(|(_, rows)| rows.len()).sum();
+    let mut rows = Vec::with_capacity(if heads.is_some() { 0 } else { total.min(limit) });
     let mut interned = 0;
     // each partition's arena and rows are freed once they have crossed
     for (part, part_rows) in segments {
         let mut forward = IdForwarder::new();
         let crossed = rows.len();
         for row in &part_rows {
+            if rows.len() >= limit {
+                break;
+            }
             if heads.as_mut().is_some_and(|seen| !seen.insert(row.head)) {
                 continue;
             }
@@ -637,8 +626,9 @@ fn join(
         if let Some(last) = trace.last_mut() {
             last.interned += interned as u64;
         }
-        // a crossing Dedup is a level of its own, timed with the crossing
-        if heads.is_some() {
+        // a crossing Dedup or Limit is a level of its own, timed with the
+        // crossing
+        if crossing.is_some() {
             trace.push(OpActuals {
                 rows_out: rows.len() as u64,
                 chunks: 1,
@@ -842,29 +832,6 @@ mod tests {
     }
 
     #[test]
-    fn max_intermediate_cap_aborts_materialized_and_parallel() {
-        let g = classic_social_graph();
-        let base = Traversal::over(&g).out_any().out_any().max_intermediate(2);
-        assert!(matches!(
-            base.clone()
-                .strategy(ExecutionStrategy::Materialized)
-                .execute(),
-            Err(EngineError::BoundExceeded { .. })
-        ));
-        assert!(matches!(
-            base.clone().strategy(ExecutionStrategy::Parallel).execute(),
-            Err(EngineError::BoundExceeded { .. })
-        ));
-        // the cursor counts per-stage output against the same cap
-        assert!(matches!(
-            base.clone()
-                .strategy(ExecutionStrategy::Streaming)
-                .execute(),
-            Err(EngineError::BoundExceeded { .. })
-        ));
-    }
-
-    #[test]
     fn is_step_restricts_to_named_vertices() {
         let g = classic_social_graph();
         let r = Traversal::over(&g)
@@ -915,14 +882,14 @@ mod tests {
         for (i, t) in pipelines.iter().enumerate() {
             let naive = crate::plan::plan(&snap, t.start_spec(), t.steps()).unwrap();
             let optimized = crate::plan::optimize(&snap, &naive);
-            let reference = execute(&snap, &naive, ExecutionStrategy::Materialized, None).unwrap();
+            let reference = execute(&snap, &naive, ExecutionStrategy::Materialized).unwrap();
             // the unoptimized dedup-before-expand case (R3 drops the dedup
             // of distinct starts) keeps duplicate final heads
             assert!(i != 0 || reference.len() == 4, "{}", reference.len());
             for plan in [&naive, &optimized] {
                 for threads in [2, 3, 7] {
                     let parallel = ExecutionStrategy::Parallel;
-                    let r = execute_with_threads(&snap, plan, parallel, None, Some(threads));
+                    let r = execute_with_threads(&snap, plan, parallel, Some(threads));
                     let msg = format!("pipeline {i}, {threads} threads");
                     assert_eq!(r.unwrap().rows(), reference.rows(), "{msg}");
                 }
@@ -994,29 +961,6 @@ mod tests {
                 charged <= limit + slack,
                 "chunk {chunk}: {charged} > {limit} + {slack}"
             );
-        }
-    }
-
-    #[test]
-    fn a_repeat_body_checks_the_cap_per_iteration() {
-        // A 10-cycle: `repeat(5..=5)` emits 10 rows, and its body emits 10
-        // rows per iteration, 50 over the run. The cap bounds each level,
-        // so the body's count restarts every iteration.
-        let g = crate::store::PropertyGraph::new();
-        for i in 0..10 {
-            g.add_edge(&format!("v{i}"), "a", &format!("v{}", (i + 1) % 10));
-        }
-        for strategy in [
-            ExecutionStrategy::Materialized,
-            ExecutionStrategy::Streaming,
-            ExecutionStrategy::Parallel,
-        ] {
-            let r = Traversal::over(&g)
-                .repeat(5..=5, |p| p.out(["a"]))
-                .max_intermediate(20)
-                .strategy(strategy)
-                .execute();
-            assert_eq!(r.unwrap().len(), 10, "{strategy:?}");
         }
     }
 

@@ -475,7 +475,6 @@ pub struct Traversal {
     start: StartSpec,
     pipeline: Pipeline,
     strategy: ExecutionStrategy,
-    max_intermediate: Option<usize>,
     threads: Option<usize>,
     timeout: Option<std::time::Duration>,
     cancel: Option<crate::cancel::CancelToken>,
@@ -492,7 +491,6 @@ impl Traversal {
             start: StartSpec::AllVertices,
             pipeline: Pipeline::new(),
             strategy: ExecutionStrategy::Materialized,
-            max_intermediate: None,
             threads: None,
             timeout: None,
             cancel: None,
@@ -676,9 +674,9 @@ impl Traversal {
     /// frontier is deduplicated by `(vertex, dfa-state)`, so rows that differ
     /// only in their path collapse to the breadth-first first walk. Because
     /// each pair is expanded at most once, evaluation terminates on cyclic
-    /// graphs without a hop bound or `max_intermediate` — this variant is
-    /// unbounded (`*`/`+` mean true reachability), unlike [`Traversal::match_`]
-    /// which enumerates every walk and must stay depth-bounded.
+    /// graphs without a hop bound — this variant is unbounded (`*`/`+` mean
+    /// true reachability), unlike [`Traversal::match_`] which enumerates
+    /// every walk and must stay depth-bounded.
     ///
     /// ```
     /// use mrpa_engine::{classic_social_graph, Traversal};
@@ -936,12 +934,6 @@ impl Traversal {
         self.strategy
     }
 
-    /// Caps intermediate result sizes; exceeding the cap aborts the traversal.
-    pub fn max_intermediate(mut self, cap: usize) -> Self {
-        self.max_intermediate = Some(cap);
-        self
-    }
-
     /// Forces the parallel strategy's worker thread count (the default is
     /// `available_parallelism`). Useful for tests and benchmarks —
     /// single-core CI machines otherwise silently fall back to the
@@ -1129,7 +1121,6 @@ impl Traversal {
             snapshot,
             optimized,
             self.strategy,
-            self.max_intermediate,
             self.threads,
             crate::exec::ExecConfig {
                 chunk: self.chunk,
@@ -1227,7 +1218,7 @@ impl Traversal {
     pub fn count_with_stats(&self) -> Result<(usize, Execution), EngineError> {
         let started = std::time::Instant::now();
         let (snapshot, _, optimized) = self.planned()?;
-        let (n, execution) = if crate::count::by_product(&optimized, self.max_intermediate) {
+        let (n, execution) = if crate::count::by_product(&optimized) {
             let counters = Counters::default();
             let alive = Liveness {
                 token: self.cancel.clone(),
@@ -1235,7 +1226,6 @@ impl Traversal {
             };
             let ctx = ExecCtx {
                 snapshot: &snapshot,
-                cap: None,
                 counters: &counters,
                 alive: alive.active(),
                 budget: self.budget,

@@ -172,7 +172,7 @@ pub enum Semantics {
     /// deduplicated by `(vertex, dfa-state)`, so each pair is expanded — and
     /// each accepting pair emitted — at most once, with the breadth-first
     /// *first* walk as its path. Rows that differ only in their path collapse;
-    /// `match_` over a cyclic graph terminates without `max_intermediate`.
+    /// `match_` over a cyclic graph terminates without a hop bound.
     Reachable,
     /// [`Semantics::Reachable`] with **one seen-set shared across all input
     /// rows**: each `(vertex, dfa-state)` pair is expanded — and emitted — at

@@ -35,7 +35,7 @@ impl LoweredQuery {
     /// Binds the lowered query to a graph as a ready-to-run
     /// [`mrpa_engine::Traversal`]. The caller applies the terminal
     /// (`execute`/`count`/`exists`/`first`/`explain`) and any runtime bounds
-    /// (strategy, timeout, `max_intermediate`).
+    /// (strategy, timeout, memory budget).
     pub fn traversal(&self, graph: &mrpa_engine::PropertyGraph) -> mrpa_engine::Traversal {
         mrpa_engine::Traversal::over(graph)
             .start_at(self.start.clone())

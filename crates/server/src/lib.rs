@@ -18,7 +18,7 @@
 //!
 //! | `op`             | request fields                                               | response payload                         |
 //! |------------------|--------------------------------------------------------------|------------------------------------------|
-//! | `query`          | `query`, `timeout_ms?`, `strategy?`, `threads?`, `max_intermediate?` | `rows`/`count`/`exists`/`row` + `stats`; `plan` for `EXPLAIN`; + `trace` for `PROFILE` |
+//! | `query`          | `query`, `timeout_ms?`, `strategy?`, `threads?`, `memory_budget?` | `rows`/`count`/`exists`/`row` + `stats`; `plan` for `EXPLAIN`; + `trace` for `PROFILE` |
 //! | `ping`           | —                                                            | `pong: true`                             |
 //! | `stats`          | —                                                            | `vertices`, `edges`, full `store` block  |
 //! | `metrics`        | `format?` (`"json"` default, `"prometheus"`)                 | `metrics` array / `metrics_text`         |
@@ -43,13 +43,19 @@
 //! Failures come back as `ok: false` with an `error` object whose `kind` is
 //! `"parse"` (MRPA-QL syntax errors, with a byte `span` and a rendered caret
 //! `diagnostic`), `"timeout"` (the deadline cancelled the traversal — the
-//! store is *not* poisoned and the session keeps working), `"bound"`
-//! (`max_intermediate` admission control), `"memory_budget"` (the per-query
-//! byte budget tripped, with `limit_bytes` / `charged_bytes`),
-//! `"overloaded"` (bounded admission shed the request, with a
-//! `retry_after_ms` hint), `"internal"` (a handler panic converted to a
-//! typed error), `"engine"` (any other traversal error), or `"protocol"`
-//! (malformed request).
+//! store is *not* poisoned and the session keeps working), `"bound"` (a
+//! walk count past `u64`), `"memory_budget"` (the per-query byte budget
+//! tripped, with `limit_bytes` / `charged_bytes`), `"overloaded"` (bounded
+//! admission shed the request, with a `retry_after_ms` hint), `"internal"`
+//! (a handler panic converted to a typed error), `"engine"` (any other
+//! traversal error), or `"protocol"` (malformed request, including one that
+//! sends the removed `max_intermediate` row cap).
+//!
+//! A query's resources are bounded by its deadline (`timeout_ms`, else
+//! [`ServerConfig::default_timeout`]) and its byte budget (`memory_budget`,
+//! never looser than the server's per-worker share of
+//! [`ServerConfig::memory_budget`]); `threads` is clamped to the host's
+//! available parallelism.
 //!
 //! ## Concurrency model
 //!
@@ -133,10 +139,6 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// Server-side execution limits applied to every request.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Admission control: an upper bound on any traversal's intermediate
-    /// result size. A request asking for more is clamped down to this; a
-    /// request asking for less keeps its own, tighter cap.
-    pub max_intermediate: Option<usize>,
     /// Deadline applied to queries that do not send their own `timeout_ms`.
     pub default_timeout: Option<Duration>,
     /// Successful queries at least this slow get a slow-log entry; `None`
@@ -171,7 +173,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            max_intermediate: None,
             default_timeout: None,
             slowlog_threshold: Some(Duration::from_millis(10)),
             slowlog_capacity: 128,
@@ -1318,26 +1319,21 @@ impl<'a> Session<'a> {
 }
 
 impl<'a> QueryRunner<'a> {
-    /// Applies strategy, thread count, deadline, memory budget, and the
-    /// admission-controlled `max_intermediate` cap to a traversal.
+    /// Applies strategy, thread count, deadline and memory budget to a
+    /// traversal.
     fn apply_limits(&self, mut t: Traversal, req: &Value) -> Result<Traversal, Failure> {
+        // ignoring the removed row cap would run a query the client meant to
+        // bound without that bound
+        if req.get("max_intermediate").is_some() {
+            return Err(Failure::protocol(
+                "\"max_intermediate\" is no longer supported: bound the query with \"memory_budget\" or \"timeout_ms\"",
+            ));
+        }
         if let Some(name) = req.get("strategy").and_then(Value::as_str) {
             t = t.strategy(parse_strategy(name)?);
         }
-        if let Some(threads) = req.get("threads").and_then(Value::as_u64) {
-            t = t.parallel_threads(threads as usize);
-        }
-        let requested_cap = req
-            .get("max_intermediate")
-            .and_then(Value::as_u64)
-            .map(|n| n as usize);
-        // admission control: the server cap always wins over a looser request
-        let cap = match (requested_cap, self.shared.config.max_intermediate) {
-            (Some(r), Some(s)) => Some(r.min(s)),
-            (r, s) => r.or(s),
-        };
-        if let Some(cap) = cap {
-            t = t.max_intermediate(cap);
+        if let Some(threads) = request_threads(req) {
+            t = t.parallel_threads(threads);
         }
         let timeout = req
             .get("timeout_ms")
@@ -1445,6 +1441,15 @@ fn strategy_name(strategy: ExecutionStrategy) -> &'static str {
         ExecutionStrategy::Streaming => "streaming",
         ExecutionStrategy::Parallel => "parallel",
     }
+}
+
+/// The request's `threads`, clamped to the host's available parallelism
+/// (the engine's own default): a parallel query spawns one scoped thread per
+/// start partition, outside the worker pool's bound.
+fn request_threads(req: &Value) -> Option<usize> {
+    let threads = req.get("threads").and_then(Value::as_u64)?;
+    let host = std::thread::available_parallelism().map_or(4, |n| n.get());
+    Some(usize::try_from(threads).map_or(host, |t| t.min(host)))
 }
 
 fn parse_strategy(name: &str) -> Result<ExecutionStrategy, Failure> {
@@ -1926,28 +1931,11 @@ mod tests {
     }
 
     #[test]
-    fn admission_control_clamps_loose_requests() {
-        let server = serve(
-            classic_social_graph(),
-            ServerConfig {
-                max_intermediate: Some(2),
-                ..ServerConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
-        // the request asks for a huge cap; the server clamps it to 2
-        let r = client
-            .request(r#"{"op":"query","query":"FROM * OUT *","max_intermediate":1000000}"#)
-            .unwrap();
-        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(false), "{r:?}");
-        assert_eq!(
-            r.get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Value::as_str),
-            Some("bound")
-        );
-        server.shutdown();
+    fn request_threads_are_clamped_to_the_host() {
+        let host = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let threads = |line: &str| request_threads(&json::parse(line).unwrap());
+        assert_eq!(threads(r#"{"threads":1000000}"#), Some(host));
+        assert_eq!(threads(r#"{"threads":1}"#), Some(1));
+        assert_eq!(threads(r#"{"op":"query"}"#), None);
     }
 }

@@ -422,6 +422,20 @@ fn memory_budget_kills_with_typed_error_and_session_survives() {
         Some(1024),
         "{reply:?}"
     );
+
+    // but never loosen it: a 1 TiB request keeps the server's share
+    let reply = client
+        .request(r#"{"op":"query","query":"PROFILE FROM * MATCH -[(l0|l1|l2){1,3}]-> COUNT","memory_budget":1099511627776}"#)
+        .unwrap();
+    assert_eq!(error_kind(&reply), Some("memory_budget"), "{reply:?}");
+    assert_eq!(
+        reply
+            .get("error")
+            .and_then(|e| e.get("limit_bytes"))
+            .and_then(Value::as_u64),
+        Some(32 * 1024),
+        "{reply:?}"
+    );
     server.shutdown();
 }
 
@@ -442,11 +456,15 @@ fn deadline_and_row_cap_fail_typed_and_the_session_survives() {
         Some(true),
         "session poisoned after cancellation: {reply:?}"
     );
-    // a request's own row cap is enforced with the bound kind
+    // the row cap was removed: a request that still sends one is refused,
+    // not run unbounded
     let reply = client
         .request(r#"{"op":"query","query":"FROM * OUT *","max_intermediate":2}"#)
         .unwrap();
-    assert_eq!(error_kind(&reply), Some("bound"), "{reply:?}");
+    assert_eq!(error_kind(&reply), Some("protocol"), "{reply:?}");
+    let message = reply.get("error").and_then(|e| e.get("message"));
+    let message = message.and_then(Value::as_str).unwrap_or_default();
+    assert!(message.contains("memory_budget"), "{reply:?}");
     server.shutdown();
 }
 

@@ -226,8 +226,8 @@ fn optimized_plans_produce_exactly_the_naive_rows() {
             rewrites += 1;
         }
         for strategy in STRATEGIES {
-            let naive_rows = exec::execute(&snapshot, &naive, strategy, None).unwrap();
-            let opt_rows = exec::execute(&snapshot, &optimized, strategy, None).unwrap();
+            let naive_rows = exec::execute(&snapshot, &naive, strategy).unwrap();
+            let opt_rows = exec::execute(&snapshot, &optimized, strategy).unwrap();
             assert_eq!(
                 row_sequence(&naive_rows),
                 row_sequence(&opt_rows),
@@ -263,8 +263,8 @@ fn multi_label_expands_keep_their_row_order_under_limit() {
     let naive = plan::plan(&snapshot, &start, pipeline.steps()).unwrap();
     let optimized = plan::optimize(&snapshot, &naive);
     for strategy in STRATEGIES {
-        let naive_rows = exec::execute(&snapshot, &naive, strategy, None).unwrap();
-        let opt_rows = exec::execute(&snapshot, &optimized, strategy, None).unwrap();
+        let naive_rows = exec::execute(&snapshot, &naive, strategy).unwrap();
+        let opt_rows = exec::execute(&snapshot, &optimized, strategy).unwrap();
         assert_eq!(
             row_sequence(&naive_rows),
             row_sequence(&opt_rows),
@@ -324,8 +324,8 @@ fn social_workloads_are_rewritten_and_keep_the_naive_rows() {
         let optimized = plan::optimize(&snapshot, &naive);
         assert_ne!(naive, optimized, "{name} was not rewritten");
         for strategy in STRATEGIES {
-            let naive_rows = exec::execute(&snapshot, &naive, strategy, None).unwrap();
-            let opt_rows = exec::execute(&snapshot, &optimized, strategy, None).unwrap();
+            let naive_rows = exec::execute(&snapshot, &naive, strategy).unwrap();
+            let opt_rows = exec::execute(&snapshot, &optimized, strategy).unwrap();
             assert!(!naive_rows.is_empty(), "{name}: the workload is vacuous");
             assert_eq!(
                 row_sequence(&naive_rows),

@@ -193,8 +193,7 @@ fn traversals_on_frozen_snapshots_are_isolated_from_writer_churn() {
                 let naive = plan::plan(&snapshot, &StartSpec::AllVertices, p.steps()).unwrap();
                 let optimized = plan::optimize(&snapshot, &naive);
                 let reference = row_sequence(
-                    &exec::execute(&snapshot, &optimized, ExecutionStrategy::Materialized, None)
-                        .unwrap(),
+                    &exec::execute(&snapshot, &optimized, ExecutionStrategy::Materialized).unwrap(),
                 );
                 (optimized, reference)
             })
@@ -235,7 +234,7 @@ fn traversals_on_frozen_snapshots_are_isolated_from_writer_churn() {
                 scope.spawn(move || {
                     for (case, (plan, reference)) in cases.iter().enumerate() {
                         for strategy in STRATEGIES {
-                            let rows = exec::execute(snapshot, plan, strategy, None).unwrap();
+                            let rows = exec::execute(snapshot, plan, strategy).unwrap();
                             assert_eq!(
                                 &row_sequence(&rows),
                                 reference,
@@ -246,7 +245,6 @@ fn traversals_on_frozen_snapshots_are_isolated_from_writer_churn() {
                             snapshot,
                             plan,
                             ExecutionStrategy::Parallel,
-                            None,
                             Some(3),
                         )
                         .unwrap();
@@ -262,8 +260,7 @@ fn traversals_on_frozen_snapshots_are_isolated_from_writer_churn() {
 
         // after the churn: the snapshot still answers identically…
         for (case, (plan, reference)) in cases.iter().enumerate() {
-            let rows =
-                exec::execute(&snapshot, plan, ExecutionStrategy::Materialized, None).unwrap();
+            let rows = exec::execute(&snapshot, plan, ExecutionStrategy::Materialized).unwrap();
             assert_eq!(&row_sequence(&rows), reference, "seed {seed} case {case}");
         }
         // …while the live graph moved on to a new generation
@@ -342,17 +339,23 @@ fn id_forwarding_boundary_is_row_for_row_and_copy_free() {
     assert_eq!(dst.node_count(), src.node_count());
 }
 
+/// The complete directed `knows` graph on `n` vertices.
+fn complete_knows_graph(n: usize) -> PropertyGraph {
+    let g = PropertyGraph::new();
+    for i in 0..n {
+        for j in (0..n).filter(|&j| j != i) {
+            g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
+        }
+    }
+    g
+}
+
 #[test]
 fn a_dedup_suffix_forwards_only_the_surviving_rows() {
     // K12: the two-hop prefix yields 1,452 rows over 12 heads. The dedup
     // runs as the rows cross the boundary, so only its 12 survivors, 2
     // edges each, are forwarded into the suffix arena
-    let g = PropertyGraph::new();
-    for i in 0..12 {
-        for j in (0..12).filter(|&j| j != i) {
-            g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
-        }
-    }
+    let g = complete_knows_graph(12);
     let t = Traversal::over(&g)
         .out(["knows"])
         .out(["knows"])
@@ -368,4 +371,27 @@ fn a_dedup_suffix_forwards_only_the_surviving_rows() {
     assert_eq!(parallel.rows(), reference.rows(), "boundary reorders rows");
     let forwarded = parallel.stats().interned_nodes;
     assert!(forwarded <= 24, "forwarding appended {forwarded} nodes");
+}
+
+#[test]
+fn a_limit_suffix_forwards_only_its_rows() {
+    // K12: the two-hop prefix yields 1,452 rows, and the limit keeps the
+    // first 3. It runs as the rows cross the boundary, so only those 3 rows
+    // are forwarded, and the second partition is dropped without crossing
+    let g = complete_knows_graph(12);
+    let t = Traversal::over(&g)
+        .out_any()
+        .out_any()
+        .limit(3)
+        .parallel_threads(2);
+    let reference = t
+        .clone()
+        .strategy(ExecutionStrategy::Materialized)
+        .execute()
+        .unwrap();
+    let parallel = t.strategy(ExecutionStrategy::Parallel).execute().unwrap();
+    assert_eq!(parallel.len(), 3);
+    assert_eq!(parallel.rows(), reference.rows(), "boundary reorders rows");
+    let forwarded = parallel.stats().interned_nodes;
+    assert!(forwarded <= 6, "forwarding appended {forwarded} nodes");
 }

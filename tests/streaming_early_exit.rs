@@ -22,7 +22,7 @@
 //! strategies finish a level before `limit` sees it, through every
 //! terminal; and
 //! `Semantics::Reachable` terminates on cyclic graphs where walk
-//! enumeration trips `max_intermediate`.
+//! enumeration exhausts a memory budget.
 
 use rand::Rng as _;
 
@@ -267,20 +267,13 @@ fn terminals_agree_with_execute() {
                 let (n, execution) = t.count_with_stats().unwrap();
                 assert_eq!(n, all.len(), "{ctx} count");
                 assert_eq!(
-                    count::by_product(execution.plan(), None),
+                    count::by_product(execution.plan()),
                     counted,
                     "{ctx} count path"
                 );
                 if counted {
                     assert_eq!(execution.stats().interned_nodes, 0, "{ctx}");
                 }
-                // under a cap the count drains the cursor: the same outcome
-                let capped = t.clone().max_intermediate(6);
-                assert_eq!(
-                    capped.count(),
-                    capped.execute().map(|r| r.len()),
-                    "{ctx} capped"
-                );
                 assert_eq!(t.exists().unwrap(), !all.is_empty(), "{ctx} exists");
                 let first = t.first().unwrap();
                 match all.rows().first() {
@@ -366,8 +359,7 @@ fn a_limited_chunked_drain_does_the_work_of_a_one_row_drain() {
     // Streaming out·out·dedup·limit(3) on K12: the first knows-neighbour's
     // own neighbours already hold 3 distinct heads, so 11 + 11 expansions
     // suffice however the rows are asked for. A stage that handed out more
-    // than it was asked for would expand the whole second layer (132) and,
-    // under max_intermediate(20), fail with BoundExceeded.
+    // than it was asked for would expand the whole second layer (132).
     let g = complete_knows_graph(12);
     let t = Traversal::over(&g)
         .out(["knows"])
@@ -384,21 +376,19 @@ fn a_limited_chunked_drain_does_the_work_of_a_one_row_drain() {
     }
     let (count, execution) = t.count_with_stats().unwrap();
     assert_eq!((count, execution.stats().expansions), (3, 22), "count()");
-    let bounded = t.clone().max_intermediate(20).execute().unwrap();
-    assert_eq!(row_sequence(&bounded), rows, "max_intermediate(20)");
-    // the cap is per strategy: Materialized builds the 132-row second level,
-    // and each of Parallel's two partitions its 66-row first one
-    for strategy in [ExecutionStrategy::Materialized, ExecutionStrategy::Parallel] {
-        let batch = t
-            .clone()
-            .strategy(strategy)
-            .parallel_threads(2)
-            .max_intermediate(20)
-            .execute();
-        assert!(
-            matches!(batch, Err(EngineError::BoundExceeded { bound: 20, .. })),
-            "{strategy:?}: {batch:?}"
-        );
+    // the answer is the strategy's and the chunk size's to find, not to
+    // change: the batch strategies build whole levels, but keep the same 3
+    for strategy in STRATEGIES {
+        for chunk in [1, 3, 2048] {
+            let r = t
+                .clone()
+                .strategy(strategy)
+                .parallel_threads(2)
+                .chunk_size(chunk)
+                .execute()
+                .unwrap();
+            assert_eq!(row_sequence(&r), rows, "{strategy:?} at chunk {chunk}");
+        }
     }
 }
 
@@ -442,9 +432,9 @@ fn materialized_limit_expands_the_whole_level_and_streaming_one_row() {
 #[test]
 fn reachable_semantics_terminates_where_walk_enumeration_trips_the_cap() {
     // Two interleaved cycles: every vertex has two knows-successors, so the
-    // walk count doubles per depth (2^d) and a deep walk enumeration trips
-    // max_intermediate. Reachability dedups the frontier by (vertex, state)
-    // and terminates — without any hop bound at all.
+    // walk count doubles per depth (2^d) and a deep walk enumeration
+    // exhausts a memory budget. Reachability dedups the frontier by
+    // (vertex, state) and terminates — without any hop bound at all.
     let g = PropertyGraph::new();
     let n = 24usize;
     for i in 0..n {
@@ -454,9 +444,9 @@ fn reachable_semantics_terminates_where_walk_enumeration_trips_the_cap() {
     let walks = Traversal::over(&g)
         .v(["v0"])
         .match_within("knows+", 1000)
-        .max_intermediate(100_000)
+        .memory_budget(1 << 24)
         .execute();
-    assert!(matches!(walks, Err(EngineError::BoundExceeded { .. })));
+    assert!(matches!(walks, Err(EngineError::MemoryBudget { .. })));
     // unbounded reachability: every vertex is reachable, one row per
     // (vertex, accepting state) — here exactly one accepting state
     let reached = Traversal::over(&g)
@@ -517,8 +507,8 @@ fn reachability_upgrade_preserves_the_dedup_output_exactly() {
                 upgraded += 1;
             }
             for strategy in STRATEGIES {
-                let naive_rows = exec::execute(&snapshot, &naive, strategy, None).unwrap();
-                let opt_rows = exec::execute(&snapshot, &optimized, strategy, None).unwrap();
+                let naive_rows = exec::execute(&snapshot, &naive, strategy).unwrap();
+                let opt_rows = exec::execute(&snapshot, &optimized, strategy).unwrap();
                 assert_eq!(
                     row_sequence(&naive_rows),
                     row_sequence(&opt_rows),
