@@ -1,14 +1,14 @@
 //! # mrpa-bench — experiment harness for the path-algebra reproduction
 //!
 //! The paper contains one figure (Fig. 1) and no quantitative tables; the
-//! experiments reproduced here are E1–E10 from `DESIGN.md` §4: Fig. 1 itself
-//! plus the quantitative claims the paper makes qualitatively (join ⊆ product,
+//! experiments reproduced here are E1–E10: Fig. 1 itself plus the
+//! quantitative claims the paper makes qualitatively (join ⊆ product,
 //! restriction prunes the traversal explosion, label selectivity, derivation
 //! semantics, NFA vs DFA, generator ≡ recognizer∘scan, engine throughput).
 //!
-//! Each experiment is a binary in `src/bin/exp_*.rs` that prints a
-//! human-readable table (recorded in `EXPERIMENTS.md`) and, with `--json`, a
-//! machine-readable JSON row stream. Criterion micro-benchmarks covering the
+//! Each experiment is a binary in `src/bin/exp_*.rs` whose module doc names
+//! its experiment number and the section of the paper it reproduces; it
+//! prints a human-readable table. Criterion micro-benchmarks covering the
 //! same operations live in `benches/`.
 
 #![warn(missing_docs)]

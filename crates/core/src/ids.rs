@@ -3,7 +3,7 @@
 //! The paper models a multi-relational graph as `G = (V, E ⊆ V × Ω × V)`.
 //! `V` and `Ω` are arbitrary sets; in this implementation both are interned to
 //! dense `u32` identifiers so that edges are small POD values and path sets
-//! stay cache-friendly (see `DESIGN.md` §7).
+//! stay cache-friendly.
 
 use core::fmt;
 

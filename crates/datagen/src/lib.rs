@@ -1,8 +1,8 @@
 //! # mrpa-datagen — synthetic workloads for the mrpa family
 //!
 //! The paper evaluates no proprietary dataset; every experiment in this
-//! repository runs on synthetic multi-relational graphs generated here
-//! (DESIGN.md §2 records the substitution). The crate provides:
+//! repository runs on synthetic multi-relational graphs generated here. The
+//! crate provides:
 //!
 //! * [`generators`] — labeled Erdős–Rényi, preferential attachment,
 //!   stochastic block model, and deterministic shapes (chains, cycles, grids,

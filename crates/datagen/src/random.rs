@@ -1,9 +1,9 @@
 //! Deterministic random number generation for reproducible workloads.
 //!
 //! Every generator and benchmark workload in the repository takes an explicit
-//! `u64` seed and derives a ChaCha8 stream from it, so experiment outputs in
-//! `EXPERIMENTS.md` are exactly reproducible across machines and runs
-//! (DESIGN.md §6 justifies the `rand_chacha` dependency).
+//! `u64` seed and derives a ChaCha8 stream from it, so the outputs of the
+//! `exp_*` experiment binaries are exactly reproducible across machines and
+//! runs.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -14,8 +14,8 @@
 //! adjacency it reads: no stage hands out more than it was asked for, so a
 //! `chunk_size(1)` drain does exactly the work of a `next_row` drain, and a
 //! larger chunk can run ahead of its consumer by at most the input rows it
-//! asked for — `tests/streaming_early_exit.rs` and
-//! `tests/vectorized_equivalence.rs` pin rows and expansion counts.
+//! asked for — `tests/streaming_early_exit.rs` and `tests/equivalence.rs`
+//! pin rows and expansion counts.
 
 /// Target rows per chunk pull. ~2048 rows keeps a chunk of 32-byte arena
 /// rows around 64 KiB — comfortably L2-resident while still amortizing

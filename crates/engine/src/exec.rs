@@ -59,7 +59,7 @@
 //!
 //! Experiment E8 (`exp_engine_throughput`) benchmarks the three against each
 //! other and against a hand-written algebra evaluation. Optimized plans are
-//! checked row-for-row against naive ones in `tests/optimizer_equivalence.rs`,
+//! checked row-for-row against naive ones in `tests/equivalence.rs`,
 //! and `limit(1)` early exit by its expansion count in
 //! `tests/streaming_early_exit.rs`; perfbench's `dense_fit` workload times
 //! full drains (`rows_per_s`) and first rows (`first_row_ms_p50`).

@@ -12,7 +12,7 @@
 //! the Thompson NFA with the graph: layer `d` holds, for every automaton
 //! state, the set of paths of length `d` that can reach it. Because a `*` over
 //! a cyclic graph yields infinitely many paths, generation takes an explicit
-//! [`GeneratorConfig::max_length`] bound (documented deviation, DESIGN.md §7);
+//! [`GeneratorConfig::max_length`] bound (a deviation from the paper);
 //! alternatively [`GeneratorConfig::simple_only`] restricts to simple paths,
 //! which is finite without a bound.
 //!

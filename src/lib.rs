@@ -18,8 +18,8 @@
 //! * [`server`] (`mrpa-server`) — a concurrent multi-client query server
 //!   speaking newline-delimited JSON over TCP.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory, and
-//! `EXPERIMENTS.md` for the reproduced evaluation.
+//! See `README.md` for a tour; the reproduced evaluation is the `exp_*`
+//! binaries of `mrpa-bench` (`crates/bench/src/bin`).
 //!
 //! ```
 //! use mrpa::prelude::*;

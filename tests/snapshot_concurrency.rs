@@ -36,8 +36,7 @@ const STRATEGIES: [ExecutionStrategy; 3] = [
 
 const LABELS: [&str; 3] = ["a", "b", "c"];
 
-/// A small random property graph over a fixed label vocabulary (the same
-/// shape the optimizer-equivalence suite uses).
+/// A small random property graph over a fixed label vocabulary.
 fn random_graph(r: &mut Rng) -> PropertyGraph {
     let g = PropertyGraph::new();
     let n = r.gen_range(5usize..14);
