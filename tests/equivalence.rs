@@ -6,11 +6,12 @@
 //! either a random pipeline from a random start ([`random_pipeline`]) or one
 //! of the fixed query shapes of [`forms`]. Its one reference row sequence is
 //! the naive plan under the materialized strategy at the default chunk size,
-//! weight column and row order included, and
-//! [`every_configuration_returns_the_reference_rows`] checks every execution
-//! configuration against it: each strategy; the naive and the optimized
-//! plan; chunk sizes 1, 3 and the default; profiled runs; and the
-//! streaming cursor drained one `next_row` at a time or as an `Iterator`.
+//! weight column and row order included ([`reference`]), and one test per
+//! execution configuration checks every input ([`for_each_input`]) against
+//! it under each strategy: the naive and the optimized plan; chunk sizes 1,
+//! 3 and the default (one test per kind of stage, [`Stages`]); profiled
+//! runs; and the streaming cursor drained one `next_row` at a time or as an
+//! `Iterator`.
 //! The remaining tests state the algebra's other identities on the same
 //! inputs: `limit(k)` is a prefix, the terminals agree with `execute()`,
 //! patterns equal step chains and unrolled unions, the optimizer's rewrites
@@ -314,97 +315,178 @@ fn check_trace(trace: &QueryTrace, result: &QueryResult, ctx: &str) {
     );
 }
 
-/// Checks every execution configuration of `base` against its one
-/// reference, the naive plan's rows under Materialized at the default chunk
-/// size. Returns whether the optimizer rewrote the plan and how many
-/// `Traversal` terminal executions ran.
-fn check_every_configuration(g: &PropertyGraph, base: &Traversal, ctx: &str) -> (bool, u64) {
-    let snapshot = g.snapshot();
-    let naive = plan::plan(&snapshot, base.start_spec(), base.steps())
-        .unwrap_or_else(|e| panic!("{ctx}: plan failed: {e}"));
-    let optimized = plan::optimize(&snapshot, &naive);
-    let materialized = exec::execute(&snapshot, &naive, ExecutionStrategy::Materialized);
-    let reference = row_sequence(&materialized.unwrap());
-    // under a limit, a stage may pull up to one chunk of input ahead of the
-    // rows it hands out, so expansions are compared on full drains only
-    let full_drain = !base.steps().iter().any(|s| matches!(s, Step::Limit(_)));
-    let mut executions = 0;
-    for strategy in STRATEGIES {
-        let ctx = format!("{ctx} {strategy:?}");
-        for (name, p) in [("naive", &naive), ("optimized", &optimized)] {
-            let rows = exec::execute(&snapshot, p, strategy).unwrap();
-            assert_eq!(
-                row_sequence(&rows),
-                reference,
-                "{ctx}: {name} plan\n naive: {}\n opt:   {}",
-                naive.describe(),
-                optimized.describe()
-            );
-        }
-        let t = base.clone().strategy(strategy).parallel_threads(4);
-        // the default chunk size, then chunks that suspend every stage at
-        // every row boundary (1) and split frontiers mid-layer (3)
-        let plain = t.execute().unwrap();
-        assert_eq!(row_sequence(&plain), reference, "{ctx}: execute()");
-        for chunk in [1, 3] {
-            let chunked = t.clone().chunk_size(chunk).execute().unwrap();
-            assert_eq!(row_sequence(&chunked), reference, "{ctx}: chunk {chunk}");
-            if full_drain {
-                assert_eq!(
-                    chunked.stats().expansions,
-                    plain.stats().expansions,
-                    "{ctx}: expansions at chunk {chunk}"
-                );
-            }
-        }
-        // profiling is observation, not perturbation
-        let profiled = t.profile().unwrap();
-        assert_eq!(
-            row_sequence(&profiled.result),
-            reference,
-            "{ctx}: profile()"
-        );
-        assert_eq!(plain.stats(), profiled.result.stats(), "{ctx}: profile()");
-        check_trace(&profiled.trace, &profiled.result, &ctx);
-        executions += 4; // three execute() calls and one profile()
-        if strategy == ExecutionStrategy::Streaming {
-            assert_eq!(next_row_drain(t.clone()).0, reference, "{ctx}: next_row");
-            let iterated: Vec<String> = t
-                .cursor()
-                .unwrap()
-                .map(|row| row_signature(&row.unwrap()))
-                .collect();
-            assert_eq!(iterated, reference, "{ctx}: Iterator");
-        }
-    }
-    (optimized != naive, executions)
-}
-
-#[test]
-fn every_configuration_returns_the_reference_rows() {
-    let queries_before = metrics::queries_total().get();
-    let latencies_before = metrics::query_latency().count();
-    let mut executions = 0;
-    let mut rewrites = 0usize;
+/// Runs `check` on every random pipeline from a random start (stream 1).
+fn for_each_pipeline(mut check: impl FnMut(&PropertyGraph, &Traversal, &str)) {
     cases(1, CASES, |r, case| {
         let g = random_graph(r);
         let t = random_traversal(r, &g);
-        let (rewritten, ran) = check_every_configuration(&g, &t, &format!("pipeline case {case}"));
-        rewrites += usize::from(rewritten);
-        executions += ran;
+        check(&g, &t, &format!("pipeline case {case}"));
     });
+}
+
+/// Runs `check` on each of the fixed [`forms`] over random graphs (stream 2).
+fn for_each_form(mut check: impl FnMut(&PropertyGraph, &Traversal, &str)) {
     cases(2, FORM_CASES, |r, case| {
         let g = random_graph(r);
         for (fi, (_, form)) in forms(&g, r).into_iter().enumerate() {
-            let ctx = format!("form {fi} case {case}");
-            executions += check_every_configuration(&g, &form, &ctx).1;
+            check(&g, &form, &format!("form {fi} case {case}"));
         }
     });
-    // the optimizer half is vacuous if the optimizer never fires
+}
+
+/// Runs `check` on every input: the random pipelines, then the forms. Every
+/// configuration test draws these same inputs and checks them against the
+/// same [`reference`].
+fn for_each_input(mut check: impl FnMut(&PropertyGraph, &Traversal, &str)) {
+    for_each_pipeline(&mut check);
+    for_each_form(check);
+}
+
+fn naive_plan(g: &PropertyGraph, t: &Traversal, ctx: &str) -> plan::LogicalPlan {
+    plan::plan(&g.snapshot(), t.start_spec(), t.steps())
+        .unwrap_or_else(|e| panic!("{ctx}: plan failed: {e}"))
+}
+
+/// The one reference row sequence of an input: its naive plan under
+/// Materialized at the default chunk size, weight column included.
+fn reference(g: &PropertyGraph, t: &Traversal, ctx: &str) -> Vec<String> {
+    let naive = naive_plan(g, t, ctx);
+    let rows = exec::execute(&g.snapshot(), &naive, ExecutionStrategy::Materialized);
+    row_sequence(&rows.unwrap())
+}
+
+/// `t` configured for `strategy`, with four partitions under Parallel.
+fn under(t: &Traversal, strategy: ExecutionStrategy) -> Traversal {
+    t.clone().strategy(strategy).parallel_threads(4)
+}
+
+#[test]
+fn optimized_plans_produce_exactly_the_naive_rows() {
+    let mut rewrites = 0usize;
+    let check = |g: &PropertyGraph, t: &Traversal, ctx: &str| {
+        let naive = naive_plan(g, t, ctx);
+        let optimized = plan::optimize(&g.snapshot(), &naive);
+        let reference = reference(g, t, ctx);
+        for strategy in STRATEGIES {
+            for (name, p) in [("naive", &naive), ("optimized", &optimized)] {
+                let rows = exec::execute(&g.snapshot(), p, strategy).unwrap();
+                assert_eq!(
+                    row_sequence(&rows),
+                    reference,
+                    "{ctx} {strategy:?}: {name} plan\n naive: {}\n opt:   {}",
+                    naive.describe(),
+                    optimized.describe()
+                );
+            }
+        }
+        optimized != naive
+    };
+    for_each_pipeline(|g, t, ctx| rewrites += usize::from(check(g, t, ctx)));
+    // the check is vacuous if the optimizer never fires
     assert!(
         rewrites >= CASES / 4,
         "optimizer rewrote only {rewrites}/{CASES} random pipelines"
     );
+    for_each_form(|g, t, ctx| {
+        check(g, t, ctx);
+    });
+}
+
+/// Which chunk-size test checks an input, by the first stage kind it has of
+/// weighted search, repeat or limit, and `match`; plain step chains last.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Stages {
+    Weighted,
+    RepeatOrLimit,
+    Match,
+    Chain,
+}
+
+fn stages(t: &Traversal) -> Stages {
+    let has = |f: fn(&Step) -> bool| t.steps().iter().any(f);
+    if has(|s| matches!(s, Step::Weighted { .. })) {
+        Stages::Weighted
+    } else if has(|s| matches!(s, Step::Repeat { .. } | Step::Limit(_))) {
+        Stages::RepeatOrLimit
+    } else if has(|s| matches!(s, Step::Match { .. })) {
+        Stages::Match
+    } else {
+        Stages::Chain
+    }
+}
+
+/// Checks `execute()` at the default chunk size and at chunks 1 (every stage
+/// suspends at every row boundary) and 3 (frontiers split mid-layer) against
+/// the reference, under every strategy, for the inputs of kind `kind`. On
+/// full drains the chunked runs must do the default run's work too; under a
+/// limit a stage may pull up to one chunk of input ahead of the rows it
+/// hands out, so expansions are not compared there.
+fn check_chunk_sizes(kind: Stages) {
+    let mut checked = 0;
+    for_each_input(|g, t, ctx| {
+        if stages(t) != kind {
+            return;
+        }
+        checked += 1;
+        let reference = reference(g, t, ctx);
+        let full_drain = !t.steps().iter().any(|s| matches!(s, Step::Limit(_)));
+        for strategy in STRATEGIES {
+            let t = under(t, strategy);
+            let plain = t.execute().unwrap();
+            assert_eq!(row_sequence(&plain), reference, "{ctx} {strategy:?}");
+            for chunk in [1, 3] {
+                let chunked = t.clone().chunk_size(chunk).execute().unwrap();
+                let ctx = format!("{ctx} {strategy:?} chunk {chunk}");
+                assert_eq!(row_sequence(&chunked), reference, "{ctx}");
+                if full_drain {
+                    let expansions = chunked.stats().expansions;
+                    assert_eq!(expansions, plain.stats().expansions, "{ctx}");
+                }
+            }
+        }
+    });
+    assert!(checked >= FORM_CASES, "only {checked} {kind:?} inputs");
+}
+
+#[test]
+fn step_chains_match_scalar_row_for_row_with_equal_expansions() {
+    check_chunk_sizes(Stages::Chain);
+}
+
+#[test]
+fn match_patterns_agree_under_walk_and_reachable_semantics() {
+    check_chunk_sizes(Stages::Match);
+}
+
+#[test]
+fn weighted_search_agrees_including_emitted_costs() {
+    check_chunk_sizes(Stages::Weighted);
+}
+
+#[test]
+fn repeat_and_limit_forms_agree() {
+    check_chunk_sizes(Stages::RepeatOrLimit);
+}
+
+#[test]
+fn profiled_runs_return_exactly_the_unprofiled_rows() {
+    let queries_before = metrics::queries_total().get();
+    let latencies_before = metrics::query_latency().count();
+    let mut executions = 0;
+    for_each_input(|g, t, ctx| {
+        let reference = reference(g, t, ctx);
+        for strategy in STRATEGIES {
+            let ctx = format!("{ctx} {strategy:?}");
+            let t = under(t, strategy);
+            let plain = t.execute().unwrap();
+            // profiling is observation, not perturbation
+            let profiled = t.profile().unwrap();
+            assert_eq!(row_sequence(&profiled.result), reference, "{ctx}");
+            assert_eq!(plain.stats(), profiled.result.stats(), "{ctx}");
+            check_trace(&profiled.trace, &profiled.result, &ctx);
+            executions += 2;
+        }
+    });
     // the process-wide registry saw every terminal execution (other tests in
     // this binary may add more concurrently)
     let queries = metrics::queries_total().get() - queries_before;
@@ -417,6 +499,21 @@ fn every_configuration_returns_the_reference_rows() {
         latencies >= executions,
         "{latencies} latencies observed of {executions}"
     );
+}
+
+#[test]
+fn cursor_rows_equal_materialized_rows_under_walk_semantics() {
+    for_each_input(|g, t, ctx| {
+        let reference = reference(g, t, ctx);
+        let t = under(t, ExecutionStrategy::Streaming);
+        assert_eq!(next_row_drain(t.clone()).0, reference, "{ctx}: next_row");
+        let iterated: Vec<String> = t
+            .cursor()
+            .unwrap()
+            .map(|row| row_signature(&row.unwrap()))
+            .collect();
+        assert_eq!(iterated, reference, "{ctx}: Iterator");
+    });
 }
 
 #[test]
@@ -514,6 +611,19 @@ fn match_concat_equals_step_at_a_time_traversal() {
             let out_match = run(Traversal::over(&g).match_(&pattern)).unwrap();
             let out_steps = run(Traversal::over(&g).out([l1]).out([l2])).unwrap();
             assert_eq!(row_multiset(&out_match), row_multiset(&out_steps), "{ctx}");
+        }
+    });
+}
+
+#[test]
+fn in_direction_patterns_agree_with_in_step_chains() {
+    cases(11, CASES, |r, case| {
+        let g = random_graph(r);
+        let (l1, l2) = (label(r), label(r));
+        let pattern = format!("{l1}·{l2}");
+        for strategy in STRATEGIES {
+            let ctx = format!("case {case} pattern {pattern} {strategy:?}");
+            let run = |t: Traversal| t.strategy(strategy).execute();
             let in_match = run(Traversal::over(&g).match_in_(&pattern)).unwrap();
             let in_steps = run(Traversal::over(&g).in_([l1]).in_([l2])).unwrap();
             assert_eq!(row_multiset(&in_match), row_multiset(&in_steps), "{ctx} in");
