@@ -17,13 +17,14 @@
 //!   [`Semantics::Walks`] it carries walk multiplicities; its R7 emission
 //!   cap is `min(·, cap)`, reached early, and the `Limit(n ≥ cap)` that R7
 //!   leaves after it ends the plan. Under reachability, which qualifies only
-//!   with a `DedupByVertex` directly after it, it is the Boolean product: a
-//!   seen-set lets each pair into the frontier only at its least depth over
-//!   all sources, which is within `max_hops` iff some source reaches it
-//!   within `max_hops` — exactly the union of the per-row walks the dedup
-//!   collapses. A [`Semantics::GlobalReachable`] one qualifies only without
-//!   a hop bound, because its shared seen-set makes a bounded walk depend
-//!   on row order;
+//!   with a `DedupByVertex` after it (through head filters, R8's own
+//!   condition), it is the Boolean product: a seen-set lets each pair into
+//!   the frontier only at its least depth over all sources, which is within
+//!   `max_hops` iff some source reaches it within `max_hops` — exactly the
+//!   union of the per-row walks the dedup collapses; the filters mask that
+//!   support before the dedup clamps it, as they would mask the heads. A
+//!   [`Semantics::GlobalReachable`] one qualifies only without a hop bound,
+//!   because its shared seen-set makes a bounded walk depend on row order;
 //! * `RestrictVertices`/`RestrictProperty` mask the vector, and
 //!   `DedupByVertex` clamps it to its support.
 //!
@@ -46,7 +47,8 @@ use crate::cursor::{expand_segments, move_step};
 use crate::error::EngineError;
 use crate::exec::{in_set, ExecCtx};
 use crate::plan::{
-    AutoMove, AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, UNBOUNDED_MATCH_HOPS,
+    dedup_follows, AutoMove, AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics,
+    UNBOUNDED_MATCH_HOPS,
 };
 
 /// Row multiplicity per head vertex.
@@ -70,13 +72,11 @@ pub fn by_product(plan: &LogicalPlan) -> bool {
             | PlanOp::DedupByVertex => true,
             PlanOp::ExpandAutomaton { spec, limit, .. } => match spec.semantics() {
                 Semantics::Walks => limit.is_none() || matches!(rest, [PlanOp::Limit(_)]),
-                Semantics::Reachable => {
-                    limit.is_none() && matches!(rest.first(), Some(PlanOp::DedupByVertex))
-                }
+                Semantics::Reachable => limit.is_none() && dedup_follows(rest),
                 Semantics::GlobalReachable => {
                     limit.is_none()
                         && spec.max_hops() == UNBOUNDED_MATCH_HOPS
-                        && matches!(rest.first(), Some(PlanOp::DedupByVertex))
+                        && dedup_follows(rest)
                 }
             },
             // only the Limit behind an R7 emission cap: the capped walk stops

@@ -99,13 +99,16 @@
 //! executor (including the level-at-a-time materialized one) early-exit a
 //! dense product-automaton walk under `limit(k)`/`first()`.
 //!
-//! **R8 — reachability upgrade before dedup.** A *cyclic* `ExpandAutomaton`
-//! (one that can revisit a DFA state, i.e. whose walk set can blow up) whose
-//! downstream (through head-based filters) is a `DedupByVertex` is switched
-//! from [`Semantics::Walks`] to [`Semantics::Reachable`]: only the first
-//! emission per head survives the dedup anyway, and the reachable emission
-//! sequence keeps exactly the first walk per `(head, state)` — see
-//! [`Semantics`] and the rule's soundness note.
+//! **R8 — reachability upgrade before dedup.** An `ExpandAutomaton` whose
+//! downstream (through head-based filters) is a `DedupByVertex` only has its
+//! first emission per head observed. When its hop bound cannot bind — it is
+//! unbounded, or the DFA is acyclic and no word is longer than the bound — it
+//! becomes one multi-source search, [`Semantics::GlobalReachable`] without a
+//! bound: each `(vertex, state)` pair is expanded once for the whole op, not
+//! once per input row. Otherwise a *cyclic* automaton (whose walk set can
+//! blow up) under [`Semantics::Walks`] becomes per-row
+//! [`Semantics::Reachable`]. Either way the dedup output is the same rows,
+//! paths and order — see [`Semantics`] and the rule's soundness proof.
 //!
 //! **R9 — top-k pushdown into weighted expansions.** A `Limit(n)` immediately
 //! after a [`PlanOp::ExpandWeighted`] becomes the weighted op's `k` cap: the
@@ -152,10 +155,11 @@ pub enum Direction {
 pub const DEFAULT_MATCH_MAX_HOPS: usize = 16;
 
 /// Hop bound meaning "no depth bound": evaluation runs until the frontier
-/// empties. Only meaningful under [`Semantics::Reachable`], where the frontier
-/// is deduplicated by `(vertex, state)` and therefore provably empties after
-/// at most `|V| · |states|` layers; under [`Semantics::Walks`] an unbounded
-/// `+`/`*` over a cyclic graph never terminates.
+/// empties. Only meaningful under [`Semantics::Reachable`] and
+/// [`Semantics::GlobalReachable`], where the frontier is deduplicated by
+/// `(vertex, state)` and therefore provably empties after at most
+/// `|V| · |states|` layers; under [`Semantics::Walks`] an unbounded `+`/`*`
+/// over a cyclic graph never terminates.
 pub const UNBOUNDED_MATCH_HOPS: usize = usize::MAX;
 
 /// Path semantics of product-automaton evaluation (cf. Martens et al.,
@@ -180,7 +184,10 @@ pub enum Semantics {
     /// (in row-major order) that reaches it. The multi-source reachability
     /// mode: `n` sources cost one BFS over the product space instead of `n`.
     /// Stateful across rows, so it forces the parallel strategy's
-    /// global-suffix split and is rejected inside `repeat` bodies.
+    /// global-suffix split and is rejected inside `repeat` bodies. Besides
+    /// `match_reachable_global`, rule R8 picks it for a `Walks` or
+    /// `Reachable` automaton under a head dedup whose hop bound cannot bind:
+    /// there it gives the dedup the same rows, paths and order.
     GlobalReachable,
 }
 
@@ -1376,13 +1383,32 @@ fn push_limits_into_automata(ops: &mut [PlanOp], changed: &mut bool) {
     }
 }
 
+/// Whether the first op of `rest` that is not a head filter
+/// (`RestrictVertices`, `RestrictProperty`) is a `DedupByVertex`: then only
+/// the first row per head of whatever precedes `rest` is observable.
+pub(crate) fn dedup_follows(rest: &[PlanOp]) -> bool {
+    rest.iter()
+        .find(|op| {
+            !matches!(
+                op,
+                PlanOp::RestrictVertices(_) | PlanOp::RestrictProperty { .. }
+            )
+        })
+        .is_some_and(|op| matches!(op, PlanOp::DedupByVertex))
+}
+
 /// R8: evaluate an automaton under reachability semantics when only
 /// reachability is observable downstream.
 ///
 /// A `DedupByVertex` that follows an `ExpandAutomaton` — possibly with
 /// head-based filters (`RestrictVertices`, `RestrictProperty`) in between, but
-/// no `Limit` or expansion — keeps only the *first* emission per head.
-/// Switching the automaton to [`Semantics::Reachable`] drops, per input row,
+/// no `Limit` or expansion ([`dedup_follows`]) — keeps only the *first*
+/// emission per head. An already-annotated emission `limit` blocks the
+/// rewrite: the limit counts walks, and truncating the deduplicated sequence
+/// at `n` keeps different rows than truncating the full one. Repeat bodies
+/// never hold a dedup, so the rule never fires inside one.
+///
+/// **Per-row reachability.** [`Semantics::Reachable`] drops, per input row,
 /// every frontier entry whose `(vertex, dfa-state)` pair was already seen.
 /// Such an entry is a duplicate of an earlier entry with the same pair, whose
 /// canonical copy produces the same descendants *earlier* in the emission
@@ -1394,37 +1420,60 @@ fn push_limits_into_automata(ops: &mut [PlanOp], changed: &mut bool) {
 /// intervening filters decide on heads alone, and the dedup output is
 /// row-for-row identical — while the walk itself shrinks from the walk set
 /// (exponential on dense cyclic graphs) to at most `|V| · |states|` frontier
-/// entries per input row. An already-annotated emission `limit` blocks the
-/// rewrite: the limit counts walks, and truncating the deduplicated sequence
-/// at `n` keeps different rows than truncating the full one.
+/// entries per input row.
 ///
-/// Only *cyclic* automata (a `*`/`+`/`{n,}` in the pattern) are upgraded:
-/// they are the ones whose walk set can grow without bound, so the per-row
-/// seen-set pays for itself. An acyclic (chain-shaped) automaton — e.g. an
-/// R5-merged `ℓ₁·ℓ₂` run — has its walk count bounded by the depth anyway,
-/// and the dedup bookkeeping would be pure overhead.
+/// **One multi-source search.** When the hop bound cannot bind — it is
+/// [`UNBOUNDED_MATCH_HOPS`], or the DFA is acyclic and `max_hops + 1 ≥
+/// state_count()`, so no word is longer than the bound — a `Walks` or
+/// per-row `Reachable` automaton becomes [`Semantics::GlobalReachable`]
+/// without a bound: one seen-set for the whole op. Proof that the dedup
+/// output is unchanged: without a binding bound every seen pair is expanded
+/// in full, so after the rows before `r` the shared seen-set is closed under
+/// moves, and everything a seen pair leads to was already seen — and, if
+/// accepting, emitted — by an earlier row. Let `r` be the first row whose
+/// walks reach head `h`. If some `(u, s)` on `r`'s first walk to `h` had
+/// been seen by an earlier row `q`, then `q` would also reach `h`, because
+/// the bound does not bind — contradicting the choice of `r`. So that walk
+/// is intact in `r`'s search, whose frontier is its per-row frontier minus
+/// the already-seen pairs (by closure, with all their descendants); every
+/// pair keeps its parent, and the argument above places `h`'s first
+/// emission on that walk, in the same order. A head the shared set drops
+/// was emitted by an earlier row, so the dedup drops it either way. The
+/// output is the same row-for-row: the same sources, paths, weights and
+/// order. A chain-shaped `ℓ₁·ℓ₂·ℓ₃` under a dedup thus expands each
+/// `(vertex, state)` pair once instead of once per walk.
+///
+/// **Unchanged.** A cyclic automaton with a finite bound keeps per-row
+/// `Reachable`: sharing its seen-set would be unsound, because a later row
+/// can reach a `(vertex, state)` pair at a shallower depth and has more
+/// budget left than the row that saw it first. An acyclic automaton whose
+/// bound can bind stays under `Walks`: its walk count is bounded by the
+/// depth anyway.
 fn upgrade_automata_to_reachability(ops: &mut [PlanOp], changed: &mut bool) {
     for i in 0..ops.len() {
-        let followed_by_dedup = ops[i + 1..]
-            .iter()
-            .find(|op| {
-                !matches!(
-                    op,
-                    PlanOp::RestrictVertices(_) | PlanOp::RestrictProperty { .. }
-                )
-            })
-            .is_some_and(|op| matches!(op, PlanOp::DedupByVertex));
-        if !followed_by_dedup {
+        if !dedup_follows(&ops[i + 1..]) {
             continue;
         }
-        if let PlanOp::ExpandAutomaton {
+        let PlanOp::ExpandAutomaton {
             spec, limit: None, ..
         } = &mut ops[i]
-        {
-            if spec.semantics == Semantics::Walks && spec.has_cycle() {
-                spec.semantics = Semantics::Reachable;
-                *changed = true;
+        else {
+            continue;
+        };
+        let cyclic = spec.has_cycle();
+        let unbound = spec.max_hops == UNBOUNDED_MATCH_HOPS
+            || (!cyclic && spec.max_hops.saturating_add(1) >= spec.state_count());
+        let semantics = match spec.semantics {
+            Semantics::Walks | Semantics::Reachable if unbound => Semantics::GlobalReachable,
+            Semantics::Walks if cyclic => Semantics::Reachable,
+            semantics => semantics,
+        };
+        if semantics != spec.semantics {
+            if semantics == Semantics::GlobalReachable {
+                spec.max_hops = UNBOUNDED_MATCH_HOPS;
             }
+            spec.semantics = semantics;
+            *changed = true;
         }
     }
 }
@@ -1574,22 +1623,14 @@ fn estimate_op(snapshot: &GraphSnapshot, rows: f64, op: &PlanOp) -> f64 {
             to,
             limit,
         } => {
-            let labels: Vec<LabelId> = {
-                let mut ls: Vec<LabelId> = spec
-                    .by_label
-                    .iter()
-                    .flat_map(|moves| moves.iter().map(|m| m.label))
-                    .collect();
-                ls.sort_unstable();
-                ls.dedup();
-                ls
-            };
-            let deg = avg_degree(snapshot, spec.direction, Some(&labels));
-            let accept_ratio = spec.accept.iter().filter(|&&a| a).count() as f64
-                / spec.state_count().max(1) as f64;
-            let mut frontier = rows * set_selectivity(snapshot, from);
+            // expected walks per DFA state, one layer per hop: each move
+            // multiplies its state's walks by its label's average degree, so
+            // a chain `ℓ₁·ℓ₂·ℓ₃` estimates exactly as its three joins do, and
+            // an acyclic DFA's walks run out after its longest word
+            let mut frontier = vec![0.0; spec.state_count()];
+            frontier[spec.start] = rows * set_selectivity(snapshot, from);
             let mut emitted = if spec.is_accept(spec.start) {
-                frontier
+                frontier[spec.start]
             } else {
                 0.0
             };
@@ -1597,9 +1638,18 @@ fn estimate_op(snapshot: &GraphSnapshot, rows: f64, op: &PlanOp) -> f64 {
             // an unbounded reachable automaton terminates on frontier
             // saturation, which the depth-independence heuristic cannot model
             for _ in 1..=spec.max_hops.min(64) {
-                frontier *= deg;
-                emitted += frontier * accept_ratio;
-                if frontier < 1e-9 {
+                let mut next = vec![0.0; spec.state_count()];
+                for (state, &walks) in frontier.iter().enumerate() {
+                    for m in spec.moves(state) {
+                        let moved = walks * avg_degree(snapshot, spec.direction, Some(&[m.label]));
+                        next[m.target] += moved;
+                        if m.accepts {
+                            emitted += moved;
+                        }
+                    }
+                }
+                frontier = next;
+                if frontier.iter().sum::<f64>() < 1e-9 {
                     break;
                 }
             }
@@ -2315,5 +2365,38 @@ mod tests {
         let est = estimate(&snap, &p);
         // 6 × (2 knows-edges / 6) = 2
         assert!((est[1].rows - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_acyclic_automaton_estimates_as_its_join_chain() {
+        // the default 16-hop bound must not add layers past the longest word
+        let g = classic_social_graph();
+        let snap = g.snapshot();
+        let chain = plan(
+            &snap,
+            &StartSpec::AllVertices,
+            &[
+                out_step(&["knows"]),
+                out_step(&["knows"]),
+                out_step(&["created"]),
+            ],
+        )
+        .unwrap();
+        let automaton = plan(
+            &snap,
+            &StartSpec::AllVertices,
+            &[Step::Match {
+                pattern: "knows·knows·created".into(),
+                max_hops: DEFAULT_MATCH_MAX_HOPS,
+                direction: Direction::Out,
+                semantics: Semantics::Walks,
+            }],
+        )
+        .unwrap();
+        let joins = estimate(&snap, &chain)[3].rows;
+        let walks = estimate(&snap, &automaton)[1].rows;
+        // 6 × (2/6) × (2/6) × (4/6)
+        assert!((joins - 4.0 / 9.0).abs() < 1e-9, "{joins}");
+        assert!((walks - joins).abs() < 1e-9, "{walks} vs {joins}");
     }
 }

@@ -99,6 +99,46 @@ fn the_seed_11_chain_counts_every_walk_and_visits_each_segment_once_per_layer() 
 }
 
 #[test]
+fn head_filters_between_a_reachability_automaton_and_its_dedup_keep_the_product() {
+    // R8 makes the chain-shaped `match_` one multi-source search and the
+    // bounded cyclic one per-row reachability; either way the `has` between
+    // the automaton and the dedup masks the Boolean product's support
+    // before the dedup clamps it, so the count stays a product.
+    let g = dense_social();
+    let rust = || Predicate::Eq(Value::from("rust"));
+    let persons = || Traversal::over(&g).v_where("kind", Predicate::Eq(Value::from("person")));
+    let shapes = [
+        (
+            persons()
+                .match_("knows·knows·created")
+                .has("lang", rust())
+                .dedup(),
+            "global-reachable",
+        ),
+        (
+            persons()
+                .match_within("knows+·created", 3)
+                .has("lang", rust())
+                .dedup(),
+            ", reachable",
+        ),
+    ];
+    for (t, semantics) in shapes {
+        let plan = t.explain().unwrap().after().describe();
+        assert!(plan.contains(semantics), "{plan}");
+        let drained = t.execute().unwrap().len();
+        assert!(drained > 0, "{plan}");
+        for strategy in STRATEGIES {
+            let t = t.clone().strategy(strategy).parallel_threads(2);
+            let (n, execution) = t.count_with_stats().unwrap();
+            assert!(count::by_product(execution.plan()), "{plan} {strategy:?}");
+            assert_eq!(n, drained, "{plan} {strategy:?}");
+            assert_eq!(n, t.execute().unwrap().len(), "{plan} {strategy:?}");
+        }
+    }
+}
+
+#[test]
 fn budget_cap_and_cancellation_end_a_count_as_they_end_execute() {
     let g = dense_social();
     let cancelled = CancelToken::new();

@@ -183,6 +183,23 @@ fn forms(g: &PropertyGraph, r: &mut Rng) -> Vec<(bool, Traversal)> {
             .is(["v1", "v2"])
             .dedup(),
         Traversal::over(g).match_reachable_global("a+·b").dedup(),
+        // R8's multi-source search, where the hop bound cannot bind:
+        // unbounded, acyclic within the bound from duplicated start names,
+        // nullable, against the edges, and behind head filters
+        Traversal::over(g).match_reachable("a*·b").dedup(),
+        Traversal::over(g)
+            .v(["v1", "v0", "v1"])
+            .match_within("a·(b|c)", 3)
+            .dedup(),
+        Traversal::over(g)
+            .out_any()
+            .match_within("a?·c?", 2)
+            .dedup(),
+        Traversal::over(g).match_in_(&format!("{l1}·a")).dedup(),
+        Traversal::over(g)
+            .match_(&format!("a·{l2}?"))
+            .has("age", age(cutoff))
+            .dedup(),
         // a duplicated start name counts twice
         Traversal::over(g)
             .v(["v0", "v0", "v1"])
@@ -363,6 +380,7 @@ fn under(t: &Traversal, strategy: ExecutionStrategy) -> Traversal {
 #[test]
 fn optimized_plans_produce_exactly_the_naive_rows() {
     let mut rewrites = 0usize;
+    let mut promoted = 0usize;
     let check = |g: &PropertyGraph, t: &Traversal, ctx: &str| {
         let naive = naive_plan(g, t, ctx);
         let optimized = plan::optimize(&g.snapshot(), &naive);
@@ -379,17 +397,21 @@ fn optimized_plans_produce_exactly_the_naive_rows() {
                 );
             }
         }
-        optimized != naive
+        let global = |p: &plan::LogicalPlan| p.describe().contains("global-reachable");
+        (optimized != naive, global(&optimized) && !global(&naive))
     };
-    for_each_pipeline(|g, t, ctx| rewrites += usize::from(check(g, t, ctx)));
+    for_each_pipeline(|g, t, ctx| rewrites += usize::from(check(g, t, ctx).0));
     // the check is vacuous if the optimizer never fires
     assert!(
         rewrites >= CASES / 4,
         "optimizer rewrote only {rewrites}/{CASES} random pipelines"
     );
-    for_each_form(|g, t, ctx| {
-        check(g, t, ctx);
-    });
+    for_each_form(|g, t, ctx| promoted += usize::from(check(g, t, ctx).1));
+    // and R8's multi-source search is checked only if it fires
+    assert!(
+        promoted >= FORM_CASES,
+        "R8 made only {promoted} automata global-reachable"
+    );
 }
 
 /// Which chunk-size test checks an input, by the first stage kind it has of
@@ -712,10 +734,12 @@ fn assert_rewrite_keeps_the_naive_rows(
 
 #[test]
 fn reachability_upgrade_preserves_the_dedup_output_exactly() {
-    // R8: automaton + dedup(head) rewrites to reachability semantics. The
-    // rewritten plan must produce the naive (walk-semantics) rows verbatim —
-    // paths included, because dedup keeps the first walk per head and the
-    // reachable sequence keeps exactly the first walk per (head, state).
+    // R8: automaton + dedup(head) rewrites to reachability semantics — per
+    // row for the bounded cyclic patterns, one multi-source search for the
+    // acyclic `a·a·a?` within its bound. The rewritten plan must produce the
+    // naive (walk-semantics) rows verbatim — paths included, because dedup
+    // keeps the first walk per head and the reachable sequence keeps exactly
+    // the first walk per (head, state).
     let mut upgraded = 0usize;
     cases(8, FORM_CASES, |r, case| {
         let g = random_graph(r);
@@ -796,6 +820,64 @@ fn global_reachability_shares_one_seen_set_across_sources() {
         .iter()
         .all(|row| row.source == global.rows()[0].source));
     assert!(global.stats().expansions < per_row.stats().expansions / (n as u64 / 2));
+}
+
+#[test]
+fn bounded_cyclic_reachability_stays_per_row_under_a_dedup() {
+    // On the path v0 → v1 → v2 → v3 → v4, `a+` within 3 hops reaches v1–v3
+    // from v0 and v2–v4 from v1. A seen-set shared across the two rows
+    // would give (v2, ·) and (v3, ·) to v0, which has no budget left past
+    // v3, so v1 would never expand them and v4 would be lost.
+    let g = PropertyGraph::new();
+    for i in 0..4 {
+        g.add_edge(&format!("v{i}"), "a", &format!("v{}", i + 1));
+    }
+    let from = || Traversal::over(&g).v(["v0", "v1"]);
+    let t = from().match_within("a+", 3).dedup();
+    let plan = t.explain().unwrap().after().describe();
+    assert!(plan.contains(", reachable"), "{plan}");
+    assert!(!plan.contains("global-reachable"), "{plan}");
+    let (_, rewritten, _) = assert_rewrite_keeps_the_naive_rows(&g, &t, "path");
+    assert!(rewritten);
+    let heads = t.execute().unwrap().head_names_sorted();
+    assert_eq!(heads, ["v1", "v2", "v3", "v4"]);
+    let shared = from().match_reachable_global_within("a+", 3).dedup();
+    assert_eq!(
+        shared.execute().unwrap().head_names_sorted(),
+        ["v1", "v2", "v3"]
+    );
+}
+
+#[test]
+fn a_deduplicated_chain_on_k_n_expands_each_pair_once() {
+    // On K_n, `a·a` from every vertex walks n(n−1) edges to depth 1 and
+    // n(n−1)² to depth 2. As one multi-source search, v0 expands its n−1
+    // edges and each of its n−1 neighbours' n−1; v1 expands its n−1 and
+    // (v0, ·), the one depth-1 pair v0 left new; every later row only its
+    // own n−1: 2n(n−1) in all.
+    let n = 9u64;
+    let g = PropertyGraph::new();
+    for i in 0..n {
+        for j in (0..n).filter(|&j| j != i) {
+            g.add_edge(&format!("v{i}"), "a", &format!("v{j}"));
+        }
+    }
+    let t = Traversal::over(&g).match_("a·a").dedup();
+    let (optimized, ..) = assert_rewrite_keeps_the_naive_rows(&g, &t, "K_n");
+    assert!(optimized.describe().contains("global-reachable"));
+    let naive = naive_plan(&g, &t, "K_n");
+    for strategy in STRATEGIES {
+        let run = |p: &plan::LogicalPlan| exec::execute(&g.snapshot(), p, strategy).unwrap();
+        let (naive, optimized) = (run(&naive), run(&optimized));
+        assert_eq!(optimized.len() as u64, n, "{strategy:?}");
+        let ctx = format!("{strategy:?}");
+        assert_eq!(
+            naive.stats().expansions,
+            n * (n - 1) + n * (n - 1).pow(2),
+            "{ctx}"
+        );
+        assert_eq!(optimized.stats().expansions, 2 * n * (n - 1), "{ctx}");
+    }
 }
 
 #[test]
