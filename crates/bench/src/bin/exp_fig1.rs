@@ -4,12 +4,17 @@
 //! `[i,α,_] ⋈◦ [_,β,_]* ⋈◦ (([_,α,j] ⋈◦ {(j,α,i)}) ∪ [_,α,k])`, and shows
 //! (a) the generated path set, (b) that the generator agrees with
 //! recognizer-filtered exhaustive traversal, and (c) the same on a family of
-//! larger random graphs.
+//! larger random graphs. It panics unless the two agree on every graph and
+//! the random family accepts at least one path.
 
 use mrpa_bench::{fmt_f, time, Table};
 use mrpa_core::GraphBuilder;
 use mrpa_datagen::{erdos_renyi, ErConfig};
 use mrpa_regex::{parse, Generator, GeneratorConfig, PathRegex};
+
+/// Probability of each labeled edge in the random family: dense enough that
+/// the expression accepts paths of length ≤ 4 from vertex 0.
+const EDGE_PROBABILITY: f64 = 0.12;
 
 fn main() {
     // --- the paper's own example graph -------------------------------------
@@ -47,6 +52,10 @@ fn main() {
         scanned.len(),
         generated == scanned
     );
+    assert!(
+        generated == scanned,
+        "the generator disagrees with recognizer∘scan on the paper's graph"
+    );
 
     // --- the same expression family on random graphs -----------------------
     let mut table = Table::new([
@@ -57,11 +66,12 @@ fn main() {
         "scan ms",
         "agree",
     ]);
+    let mut accepted = 0;
     for &n in &[10usize, 20, 40] {
         let g = erdos_renyi(ErConfig {
             vertices: n,
             labels: 2,
-            edge_probability: 0.06,
+            edge_probability: EDGE_PROBABILITY,
             seed: 42,
         });
         // vertices 0, 1, 2 play the roles of i, j, k; labels 0, 1 are α, β
@@ -87,6 +97,13 @@ fn main() {
             fmt_f(scan_ms),
             (generated == scanned).to_string(),
         ]);
+        assert!(
+            generated == scanned,
+            "the generator disagrees with recognizer∘scan on the {n}-vertex graph"
+        );
+        accepted += generated.len();
     }
     table.print("E1: Figure-1 expression, generator vs recognizer∘scan");
+    // agreement on graphs that accept nothing would compare ∅ with ∅
+    assert!(accepted > 0, "no random graph accepts a Figure-1 path");
 }

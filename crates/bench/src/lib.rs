@@ -8,8 +8,7 @@
 //!
 //! Each experiment is a binary in `src/bin/exp_*.rs` whose module doc names
 //! its experiment number and the section of the paper it reproduces; it
-//! prints a human-readable table. Criterion micro-benchmarks covering the
-//! same operations live in `benches/`.
+//! prints a human-readable table.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

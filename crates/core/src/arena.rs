@@ -30,6 +30,12 @@
 //!   intern probe would be pure cost. Pushed ids are not canonical, and
 //!   [`PathArena::find`]/[`PathArena::intern`] do not see pushed nodes.
 //!
+//! Reading a path back out ([`PathArena::to_path`], or
+//! [`ArenaReader::to_path`] for many ids under one read lock) fills the
+//! [`Path`] back to front along the prefix chain. A path of at most three
+//! edges is stored inline in its [`Path`], so materialising it allocates
+//! nothing; a longer one allocates its edge vector once.
+//!
 //! Arenas are cheap to clone (an `Arc` handle) and append-only: every
 //! `PathId` stays valid for the lifetime of any handle. Interior mutability
 //! is behind an `RwLock`; all bulk operations in
@@ -179,33 +185,35 @@ impl ArenaCore {
         Some(id)
     }
 
+    /// The edges of `id` in **reverse** order, walking the prefix chain.
+    pub fn edges_rev(&self, id: PathId) -> impl Iterator<Item = Edge> + '_ {
+        let mut cur = id;
+        std::iter::from_fn(move || {
+            if cur.is_epsilon() {
+                return None;
+            }
+            let node = &self.nodes[cur.index()];
+            cur = node.prefix;
+            Some(node.edge)
+        })
+    }
+
     /// The edge string of `id` in forward order.
     pub fn edges_of(&self, id: PathId) -> Vec<Edge> {
-        let mut out = Vec::with_capacity(self.nodes[id.index()].len as usize);
-        let mut cur = id;
-        while !cur.is_epsilon() {
-            let node = &self.nodes[cur.index()];
-            out.push(node.edge);
-            cur = node.prefix;
-        }
+        let mut out: Vec<Edge> = self.edges_rev(id).collect();
         out.reverse();
         out
     }
 
-    /// Materialises `id` as a [`Path`].
+    /// Materialises `id` as a [`Path`], filling it back to front along the
+    /// prefix chain: a path of at most three edges allocates nothing.
     pub fn to_path(&self, id: PathId) -> Path {
-        Path::from_edges(self.edges_of(id))
+        Path::from_edges_rev(self.nodes[id.index()].len as usize, self.edges_rev(id))
     }
 
     /// The label string `ω′` of `id` in forward order.
     pub fn labels_of(&self, id: PathId) -> Vec<crate::ids::LabelId> {
-        let mut out = Vec::with_capacity(self.nodes[id.index()].len as usize);
-        let mut cur = id;
-        while !cur.is_epsilon() {
-            let node = &self.nodes[cur.index()];
-            out.push(node.edge.label);
-            cur = node.prefix;
-        }
+        let mut out: Vec<_> = self.edges_rev(id).map(|e| e.label).collect();
         out.reverse();
         out
     }
@@ -302,6 +310,14 @@ impl PathArena {
         self.read().nodes.len()
     }
 
+    /// Acquires a read-locked batch materialiser, for callers that turn
+    /// many ids into [`Path`]s at once (e.g. the engine cursor delivering a
+    /// chunk of rows): one lock acquisition instead of one per path. Do not
+    /// write to this arena while the reader is alive.
+    pub fn reader(&self) -> ArenaReader<'_> {
+        ArenaReader { core: self.read() }
+    }
+
     /// Acquires a batch appender holding the write lock once, for callers
     /// that append or push in a hot loop (e.g. the engine executors'
     /// expansion steps). Do not call back into this arena while the writer
@@ -381,6 +397,20 @@ impl IdForwarder {
             self.map.insert(src_id, base);
         }
         (base, appended)
+    }
+}
+
+/// A read-locked batch materialiser over a [`PathArena`]; one lock
+/// acquisition amortised over many [`to_path`](ArenaReader::to_path) calls.
+pub struct ArenaReader<'a> {
+    core: RwLockReadGuard<'a, ArenaCore>,
+}
+
+impl ArenaReader<'_> {
+    /// Materialises the path behind `id` (see [`PathArena::to_path`]).
+    #[inline]
+    pub fn to_path(&self, id: PathId) -> Path {
+        self.core.to_path(id)
     }
 }
 

@@ -69,7 +69,7 @@ pub mod pattern;
 pub mod semiring;
 pub mod traversal;
 
-pub use arena::{ArenaWriter, IdForwarder, PathArena, PathId};
+pub use arena::{ArenaReader, ArenaWriter, IdForwarder, PathArena, PathId};
 pub use builder::{GraphBuilder, NamedGraph};
 pub use edge::Edge;
 pub use error::{CoreError, CoreResult};

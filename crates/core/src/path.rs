@@ -17,73 +17,140 @@ use crate::edge::Edge;
 use crate::error::{CoreError, CoreResult};
 use crate::ids::{LabelId, VertexId};
 
+/// How many edges a [`Path`] keeps inline, without a heap allocation.
+const INLINE_EDGES: usize = 3;
+
+/// Fills the unused inline slots; never read.
+const FILLER: Edge = Edge {
+    tail: VertexId(0),
+    label: LabelId(0),
+    head: VertexId(0),
+};
+
 /// A path `a ∈ E*`: a possibly-empty string of edges.
 ///
-/// The empty path is ε, the identity of concatenation. Note that a path need
+/// The empty path ε is the identity of concatenation. Note that a path need
 /// not be *joint* (consecutive edges need not share a vertex); jointness is a
 /// predicate ([`Path::is_joint`], Definition 3), and the concatenative join
 /// `⋈◦` on path sets only produces joint paths while the concatenative product
 /// `×◦` may produce disjoint ones.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// A path of at most three edges keeps them inline, so building, cloning and
+/// dropping it allocates nothing; a longer one keeps them in a `Vec<Edge>`.
+/// `size_of::<Path>()` is 40 bytes. Equality, order, hashing and `Debug` are
+/// those of the edge slice ([`Path::edges`]), so the representation is
+/// invisible: a path hashes exactly as its `&[Edge]` does.
+#[derive(Clone)]
 pub struct Path {
-    edges: Vec<Edge>,
+    repr: Repr,
+}
+
+#[derive(Clone)]
+enum Repr {
+    /// `‖a‖ ≤ INLINE_EDGES`: the edges are `buf[..len]`.
+    Inline { len: u8, buf: [Edge; INLINE_EDGES] },
+    /// `‖a‖ > INLINE_EDGES`.
+    Heap(Vec<Edge>),
 }
 
 impl Path {
     /// The empty path ε.
     pub fn epsilon() -> Self {
-        Path { edges: Vec::new() }
+        Path {
+            repr: Repr::Inline {
+                len: 0,
+                buf: [FILLER; INLINE_EDGES],
+            },
+        }
     }
 
     /// A path of length 1 consisting of a single edge (`e ∈ E ⊂ E*`).
     pub fn from_edge(edge: Edge) -> Self {
-        Path { edges: vec![edge] }
+        let mut path = Path::epsilon();
+        path.push(edge);
+        path
     }
 
     /// A path from a sequence of edges (in order).
     pub fn from_edges<I: IntoIterator<Item = Edge>>(edges: I) -> Self {
-        Path {
-            edges: edges.into_iter().collect(),
+        let edges = edges.into_iter();
+        if edges.size_hint().0 > INLINE_EDGES {
+            return Path {
+                repr: Repr::Heap(edges.collect()),
+            };
         }
+        let mut path = Path::epsilon();
+        for edge in edges {
+            path.push(edge);
+        }
+        path
+    }
+
+    /// A path of `len` edges from an iterator that yields them **last to
+    /// first** — the order an arena's prefix chain stores them in — written
+    /// straight into place, with no reversal pass.
+    pub(crate) fn from_edges_rev(len: usize, edges_rev: impl Iterator<Item = Edge>) -> Self {
+        fn fill(slots: &mut [Edge], edges_rev: impl Iterator<Item = Edge>) {
+            for (slot, edge) in slots.iter_mut().rev().zip(edges_rev) {
+                *slot = edge;
+            }
+        }
+        let repr = if len <= INLINE_EDGES {
+            let mut buf = [FILLER; INLINE_EDGES];
+            fill(&mut buf[..len], edges_rev);
+            Repr::Inline {
+                len: len as u8,
+                buf,
+            }
+        } else {
+            let mut edges = vec![FILLER; len];
+            fill(&mut edges, edges_rev);
+            Repr::Heap(edges)
+        };
+        Path { repr }
     }
 
     /// `‖a‖`: the number of edges in the path. `‖ε‖ = 0`.
     #[inline]
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.edges().len()
     }
 
     /// Whether the path is ε.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.edges().is_empty()
     }
 
     /// The edges of the path in order.
     #[inline]
     pub fn edges(&self) -> &[Edge] {
-        &self.edges
+        match &self.repr {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Heap(edges) => edges,
+        }
     }
 
     /// `σ(a, n)`: the n-th edge of the path, 1-based as in the paper.
     ///
     /// Returns an error for ε or when `n ∉ 1..=‖a‖`.
     pub fn sigma(&self, n: usize) -> CoreResult<Edge> {
-        if self.edges.is_empty() {
+        let edges = self.edges();
+        if edges.is_empty() {
             return Err(CoreError::EmptyPath);
         }
-        if n == 0 || n > self.edges.len() {
+        if n == 0 || n > edges.len() {
             return Err(CoreError::IndexOutOfBounds {
                 index: n,
-                length: self.edges.len(),
+                length: edges.len(),
             });
         }
-        Ok(self.edges[n - 1])
+        Ok(edges[n - 1])
     }
 
     /// `γ⁻(a)`: the tail (first) vertex of the path. Undefined for ε.
     pub fn tail_vertex(&self) -> CoreResult<VertexId> {
-        self.edges
+        self.edges()
             .first()
             .map(|e| e.tail)
             .ok_or(CoreError::EmptyPath)
@@ -91,7 +158,7 @@ impl Path {
 
     /// `γ⁺(a)`: the head (last) vertex of the path. Undefined for ε.
     pub fn head_vertex(&self) -> CoreResult<VertexId> {
-        self.edges
+        self.edges()
             .last()
             .map(|e| e.head)
             .ok_or(CoreError::EmptyPath)
@@ -100,7 +167,7 @@ impl Path {
     /// `ω′(a)`: the path label — the concatenation of the labels of the path's
     /// edges (Definition 2). `ω′(ε)` is the empty label string.
     pub fn path_label(&self) -> Vec<LabelId> {
-        self.edges.iter().map(|e| e.label).collect()
+        self.edges().iter().map(|e| e.label).collect()
     }
 
     /// Definition 3 (path jointness): ⊤ if `‖a‖ = 1`, or if every consecutive
@@ -109,35 +176,35 @@ impl Path {
     /// The paper leaves `f(ε)` unspecified; we treat ε as joint (it is the
     /// identity of `⋈◦` and joins with everything), and document this choice.
     pub fn is_joint(&self) -> bool {
-        self.edges.windows(2).all(|w| w[0].head == w[1].tail)
+        self.edges().windows(2).all(|w| w[0].head == w[1].tail)
     }
 
     /// `a ◦ b`: concatenation of two paths (total function; the result may be
     /// disjoint). ε is the identity.
     pub fn concat(&self, other: &Path) -> Path {
-        if self.is_empty() {
-            return other.clone();
+        let (a, b) = (self.edges(), other.edges());
+        if a.len() + b.len() > INLINE_EDGES {
+            let mut edges = Vec::with_capacity(a.len() + b.len());
+            edges.extend_from_slice(a);
+            edges.extend_from_slice(b);
+            return Path {
+                repr: Repr::Heap(edges),
+            };
         }
-        if other.is_empty() {
-            return self.clone();
+        let mut path = self.clone();
+        for &edge in b {
+            path.push(edge);
         }
-        let mut edges = Vec::with_capacity(self.edges.len() + other.edges.len());
-        edges.extend_from_slice(&self.edges);
-        edges.extend_from_slice(&other.edges);
-        Path { edges }
+        path
     }
 
     /// Concatenation that only succeeds when the result is *joint at the seam*,
     /// i.e. `γ⁺(a) = γ⁻(b)` (or either operand is ε). This is the element-level
     /// condition of the concatenative join `⋈◦`.
     pub fn join(&self, other: &Path) -> Option<Path> {
-        if self.is_empty() || other.is_empty() {
-            return Some(self.concat(other));
-        }
-        if self.edges.last().unwrap().head == other.edges.first().unwrap().tail {
-            Some(self.concat(other))
-        } else {
-            None
+        match (self.edges().last(), other.edges().first()) {
+            (Some(a), Some(b)) if a.head != b.tail => None,
+            _ => Some(self.concat(other)),
         }
     }
 
@@ -148,11 +215,12 @@ impl Path {
     /// followed by the head of every edge (a best-effort itinerary); callers
     /// that need strict semantics should check [`Path::is_joint`] first.
     pub fn vertex_sequence(&self) -> Vec<VertexId> {
-        let mut vs = Vec::with_capacity(self.edges.len() + 1);
-        if let Some(first) = self.edges.first() {
+        let edges = self.edges();
+        let mut vs = Vec::with_capacity(edges.len() + 1);
+        if let Some(first) = edges.first() {
             vs.push(first.tail);
         }
-        for e in &self.edges {
+        for e in edges {
             vs.push(e.head);
         }
         vs
@@ -170,9 +238,10 @@ impl Path {
 
     /// Whether the path is a cycle: joint, non-empty, and `γ⁻(a) = γ⁺(a)`.
     pub fn is_cycle(&self) -> bool {
-        !self.is_empty()
-            && self.is_joint()
-            && self.edges.first().unwrap().tail == self.edges.last().unwrap().head
+        match (self.edges().first(), self.edges().last()) {
+            (Some(first), Some(last)) => self.is_joint() && first.tail == last.head,
+            _ => false,
+        }
     }
 
     /// Whether `other` occurs as a contiguous sub-path (substring of edges).
@@ -183,27 +252,78 @@ impl Path {
         if other.len() > self.len() {
             return false;
         }
-        self.edges
+        self.edges()
             .windows(other.len())
-            .any(|w| w == other.edges.as_slice())
+            .any(|w| w == other.edges())
     }
 
-    /// Appends an edge in place (mutating builder-style helper).
+    /// Appends an edge in place (mutating builder-style helper). The fourth
+    /// edge moves the path to the heap.
     pub fn push(&mut self, edge: Edge) {
-        self.edges.push(edge);
+        match &mut self.repr {
+            Repr::Inline { len, buf } if usize::from(*len) < INLINE_EDGES => {
+                buf[usize::from(*len)] = edge;
+                *len += 1;
+            }
+            Repr::Inline { buf, .. } => {
+                let mut edges = Vec::with_capacity(2 * INLINE_EDGES);
+                edges.extend_from_slice(buf);
+                edges.push(edge);
+                self.repr = Repr::Heap(edges);
+            }
+            Repr::Heap(edges) => edges.push(edge),
+        }
     }
 
     /// The reverse of the path with each edge reversed. Not part of the
     /// paper's algebra but useful for destination-anchored evaluation.
     pub fn reversed(&self) -> Path {
-        Path {
-            edges: self.edges.iter().rev().map(Edge::reversed).collect(),
-        }
+        self.edges().iter().rev().map(Edge::reversed).collect()
     }
 
     /// Iterates over the edges.
     pub fn iter(&self) -> impl Iterator<Item = &Edge> {
-        self.edges.iter()
+        self.edges().iter()
+    }
+}
+
+impl Default for Path {
+    fn default() -> Self {
+        Path::epsilon()
+    }
+}
+
+impl PartialEq for Path {
+    fn eq(&self, other: &Self) -> bool {
+        self.edges() == other.edges()
+    }
+}
+
+impl Eq for Path {}
+
+impl PartialOrd for Path {
+    fn partial_cmp(&self, other: &Self) -> Option<core::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Path {
+    fn cmp(&self, other: &Self) -> core::cmp::Ordering {
+        self.edges().cmp(other.edges())
+    }
+}
+
+impl core::hash::Hash for Path {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        self.edges().hash(state);
+    }
+}
+
+impl fmt::Debug for Path {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Path")
+            .field("edges", &self.edges())
+            .finish()
     }
 }
 
@@ -219,11 +339,57 @@ impl FromIterator<Edge> for Path {
     }
 }
 
+/// The owning iterator over a [`Path`]'s edges, in order.
+#[derive(Debug, Clone)]
+pub struct IntoIter(IntoIterRepr);
+
+#[derive(Debug, Clone)]
+enum IntoIterRepr {
+    Inline(core::iter::Take<core::array::IntoIter<Edge, INLINE_EDGES>>),
+    Heap(std::vec::IntoIter<Edge>),
+}
+
+impl Iterator for IntoIter {
+    type Item = Edge;
+
+    fn next(&mut self) -> Option<Edge> {
+        match &mut self.0 {
+            IntoIterRepr::Inline(edges) => edges.next(),
+            IntoIterRepr::Heap(edges) => edges.next(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            IntoIterRepr::Inline(edges) => edges.size_hint(),
+            IntoIterRepr::Heap(edges) => edges.size_hint(),
+        }
+    }
+}
+
+impl DoubleEndedIterator for IntoIter {
+    fn next_back(&mut self) -> Option<Edge> {
+        match &mut self.0 {
+            IntoIterRepr::Inline(edges) => edges.next_back(),
+            IntoIterRepr::Heap(edges) => edges.next_back(),
+        }
+    }
+}
+
+impl ExactSizeIterator for IntoIter {}
+
+impl core::iter::FusedIterator for IntoIter {}
+
 impl IntoIterator for Path {
     type Item = Edge;
-    type IntoIter = std::vec::IntoIter<Edge>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.edges.into_iter()
+    type IntoIter = IntoIter;
+    fn into_iter(self) -> IntoIter {
+        IntoIter(match self.repr {
+            Repr::Inline { len, buf } => {
+                IntoIterRepr::Inline(buf.into_iter().take(usize::from(len)))
+            }
+            Repr::Heap(edges) => IntoIterRepr::Heap(edges.into_iter()),
+        })
     }
 }
 
@@ -231,7 +397,7 @@ impl<'a> IntoIterator for &'a Path {
     type Item = &'a Edge;
     type IntoIter = std::slice::Iter<'a, Edge>;
     fn into_iter(self) -> Self::IntoIter {
-        self.edges.iter()
+        self.edges().iter()
     }
 }
 
@@ -242,7 +408,7 @@ impl fmt::Display for Path {
         }
         // Paper notation flattens the tuples: (i, α, j, j, β, k)
         write!(f, "(")?;
-        for (n, e) in self.edges.iter().enumerate() {
+        for (n, e) in self.edges().iter().enumerate() {
             if n > 0 {
                 write!(f, ", ")?;
             }
@@ -424,6 +590,119 @@ mod tests {
         assert_eq!(back.len(), 2);
         let borrowed: Vec<&Edge> = (&p).into_iter().collect();
         assert_eq!(borrowed.len(), 2);
+    }
+
+    /// A joint reference string of `n` edges, two labels alternating.
+    fn reference(n: u32) -> Vec<Edge> {
+        (0..n).map(|i| e(i, i % 2, i + 1)).collect()
+    }
+
+    fn hash_of<T: core::hash::Hash + ?Sized>(value: &T) -> u64 {
+        use core::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
+
+    /// Every constructor's path of length `n` (0–6, across the three-edge
+    /// inline/heap boundary), each paired with what built it.
+    fn constructions(n: u32) -> Vec<(String, Path)> {
+        let edges = reference(n);
+        let mut out = vec![
+            ("from_edges".to_string(), Path::from_edges(edges.clone())),
+            // a filter's size hint is (0, _): the inline-then-spill branch
+            (
+                "collect".to_string(),
+                edges.iter().copied().filter(|_| true).collect(),
+            ),
+            ("reversed".to_string(), {
+                let back: Path = edges.iter().rev().map(Edge::reversed).collect();
+                back.reversed()
+            }),
+        ];
+        match n {
+            0 => out.push(("epsilon".to_string(), Path::epsilon())),
+            1 => out.push(("from_edge".to_string(), Path::from_edge(edges[0]))),
+            _ => {}
+        }
+        let mut pushed = Path::epsilon();
+        for &edge in &edges {
+            pushed.push(edge);
+        }
+        out.push(("push".to_string(), pushed));
+        for k in 0..=edges.len() {
+            let a = Path::from_edges(edges[..k].iter().copied());
+            let b = Path::from_edges(edges[k..].iter().copied());
+            out.push((format!("concat at {k}"), a.concat(&b)));
+            out.push((format!("join at {k}"), a.join(&b).expect("joint seam")));
+        }
+        let arena = crate::arena::PathArena::new();
+        let interned = arena.intern(&Path::from_edges(edges.clone()));
+        out.push(("arena intern".to_string(), arena.to_path(interned)));
+        let pushed = {
+            let mut writer = arena.writer();
+            edges
+                .iter()
+                .fold(crate::arena::PathId::EPSILON, |id, &edge| {
+                    writer.push(id, edge)
+                })
+        };
+        out.push(("arena push".to_string(), arena.reader().to_path(pushed)));
+        out
+    }
+
+    #[test]
+    fn every_constructor_matches_a_vec_reference_across_the_inline_boundary() {
+        let all: Vec<(Vec<Edge>, String, Path)> = (0..=6)
+            .flat_map(|n| {
+                constructions(n)
+                    .into_iter()
+                    .map(move |(how, p)| (reference(n), how, p))
+            })
+            .collect();
+        for (edges, how, p) in &all {
+            let ctx = format!("{how}, length {}", edges.len());
+            assert_eq!(p.edges(), edges.as_slice(), "{ctx}");
+            assert_eq!(p.len(), edges.len(), "{ctx}");
+            assert_eq!(p.is_empty(), edges.is_empty(), "{ctx}");
+            assert_eq!(hash_of(p), hash_of(edges.as_slice()), "{ctx}");
+            let display = if edges.is_empty() {
+                "ε".to_string()
+            } else {
+                let parts: Vec<String> = edges
+                    .iter()
+                    .map(|e| format!("{}, {}, {}", e.tail, e.label, e.head))
+                    .collect();
+                format!("({})", parts.join(", "))
+            };
+            assert_eq!(p.to_string(), display, "{ctx}");
+            assert_eq!(
+                format!("{p:?}"),
+                format!("Path {{ edges: {edges:?} }}"),
+                "{ctx}"
+            );
+            let owned: Vec<Edge> = p.clone().into_iter().collect();
+            assert_eq!(&owned, edges, "{ctx}");
+            let mut back: Vec<Edge> = p.clone().into_iter().rev().collect();
+            back.reverse();
+            assert_eq!(&back, edges, "{ctx}");
+            assert_eq!(p.clone().into_iter().len(), edges.len(), "{ctx}");
+        }
+        // equality and order across every pair agree with the slices'
+        for (a_edges, a_how, a) in &all {
+            for (b_edges, b_how, b) in &all {
+                assert_eq!(a == b, a_edges == b_edges, "{a_how} vs {b_how}");
+                assert_eq!(a.cmp(b), a_edges.cmp(b_edges), "{a_how} vs {b_how}");
+                assert_eq!(a.partial_cmp(b), Some(a_edges.cmp(b_edges)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_path_is_forty_bytes() {
+        // three 12-byte edges inline beside the length and the variant tag
+        assert_eq!(std::mem::size_of::<Edge>(), 12);
+        assert_eq!(std::mem::size_of::<Path>(), 40);
     }
 
     #[test]

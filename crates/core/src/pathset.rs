@@ -792,15 +792,7 @@ impl PathRef<'_> {
     /// the order the arena stores them in, O(1) per step, no allocation).
     /// Use [`PathRef::to_path`] when forward order matters.
     pub fn edges_rev(&self) -> impl Iterator<Item = Edge> + '_ {
-        let mut cur = self.id;
-        std::iter::from_fn(move || {
-            if cur.is_epsilon() {
-                return None;
-            }
-            let node = &self.core.nodes[cur.index()];
-            cur = node.prefix;
-            Some(node.edge)
-        })
+        self.core.edges_rev(self.id)
     }
 
     /// The label word `ω′(a)` in **reverse** order (allocation-free; see

@@ -1406,7 +1406,8 @@ impl RowCursor {
                     ctx.charge_bytes(rows.len() as u64 * crate::exec::ROW_BYTES)?;
                 }
                 if let Some(out) = out {
-                    out.extend(rows.iter().map(|row| row.materialise(arena)));
+                    let arena = arena.reader();
+                    out.extend(rows.iter().map(|row| row.materialise(&arena)));
                 }
                 Ok(rows.len())
             }
@@ -1440,7 +1441,8 @@ impl RowCursor {
                     delivered += match out.as_deref_mut() {
                         Some(out) => {
                             let before = out.len();
-                            out.extend(take.map(|row| row.materialise(arena)));
+                            let arena = arena.reader();
+                            out.extend(take.map(|row| row.materialise(&arena)));
                             out.len() - before
                         }
                         None => take.count(),

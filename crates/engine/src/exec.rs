@@ -51,7 +51,10 @@
 //! over `(row, dfa-state)` pairs that emits the rows landing in accepting
 //! states at every depth up to the spec's bound (deduplicated by `(vertex,
 //! state)` under [`Semantics::Reachable`]). Rows are materialised into
-//! [`ResultRow`]s only once, at the cursor boundary.
+//! [`ResultRow`]s only once, at the cursor boundary, a delivered chunk under
+//! one arena read lock ([`mrpa_core::ArenaReader`]). A [`mrpa_core::Path`]
+//! keeps up to three edges inline, so a delivered row of at most three edges
+//! allocates nothing.
 //!
 //! Every execution shares one [`ExecStats`] counter set (exposed through
 //! [`QueryResult::stats`] and `RowCursor::stats`), so early-exit claims are
@@ -69,7 +72,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use mrpa_core::fxhash::FxHashSet;
-use mrpa_core::{IdForwarder, PathArena, PathId, VertexId};
+use mrpa_core::{ArenaReader, IdForwarder, PathArena, PathId, VertexId};
 
 use crate::cancel::Liveness;
 use crate::csr::CsrTopology;
@@ -372,8 +375,9 @@ pub(crate) fn initial_rows(start: &[VertexId]) -> Vec<ArenaRow> {
 
 impl ArenaRow {
     /// Materialises the row into a public [`ResultRow`] — the one place a
-    /// row's path is read out of `arena`, done only for delivered rows.
-    pub(crate) fn materialise(self, arena: &PathArena) -> ResultRow {
+    /// row's path is read out of its arena, done only for delivered rows,
+    /// through one [`ArenaReader`] per delivered chunk.
+    pub(crate) fn materialise(self, arena: &ArenaReader<'_>) -> ResultRow {
         ResultRow {
             source: self.source,
             path: arena.to_path(self.path),

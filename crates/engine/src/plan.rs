@@ -1653,12 +1653,16 @@ fn estimate_op(snapshot: &GraphSnapshot, rows: f64, op: &PlanOp) -> f64 {
                     break;
                 }
             }
+            // only accepting states emit, each (vertex, accepting state) at
+            // most once per row, or once for the whole op when global
+            let accepting = (0..spec.state_count())
+                .filter(|&s| spec.is_accept(s))
+                .count() as f64;
             if spec.semantics != Semantics::Walks {
-                emitted = emitted.min(vertex_count(snapshot) * spec.state_count() as f64 * rows);
+                emitted = emitted.min(v * accepting * rows);
             }
             if spec.semantics == Semantics::GlobalReachable {
-                // one emission per (vertex, state) for the whole op
-                emitted = emitted.min(vertex_count(snapshot) * spec.state_count() as f64);
+                emitted = emitted.min(v * accepting);
             }
             let emitted = emitted * set_selectivity(snapshot, to);
             match limit {

@@ -237,4 +237,11 @@ mod tests {
         assert_eq!(r.rows()[0].path, Path::epsilon());
         assert_eq!(r.rows()[0].source, r.rows()[0].head);
     }
+
+    #[test]
+    fn a_result_row_is_sixty_four_bytes() {
+        // the 40-byte path keeps up to three edges inline, so a delivered
+        // row of at most three edges owns no heap chunk
+        assert_eq!(std::mem::size_of::<ResultRow>(), 64);
+    }
 }

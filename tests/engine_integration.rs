@@ -166,3 +166,33 @@ fn property_filters_compose_with_structure() {
         assert!(row.path.is_joint());
     }
 }
+
+#[test]
+fn a_promoted_automaton_estimates_at_most_one_row_per_vertex_and_accepting_state() {
+    // the dense_fit graph (seed 11: 2,000 persons, 200 software) and its
+    // statement (c): the dedup promotes the automaton to global
+    // reachability, whose only accepting state emits each vertex at most
+    // once, so |V| · 1 = 2,200 bounds the estimate
+    let g = social_graph(SocialConfig {
+        people: 2_000,
+        software: 200,
+        knows_per_person: 8,
+        created_per_person: 2,
+        uses_per_person: 2,
+        seed: 11,
+    });
+    let t = Traversal::over(&g)
+        .v_where("kind", Predicate::Eq(Value::from("person")))
+        .match_("knows·knows·created")
+        .dedup();
+    let report = t.explain().unwrap();
+    let after = report.after().describe();
+    assert!(after.contains("global-reachable"), "{after}");
+    let automaton = report
+        .estimates()
+        .iter()
+        .find(|e| e.op.contains("automaton"))
+        .expect("an automaton op");
+    assert!(automaton.rows <= 2_200.0, "{automaton:?}");
+    assert!(t.execute().unwrap().len() <= 2_200);
+}

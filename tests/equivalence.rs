@@ -220,6 +220,8 @@ fn forms(g: &PropertyGraph, r: &mut Rng) -> Vec<(bool, Traversal)> {
             .dedup(),
         Traversal::over(g).out_any().out(["a"]).limit(4),
         Traversal::over(g).out_any().limit(5).out(["a"]),
+        // R2: stacked limits keep the smaller prefix
+        Traversal::over(g).out_any().limit(6).limit(2),
     ];
     let counted = counted.into_iter().map(|t| (true, t));
     counted
