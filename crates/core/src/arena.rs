@@ -48,6 +48,7 @@ use crate::edge::Edge;
 use crate::fxhash::FxHashMap;
 use crate::ids::VertexId;
 use crate::path::Path;
+use crate::scratch::{Recycle, ScratchVec, Spares};
 
 /// Identifier of a path within a [`PathArena`].
 ///
@@ -91,6 +92,13 @@ pub(crate) struct PathNode {
     pub joint: bool,
 }
 
+impl Recycle for PathNode {
+    fn spares() -> &'static std::thread::LocalKey<Spares<Self>> {
+        thread_local!(static SPARES: Spares<PathNode> = const { Spares::new() });
+        &SPARES
+    }
+}
+
 /// Pushes the node for `base ◦ e`, deriving its cached projections from the
 /// prefix node, and returns its id.
 #[inline]
@@ -121,10 +129,12 @@ fn push_node(nodes: &mut Vec<PathNode>, base: PathId, edge: Edge) -> PathId {
 }
 
 /// The lock-free interior of an arena; `PathSet` bulk operations work on this
-/// through a single guard per operation.
+/// through a single guard per operation. The node vector is a
+/// [`ScratchVec`]: it starts on the thread's spare and hands its capacity
+/// back when the last handle of the arena drops.
 #[derive(Debug)]
 pub(crate) struct ArenaCore {
-    pub nodes: Vec<PathNode>,
+    pub nodes: ScratchVec<PathNode>,
     intern: FxHashMap<(PathId, Edge), PathId>,
 }
 
@@ -135,15 +145,17 @@ impl ArenaCore {
             crate::ids::LabelId(u32::MAX),
             VertexId(u32::MAX),
         );
+        let mut nodes = ScratchVec::take_spare();
+        nodes.push(PathNode {
+            prefix: PathId::EPSILON,
+            edge: sentinel,
+            len: 0,
+            tail: VertexId(u32::MAX),
+            head: VertexId(u32::MAX),
+            joint: true,
+        });
         ArenaCore {
-            nodes: vec![PathNode {
-                prefix: PathId::EPSILON,
-                edge: sentinel,
-                len: 0,
-                tail: VertexId(u32::MAX),
-                head: VertexId(u32::MAX),
-                joint: true,
-            }],
+            nodes,
             intern: FxHashMap::default(),
         }
     }

@@ -66,6 +66,7 @@ pub mod monoid;
 pub mod path;
 pub mod pathset;
 pub mod pattern;
+pub mod scratch;
 pub mod semiring;
 pub mod traversal;
 

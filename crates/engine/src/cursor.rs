@@ -50,6 +50,7 @@ use std::convert::Infallible;
 use std::time::Instant;
 
 use mrpa_core::fxhash::FxHashSet;
+use mrpa_core::scratch::ScratchVec;
 use mrpa_core::{ArenaWriter, Edge, LabelId, PathArena, VertexId};
 
 use crate::cancel::{CancelToken, Liveness};
@@ -58,7 +59,7 @@ use crate::csr::CsrTopology;
 use crate::error::EngineError;
 use crate::exec::{
     eval_until, in_set, initial_rows, partitioned, ArenaRow, Counters, ExecConfig, ExecCtx,
-    ExecStats, ExecutionStrategy,
+    ExecStats, ExecutionStrategy, Segment,
 };
 use crate::plan::{
     AutoMove, AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, SemiringKind, WeightSource,
@@ -440,7 +441,7 @@ impl RepeatWalk {
             self.done = true;
             return Ok(());
         }
-        self.chain.rearm(std::mem::take(&mut self.frontier));
+        self.chain.rearm(std::mem::take(&mut self.frontier).into());
         // the body is drained whole; the chunk size only sets how often the
         // growth is charged
         self.chain
@@ -728,7 +729,7 @@ struct StageTraceRec {
 enum StageOp {
     /// Fixed start rows (a repeat body's are replaced every iteration).
     Source {
-        rows: Vec<ArenaRow>,
+        rows: ScratchVec<ArenaRow>,
         idx: usize,
     },
     Expand {
@@ -835,7 +836,7 @@ impl Stage {
 
     /// A pipeline over fixed start rows. Consumes the op sequence — cursor
     /// compilation moves plan ops into the stage tree rather than cloning.
-    pub(crate) fn pipeline(start: Vec<ArenaRow>, ops: Vec<PlanOp>) -> Stage {
+    pub(crate) fn pipeline(start: ScratchVec<ArenaRow>, ops: Vec<PlanOp>) -> Stage {
         Self::build(
             Stage::new(
                 StageOp::Source {
@@ -852,7 +853,7 @@ impl Stage {
     /// the whole previous level. With `traced`, only the op's stage records
     /// actuals, so [`Stage::level_actuals`] reads its inclusive counters as
     /// its own.
-    pub(crate) fn level(rows: Vec<ArenaRow>, op: PlanOp, traced: bool) -> Stage {
+    pub(crate) fn level(rows: ScratchVec<ArenaRow>, op: PlanOp, traced: bool) -> Stage {
         let mut stage = Self::build(Stage::new(StageOp::Source { rows, idx: 0 }, None), [op]);
         if traced {
             stage.trace = Some(Box::default());
@@ -921,7 +922,7 @@ impl Stage {
                     until,
                 } => {
                     let walk = RepeatWalk {
-                        chain: Box::new(Stage::pipeline(Vec::new(), body)),
+                        chain: Box::new(Stage::pipeline(ScratchVec::new(), body)),
                         min,
                         max,
                         until,
@@ -948,7 +949,7 @@ impl Stage {
     /// Re-arms a repeat body for its next input level: its source takes
     /// `rows`. Bodies are validated stateless at plan time, so a body
     /// drained to `Done` holds no other state.
-    fn rearm(&mut self, rows: Vec<ArenaRow>) {
+    fn rearm(&mut self, rows: ScratchVec<ArenaRow>) {
         match &mut self.op {
             StageOp::Source { rows: source, idx } => {
                 *source = rows;
@@ -1265,8 +1266,11 @@ enum Inner {
         threads: Option<usize>,
         /// The result rows by segment, with the arenas their paths live in,
         /// filled on the first pull; a path is materialised only when its
-        /// row is delivered into an output buffer.
-        segments: Option<VecDeque<(PathArena, std::vec::IntoIter<ArenaRow>)>>,
+        /// row is delivered into an output buffer. A delivered segment is
+        /// dropped, handing its row buffer and arena back to the thread.
+        segments: Option<VecDeque<Segment>>,
+        /// The front segment's next undelivered row.
+        next: usize,
         /// Per-op actuals of the profiled run (populated on the first pull
         /// when [`ExecConfig::profile`] is set).
         trace: Option<Vec<OpActuals>>,
@@ -1291,6 +1295,7 @@ impl RowCursor {
                     _ => Some(1),
                 },
                 segments: None,
+                next: 0,
                 trace: None,
             },
             ExecutionStrategy::Streaming => {
@@ -1414,6 +1419,7 @@ impl RowCursor {
             Inner::Batch {
                 threads,
                 segments,
+                next,
                 trace,
             } => {
                 if segments.is_none() {
@@ -1426,29 +1432,22 @@ impl RowCursor {
                         actuals.as_mut(),
                     )?;
                     *trace = actuals;
-                    *segments = Some(
-                        joined
-                            .into_iter()
-                            .map(|(arena, rows)| (arena, rows.into_iter()))
-                            .collect(),
-                    );
+                    *segments = Some(joined.into());
                 }
                 let segments = segments.as_mut().expect("filled above");
                 let mut delivered = 0;
                 while delivered < target && !segments.is_empty() {
-                    let (arena, rows) = &mut segments[0];
-                    let take = rows.by_ref().take(target - delivered);
-                    delivered += match out.as_deref_mut() {
-                        Some(out) => {
-                            let before = out.len();
-                            let arena = arena.reader();
-                            out.extend(take.map(|row| row.materialise(&arena)));
-                            out.len() - before
-                        }
-                        None => take.count(),
-                    };
-                    if rows.len() == 0 {
+                    let (arena, rows) = &segments[0];
+                    let end = rows.len().min(*next + target - delivered);
+                    if let Some(out) = out.as_deref_mut() {
+                        let arena = arena.reader();
+                        out.extend(rows[*next..end].iter().map(|row| row.materialise(&arena)));
+                    }
+                    delivered += end - *next;
+                    *next = end;
+                    if *next == rows.len() {
                         segments.pop_front();
+                        *next = 0;
                     }
                 }
                 Ok(delivered)

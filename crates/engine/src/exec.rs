@@ -72,6 +72,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use mrpa_core::fxhash::FxHashSet;
+use mrpa_core::scratch::{Recycle, ScratchVec, Spares};
 use mrpa_core::{ArenaReader, IdForwarder, PathArena, PathId, VertexId};
 
 use crate::cancel::Liveness;
@@ -132,7 +133,12 @@ pub struct ExecStats {
 /// expansions push nodes without an intern-map entry, so for them this
 /// over-counts by the intern-map share until a counting allocator measures
 /// real allocation; it stays at the hash-consed figure so budgeted queries
-/// trip where they always did.
+/// trip where they always did. Measured by `tests/buffer_reuse.rs`'s
+/// counting allocator on a cold drain of perfbench `dense_fit` statement (a)
+/// over a 400-person graph (77,239 pushed nodes): the peak live heap of the
+/// drain, node vector and level buffers included, is 81.7 B per pushed node
+/// under Materialized and 56.1 B under Streaming; the node alone is 32 B,
+/// and the vector's doubling leaves up to as much again unused.
 pub(crate) const ARENA_NODE_BYTES: u64 = 88;
 
 /// Per-row cost of buffering an [`ArenaRow`] in a frontier, chunk, or
@@ -361,16 +367,24 @@ pub(crate) struct ArenaRow {
     pub(crate) weight: Option<f64>,
 }
 
-pub(crate) fn initial_rows(start: &[VertexId]) -> Vec<ArenaRow> {
-    start
-        .iter()
-        .map(|&v| ArenaRow {
-            source: v,
-            path: PathId::EPSILON,
-            head: v,
-            weight: None,
-        })
-        .collect()
+/// Row buffers are recycled per thread: a level, a partition's rows and a
+/// cursor's result segments hand their capacity back when they drop.
+impl Recycle for ArenaRow {
+    fn spares() -> &'static std::thread::LocalKey<Spares<Self>> {
+        thread_local!(static SPARES: Spares<ArenaRow> = const { Spares::new() });
+        &SPARES
+    }
+}
+
+pub(crate) fn initial_rows(start: &[VertexId]) -> ScratchVec<ArenaRow> {
+    let mut rows = ScratchVec::with_capacity(start.len());
+    rows.extend(start.iter().map(|&v| ArenaRow {
+        source: v,
+        path: PathId::EPSILON,
+        head: v,
+        weight: None,
+    }));
+    rows
 }
 
 impl ArenaRow {
@@ -406,18 +420,20 @@ pub(crate) fn eval_until(
 /// exits early except the R7/R9 emission caps; memory is charged after
 /// every drain call. With `trace`, each level's actuals are appended to it.
 /// Returns the final rows; the caller materialises only the rows it
-/// delivers (`count()` materialises none).
+/// delivers (`count()` materialises none). Each level fills the thread's
+/// largest spare row buffer, and the level it read hands its buffer back
+/// once drained, so a repeated query reuses the same two buffers.
 pub(crate) fn materialized(
     ctx: &ExecCtx<'_>,
     arena: &PathArena,
-    mut rows: Vec<ArenaRow>,
+    mut rows: ScratchVec<ArenaRow>,
     ops: &[PlanOp],
     chunk: usize,
     mut trace: Option<&mut Vec<OpActuals>>,
-) -> Result<Vec<ArenaRow>, EngineError> {
+) -> Result<ScratchVec<ArenaRow>, EngineError> {
     for op in ops {
         let mut stage = Stage::level(rows, op.clone(), trace.is_some());
-        let mut next = Vec::new();
+        let mut next = ScratchVec::take_spare();
         stage.drain(ctx, arena, chunk, &mut next)?;
         if let Some(trace) = trace.as_deref_mut() {
             trace.push(stage.level_actuals());
@@ -429,7 +445,7 @@ pub(crate) fn materialized(
 
 /// A run of result rows in delivery order, with the arena their paths live
 /// in.
-pub(crate) type Segment = (PathArena, Vec<ArenaRow>);
+pub(crate) type Segment = (PathArena, ScratchVec<ArenaRow>);
 
 /// The batch strategies' evaluator: [`materialized`] over start partitions.
 ///
@@ -566,7 +582,7 @@ pub(crate) fn partitioned(
 struct Partition {
     stats: ExecStats,
     arena: PathArena,
-    rows: Result<Vec<ArenaRow>, EngineError>,
+    rows: Result<ScratchVec<ArenaRow>, EngineError>,
     trace: Option<Vec<OpActuals>>,
 }
 
@@ -599,13 +615,17 @@ fn join(
     let started = Instant::now();
     let arena = PathArena::new();
     let total: usize = segments.iter().map(|(_, rows)| rows.len()).sum();
-    let mut rows = Vec::with_capacity(if heads.is_some() { 0 } else { total.min(limit) });
+    let mut rows = if heads.is_some() {
+        ScratchVec::take_spare()
+    } else {
+        ScratchVec::with_capacity(total.min(limit))
+    };
     let mut interned = 0;
     // each partition's arena and rows are freed once they have crossed
     for (part, part_rows) in segments {
         let mut forward = IdForwarder::new();
         let crossed = rows.len();
-        for row in &part_rows {
+        for row in part_rows.iter() {
             if rows.len() >= limit {
                 break;
             }

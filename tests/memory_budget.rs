@@ -168,3 +168,50 @@ fn a_row_is_charged_once_at_any_chunk_size() {
         }
     }
 }
+
+#[test]
+fn recycled_buffers_neither_add_nor_hide_a_charge() {
+    // a budget charges lengths, never capacities: a budgeted query after a
+    // large unbudgeted one on the same thread (whose arena and row buffers
+    // it then reuses) charges exactly what it charges on a fresh thread
+    let budgeted = |strategy, limit| {
+        let g = dense_graph();
+        dense(&g)
+            .strategy(strategy)
+            .memory_budget(limit)
+            .execute()
+            .map(|r| r.stats().bytes_charged)
+    };
+    for strategy in [
+        ExecutionStrategy::Materialized,
+        ExecutionStrategy::Streaming,
+    ] {
+        for limit in [1 << 30, 64 * 1024] {
+            let fresh = std::thread::spawn(move || budgeted(strategy, limit))
+                .join()
+                .unwrap();
+            let warm = std::thread::spawn(move || {
+                let g = dense_graph();
+                assert!(!dense(&g).strategy(strategy).execute().unwrap().is_empty());
+                budgeted(strategy, limit)
+            })
+            .join()
+            .unwrap();
+            match (&fresh, &warm) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{strategy:?}"),
+                (
+                    Err(EngineError::MemoryBudget {
+                        limit: l1,
+                        charged: c1,
+                    }),
+                    Err(EngineError::MemoryBudget {
+                        limit: l2,
+                        charged: c2,
+                    }),
+                ) => assert_eq!((l1, c1), (l2, c2), "{strategy:?}"),
+                other => panic!("{strategy:?} at {limit}: {other:?}"),
+            }
+            assert_eq!(fresh.is_ok(), limit == 1 << 30, "{strategy:?}");
+        }
+    }
+}
