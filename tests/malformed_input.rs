@@ -5,7 +5,9 @@
 //! renders, or compile to a query that survives every terminal under every
 //! strategy within a timeout and a memory budget. Mutated wire-protocol
 //! request lines either fail `json::parse` or parse to a value that renders
-//! and parses back to itself.
+//! and parses back to itself. Seeded mutants of a written checkpoint (bit
+//! flips, truncations, page-length edits) either open or fail with a
+//! `StoreError`.
 
 use std::time::Duration;
 
@@ -122,4 +124,76 @@ fn mutated_request_lines_parse_or_fail_and_round_trip() {
         );
     }
     assert!(parsed >= 5_000, "only {parsed} mutants parsed");
+}
+
+/// The offsets of every checkpoint page's payload-length field: a page is a
+/// tag byte, a `u32` payload length, a `u32` CRC and the payload, after a
+/// 20-byte header (magic, version, epoch).
+fn page_length_fields(bytes: &[u8]) -> Vec<usize> {
+    let mut fields = Vec::new();
+    let mut at = 20;
+    while at + 9 <= bytes.len() {
+        fields.push(at + 1);
+        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap());
+        at += 9 + len as usize;
+    }
+    fields
+}
+
+#[test]
+fn mutated_checkpoints_open_or_fail_with_a_store_error() {
+    use mrpa::engine::checkpoint::CHECKPOINT_FILE;
+    use mrpa::engine::PropertyGraph;
+
+    let root = std::env::temp_dir().join(format!("mrpa-ckpt-fuzz-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let source = root.join("source");
+    {
+        let g = PropertyGraph::open(&source).expect("open a fresh store");
+        for i in 0..40 {
+            g.add_edge(&format!("p{i}"), "knows", &format!("p{}", (i * 7 + 3) % 40));
+            g.add_edge(&format!("p{i}"), "created", &format!("s{}", i % 5));
+        }
+        g.checkpoint().expect("checkpoint");
+    }
+    let written = std::fs::read(source.join(CHECKPOINT_FILE)).expect("read checkpoint");
+    let fields = page_length_fields(&written);
+    assert!(fields.len() >= 3, "the checkpoint has several pages");
+    let mut r = rng_stream(0x0BAD_1097, 3);
+    let (mut opened, mut refused) = (0, 0);
+    for case in 0..300 {
+        let mut bytes = written.clone();
+        match case % 3 {
+            0 => {
+                for _ in 0..r.gen_range(1..4) {
+                    let at = r.gen_range(0..bytes.len());
+                    bytes[at] ^= 1 << r.gen_range(0..8);
+                }
+            }
+            1 => bytes.truncate(r.gen_range(0..bytes.len())),
+            _ => {
+                let at = fields[r.gen_range(0..fields.len())];
+                let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+                let edited = match r.gen_range(0..3) {
+                    0 => len.wrapping_add(r.gen_range(1..16)),
+                    1 => len.saturating_sub(r.gen_range(1..16)),
+                    _ => r.gen::<u32>(),
+                };
+                bytes[at..at + 4].copy_from_slice(&edited.to_le_bytes());
+            }
+        }
+        let dir = root.join(format!("case{case}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(CHECKPOINT_FILE), &bytes).unwrap();
+        let outcome = std::panic::catch_unwind(|| PropertyGraph::open(&dir).map(|_| ()));
+        match outcome {
+            Ok(Ok(())) => opened += 1,
+            Ok(Err(_)) => refused += 1,
+            Err(_) => panic!("case {case}: opening a mutated checkpoint panicked"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    // every truncation and length edit, and nearly every bit flip, is caught
+    assert!(refused >= 200, "{refused} refused, {opened} opened");
 }
