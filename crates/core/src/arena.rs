@@ -92,7 +92,10 @@ pub(crate) struct PathNode {
     pub joint: bool,
 }
 
+/// A query builds one arena at a time, so a thread keeps one node buffer.
 impl Recycle for PathNode {
+    const KEEP: usize = 1;
+
     fn spares() -> &'static std::thread::LocalKey<Spares<Self>> {
         thread_local!(static SPARES: Spares<PathNode> = const { Spares::new() });
         &SPARES

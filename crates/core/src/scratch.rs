@@ -9,7 +9,7 @@
 //! buffer of the same element type on the same thread.
 //!
 //! Retention is bounded. A thread keeps at most [`SPARES`] buffers per
-//! element type, the largest it has seen, and none whose capacity exceeds
+//! element type ([`Recycle::KEEP`]), the largest it has seen, and none whose capacity exceeds
 //! [`MAX_RETAINED_BYTES`]: such a buffer is freed when it drops. Recycling
 //! moves capacity only: a `ScratchVec` starts empty, like a fresh `Vec`.
 
@@ -71,6 +71,10 @@ impl<T> Default for Spares<T> {
 /// assert_eq!(again.capacity(), capacity);
 /// ```
 pub trait Recycle: Sized + 'static {
+    /// How many of the [`SPARES`] slots a thread fills for this type: one
+    /// for a buffer a query holds one of at a time (an arena's nodes).
+    const KEEP: usize = SPARES;
+
     /// This element type's per-thread spares.
     fn spares() -> &'static LocalKey<Spares<Self>>;
 }
@@ -146,7 +150,7 @@ impl<T: Recycle> Drop for ScratchVec<T> {
         // during the thread's teardown the buffer is simply freed
         let _ = T::spares().try_with(move |spares| {
             let mut slots = spares.0.take();
-            let smallest = slots
+            let smallest = slots[..T::KEEP.clamp(1, SPARES)]
                 .iter_mut()
                 .min_by_key(|s| s.capacity())
                 .expect("a thread keeps at least one spare");
