@@ -16,6 +16,8 @@
 
 use std::time::Instant;
 
+pub mod e8;
+
 /// Measures the wall-clock time of a closure, returning (result, milliseconds).
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();

@@ -20,10 +20,8 @@
 //!
 //! * [`append`](PathArena::append) hash-conses `(prefix, edge)` through the
 //!   intern map, so ids are canonical. [`PathSet`](crate::pathset::PathSet),
-//!   [`traversal`](crate::traversal), the regex generator and
-//!   [`IdForwarder`] use it: their set semantics (or the forwarder's
-//!   contract that it agrees with [`PathArena::intern`]) need one id per
-//!   edge string.
+//!   [`traversal`](crate::traversal) and the regex generator use it: their
+//!   set semantics need one id per edge string.
 //! * [`ArenaWriter::push`] writes a fresh node and never touches the intern
 //!   map. The engine's executors use it: they enumerate walks, a multiset,
 //!   whose rows already have distinct prefixes and never compare ids, so the
@@ -342,79 +340,6 @@ impl PathArena {
     }
 }
 
-/// Memoized id translation from one arena into another — the copy-free way
-/// to move rows across an arena boundary (e.g. the parallel executor's
-/// partition → suffix hand-off).
-///
-/// The naive boundary crossing materialises the path (`to_path`, O(‖a‖)) and
-/// re-interns it (O(‖a‖) appends) for **every** row, throwing away the prefix
-/// sharing the source arena already established. A forwarder instead maps
-/// source [`PathId`]s to destination ids and walks a path's prefix chain only
-/// until it hits an already-translated node: each source node is appended
-/// into the destination at most once, so forwarding `n` rows costs O(new
-/// nodes) total — amortised O(1) per row on prefix-sharing workloads — rather
-/// than O(path length) always.
-///
-/// A forwarder is tied to one `(src, dst)` arena pair; feeding it ids from a
-/// different source arena is a logic error (ids are only meaningful relative
-/// to their arena). Forwarding between handles of the *same* store is the
-/// identity and translates nothing.
-#[derive(Debug, Default)]
-pub struct IdForwarder {
-    map: FxHashMap<PathId, PathId>,
-}
-
-impl IdForwarder {
-    /// Creates an empty forwarder (only ε is implicitly translated).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of source nodes translated so far.
-    pub fn translated(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Translates `id` (an id of `src`) into `dst`, reusing every previously
-    /// translated prefix. Returns the destination id and the number of fresh
-    /// arena appends this call performed — 0 for ε, for same-store pairs, and
-    /// for fully memoized paths.
-    pub fn forward(&mut self, src: &PathArena, dst: &PathArena, id: PathId) -> (PathId, usize) {
-        if id.is_epsilon() || src.same_store(dst) {
-            return (id, 0);
-        }
-        if let Some(&t) = self.map.get(&id) {
-            return (t, 0);
-        }
-        // walk the untranslated suffix of the prefix chain (read lock on the
-        // source only, released before touching the destination)
-        let mut chain: Vec<(PathId, Edge)> = Vec::new();
-        let mut base = PathId::EPSILON;
-        {
-            let core = src.read();
-            let mut cur = id;
-            while !cur.is_epsilon() {
-                if let Some(&t) = self.map.get(&cur) {
-                    base = t;
-                    break;
-                }
-                let node = &core.nodes[cur.index()];
-                chain.push((cur, node.edge));
-                cur = node.prefix;
-            }
-        }
-        // append the missing nodes oldest-first (write lock on the
-        // destination), memoizing each so siblings re-use this prefix
-        let appended = chain.len();
-        let mut writer = dst.writer();
-        for (src_id, edge) in chain.into_iter().rev() {
-            base = writer.append(base, edge);
-            self.map.insert(src_id, base);
-        }
-        (base, appended)
-    }
-}
-
 /// A read-locked batch materialiser over a [`PathArena`]; one lock
 /// acquisition amortised over many [`to_path`](ArenaReader::to_path) calls.
 pub struct ArenaReader<'a> {
@@ -575,70 +500,6 @@ mod tests {
         let _ac = arena.append(a, e(1, 0, 3));
         // three nodes for three paths: a, ab, ac — the shared prefix a is stored once
         assert_eq!(arena.node_count(), before + 3);
-    }
-
-    #[test]
-    fn forwarding_translates_and_memoizes_prefixes() {
-        let src = PathArena::new();
-        let a = src.append(PathId::EPSILON, e(0, 0, 1));
-        let ab = src.append(a, e(1, 0, 2));
-        let ac = src.append(a, e(1, 1, 3));
-
-        let dst = PathArena::new();
-        let mut fwd = IdForwarder::new();
-        // first path pays one append per node…
-        let (t_ab, n_ab) = fwd.forward(&src, &dst, ab);
-        assert_eq!(n_ab, 2);
-        assert_eq!(dst.to_path(t_ab), src.to_path(ab));
-        // …its sibling re-uses the translated prefix `a`
-        let (t_ac, n_ac) = fwd.forward(&src, &dst, ac);
-        assert_eq!(n_ac, 1);
-        assert_eq!(dst.to_path(t_ac), src.to_path(ac));
-        // …and repeats are fully memoized
-        assert_eq!(fwd.forward(&src, &dst, ab), (t_ab, 0));
-        assert_eq!(
-            fwd.forward(&src, &dst, a),
-            (dst.find(&src.to_path(a)).unwrap(), 0)
-        );
-        assert_eq!(fwd.translated(), 3);
-    }
-
-    #[test]
-    fn forwarding_epsilon_and_same_store_is_the_identity() {
-        let src = PathArena::new();
-        let dst = PathArena::new();
-        let mut fwd = IdForwarder::new();
-        assert_eq!(
-            fwd.forward(&src, &dst, PathId::EPSILON),
-            (PathId::EPSILON, 0)
-        );
-        let a = src.append(PathId::EPSILON, e(0, 0, 1));
-        let same = src.clone();
-        assert_eq!(fwd.forward(&src, &same, a), (a, 0));
-        assert_eq!(fwd.translated(), 0);
-    }
-
-    #[test]
-    fn forwarding_agrees_with_materialise_and_intern() {
-        // the forwarder is a pure optimisation: its destination ids are
-        // exactly the ids interning the materialised paths would produce
-        let src = PathArena::new();
-        let mut ids = Vec::new();
-        let mut cur = PathId::EPSILON;
-        for i in 0..20u32 {
-            cur = src.append(cur, e(i, i % 3, i + 1));
-            ids.push(cur);
-        }
-        let dst = PathArena::new();
-        let mut fwd = IdForwarder::new();
-        let mut total = 0usize;
-        for &id in &ids {
-            let (t, n) = fwd.forward(&src, &dst, id);
-            total += n;
-            assert_eq!(t, dst.intern(&src.to_path(id)));
-        }
-        // the whole chain cost one append per distinct node, not per row
-        assert_eq!(total, 20);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod scratch;
 pub mod semiring;
 pub mod traversal;
 
-pub use arena::{ArenaReader, ArenaWriter, IdForwarder, PathArena, PathId};
+pub use arena::{ArenaReader, ArenaWriter, PathArena, PathId};
 pub use builder::{GraphBuilder, NamedGraph};
 pub use edge::Edge;
 pub use error::{CoreError, CoreResult};

@@ -67,8 +67,7 @@ impl CancelToken {
 }
 
 /// The liveness bounds attached to one cursor: an optional shared token and
-/// an optional absolute deadline. `Sync`, so parallel partitions can check
-/// the same instance from worker threads.
+/// an optional absolute deadline.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Liveness {
     pub(crate) token: Option<CancelToken>,

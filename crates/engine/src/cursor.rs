@@ -34,8 +34,8 @@
 //! heap, a vector of multiplicities.
 //!
 //! These stages are the only evaluator of every op. The materialized
-//! executor ([`crate::exec`]) — and the parallel one, per start partition —
-//! runs each op as a one-op stage over the whole previous level and drains
+//! executor ([`crate::exec`]), which the parallel strategy aliases, runs
+//! each op as a one-op stage over the whole previous level and drains
 //! it before the next op starts; a `Repeat` stage drains its body —
 //! compiled once into a stage chain whose source takes each iteration's
 //! frontier — one iteration at a time in the same way.
@@ -58,8 +58,8 @@ use crate::chunk::{ChunkPull, DEFAULT_CHUNK_SIZE};
 use crate::csr::CsrTopology;
 use crate::error::EngineError;
 use crate::exec::{
-    eval_until, in_set, initial_rows, partitioned, ArenaRow, Counters, ExecConfig, ExecCtx,
-    ExecStats, ExecutionStrategy, Segment,
+    eval_until, in_set, initial_rows, materialized, ArenaRow, Counters, ExecConfig, ExecCtx,
+    ExecStats, ExecutionStrategy,
 };
 use crate::plan::{
     AutoMove, AutomatonSpec, Direction, LogicalPlan, PlanOp, Semantics, SemiringKind, WeightSource,
@@ -710,19 +710,17 @@ pub(crate) struct Stage {
 }
 
 /// Per-stage profiling counters: plain `Cell`s like [`Counters`], one record
-/// per stage instance (so one per level, and per partition under the
-/// parallel strategy), summed at collection time — never atomics on the hot
-/// path. Time and
-/// counter deltas are recorded *inclusive* of upstream stages (the pull
-/// wrapper brackets the whole upstream chain) and converted to exclusive
-/// self-values when collected, since a pipeline is a chain.
+/// per stage instance (so one per level under the batch strategies) — never
+/// atomics on the hot path. Time and expansion deltas are recorded
+/// *inclusive* of upstream stages (the pull wrapper brackets the whole
+/// upstream chain) and converted to exclusive self-values when collected,
+/// since a pipeline is a chain.
 #[derive(Debug, Default)]
 struct StageTraceRec {
     pulls: Cell<u64>,
     chunks: Cell<u64>,
     nanos: Cell<u64>,
     expansions: Cell<u64>,
-    interned: Cell<u64>,
 }
 
 #[derive(Debug)]
@@ -806,22 +804,21 @@ impl Stage {
     /// converting each stage's inclusive counters to exclusive self-values
     /// by subtracting its input's inclusive totals.
     pub(crate) fn collect_trace(&self, out: &mut Vec<OpActuals>) {
-        self.collect_trace_inner(out, &mut (0, 0, 0));
+        self.collect_trace_inner(out, &mut (0, 0));
     }
 
-    fn collect_trace_inner(&self, out: &mut Vec<OpActuals>, upstream: &mut (u64, u64, u64)) {
+    fn collect_trace_inner(&self, out: &mut Vec<OpActuals>, upstream: &mut (u64, u64)) {
         if let Some(input) = self.input.as_deref() {
             input.collect_trace_inner(out, upstream);
         }
-        let (nanos, expansions, interned, pulls, chunks) = match &self.trace {
+        let (nanos, expansions, pulls, chunks) = match &self.trace {
             Some(tr) => (
                 tr.nanos.get(),
                 tr.expansions.get(),
-                tr.interned.get(),
                 tr.pulls.get(),
                 tr.chunks.get(),
             ),
-            None => (upstream.0, upstream.1, upstream.2, 0, 0),
+            None => (upstream.0, upstream.1, 0, 0),
         };
         out.push(OpActuals {
             rows_out: self.out_count as u64,
@@ -829,9 +826,8 @@ impl Stage {
             chunks,
             nanos: nanos.saturating_sub(upstream.0),
             expansions: expansions.saturating_sub(upstream.1),
-            interned: interned.saturating_sub(upstream.2),
         });
-        *upstream = (nanos, expansions, interned);
+        *upstream = (nanos, expansions);
     }
 
     /// A pipeline over fixed start rows. Consumes the op sequence — cursor
@@ -1002,7 +998,7 @@ impl Stage {
         ctx.ensure_alive()?;
         let base = out.len();
         let res = if self.trace.is_some() {
-            let before = ctx.counters.stats();
+            let before = ctx.counters.expansions.get();
             let started = Instant::now();
             let res = Self::pull_op(
                 &mut self.op,
@@ -1013,15 +1009,12 @@ impl Stage {
                 out,
             );
             let elapsed = started.elapsed().as_nanos() as u64;
-            let after = ctx.counters.stats();
+            let expanded = ctx.counters.expansions.get() - before;
             let tr = self.trace.as_deref().expect("checked above");
             let calls = if target == 1 { &tr.pulls } else { &tr.chunks };
             calls.set(calls.get() + 1);
             tr.nanos.set(tr.nanos.get() + elapsed);
-            tr.expansions
-                .set(tr.expansions.get() + (after.expansions - before.expansions));
-            tr.interned
-                .set(tr.interned.get() + (after.interned_nodes - before.interned_nodes));
+            tr.expansions.set(tr.expansions.get() + expanded);
             res?
         } else {
             Self::pull_op(
@@ -1223,14 +1216,11 @@ fn flush(out_len: usize, base: usize, empty: ChunkPull) -> ChunkPull {
 ///
 /// * `Streaming` — fully incremental: `next_row` asks the stage pipeline
 ///   for one row, [`RowCursor::next_chunk`] for a chunk of rows;
-/// * `Materialized` — drains the plan level-at-a-time on the first pull
-///   (each op's stage over the whole previous level, see
-///   [`crate::exec`]) and then yields from the buffer (early exit comes from
-///   the optimizer's limit-pushdown annotations, not from the pull
-///   protocol);
-/// * `Parallel` — the same level-at-a-time drain on the first pull, over
-///   start partitions on scoped threads (`exec::partitioned`); the
-///   buffer yields the partitions' rows in partition order.
+/// * `Materialized` (and its alias `Parallel`) — drains the plan
+///   level-at-a-time on the first pull (each op's stage over the whole
+///   previous level, see [`crate::exec`]) and then yields from the buffer
+///   (early exit comes from the optimizer's limit-pushdown annotations, not
+///   from the pull protocol).
 ///
 /// Dropping the cursor drops all suspended state; an error fuses it (further
 /// pulls return `Ok(None)`).
@@ -1243,9 +1233,7 @@ pub struct RowCursor {
     counters: Counters,
     alive: Liveness,
     inner: Inner,
-    /// The execution knobs; [`ExecConfig::budget`] is the whole query's
-    /// byte budget, which the parallel strategy splits across its
-    /// partitions and consumer.
+    /// The execution knobs.
     config: ExecConfig,
     /// Reused transport buffer for the rows a streaming pipeline hands out
     /// (one allocation per cursor, not per call).
@@ -1260,16 +1248,12 @@ enum Inner {
         root: Box<Stage>,
     },
     Batch {
-        /// The partition bound passed to [`partitioned`]: `Some(1)` for the
-        /// materialized strategy, the forced thread count or `None`
-        /// (available parallelism) for the parallel one.
-        threads: Option<usize>,
-        /// The result rows by segment, with the arenas their paths live in,
-        /// filled on the first pull; a path is materialised only when its
-        /// row is delivered into an output buffer. A delivered segment is
-        /// dropped, handing its row buffer and arena back to the thread.
-        segments: Option<VecDeque<Segment>>,
-        /// The front segment's next undelivered row.
+        /// The result rows, with the arena their paths live in, filled on
+        /// the first pull; a path is materialised only when its row is
+        /// delivered into an output buffer. The row buffer and arena go back
+        /// to the thread when the cursor drops.
+        result: Option<(PathArena, ScratchVec<ArenaRow>)>,
+        /// The next undelivered row.
         next: usize,
         /// Per-op actuals of the profiled run (populated on the first pull
         /// when [`ExecConfig::profile`] is set).
@@ -1285,16 +1269,11 @@ impl RowCursor {
         snapshot: GraphSnapshot,
         plan: LogicalPlan,
         strategy: ExecutionStrategy,
-        threads: Option<usize>,
         config: ExecConfig,
     ) -> RowCursor {
         let inner = match strategy {
             ExecutionStrategy::Materialized | ExecutionStrategy::Parallel => Inner::Batch {
-                threads: match strategy {
-                    ExecutionStrategy::Parallel => threads,
-                    _ => Some(1),
-                },
-                segments: None,
+                result: None,
                 next: 0,
                 trace: None,
             },
@@ -1350,7 +1329,7 @@ impl RowCursor {
     }
 
     /// Cancels the cursor when `deadline` passes: every subsequent pull (on
-    /// any strategy, including parallel partition workers) fails with
+    /// any strategy) fails with
     /// [`EngineError::Cancelled`]. Combines with any token bound — the first
     /// bound to trip wins.
     pub fn set_deadline(&mut self, deadline: std::time::Instant) {
@@ -1392,7 +1371,7 @@ impl RowCursor {
     fn deliver_inner(
         &mut self,
         target: usize,
-        mut out: Option<&mut Vec<ResultRow>>,
+        out: Option<&mut Vec<ResultRow>>,
     ) -> Result<usize, EngineError> {
         let ctx = ExecCtx {
             snapshot: &self.snapshot,
@@ -1417,39 +1396,39 @@ impl RowCursor {
                 Ok(rows.len())
             }
             Inner::Batch {
-                threads,
-                segments,
+                result,
                 next,
                 trace,
             } => {
-                if segments.is_none() {
-                    let mut actuals = self.config.profile.then(Vec::new);
-                    let joined = partitioned(
+                if result.is_none() {
+                    let start = self.plan.start();
+                    // the start frontier is the trace's first node
+                    let mut actuals = self.config.profile.then(|| {
+                        vec![OpActuals {
+                            rows_out: start.len() as u64,
+                            ..OpActuals::default()
+                        }]
+                    });
+                    let arena = PathArena::new();
+                    let rows = materialized(
                         &ctx,
-                        &self.plan,
-                        *threads,
+                        &arena,
+                        initial_rows(start),
+                        self.plan.ops(),
                         self.config.chunk,
                         actuals.as_mut(),
                     )?;
                     *trace = actuals;
-                    *segments = Some(joined.into());
+                    *result = Some((arena, rows));
                 }
-                let segments = segments.as_mut().expect("filled above");
-                let mut delivered = 0;
-                while delivered < target && !segments.is_empty() {
-                    let (arena, rows) = &segments[0];
-                    let end = rows.len().min(*next + target - delivered);
-                    if let Some(out) = out.as_deref_mut() {
-                        let arena = arena.reader();
-                        out.extend(rows[*next..end].iter().map(|row| row.materialise(&arena)));
-                    }
-                    delivered += end - *next;
-                    *next = end;
-                    if *next == rows.len() {
-                        segments.pop_front();
-                        *next = 0;
-                    }
+                let (arena, rows) = result.as_ref().expect("filled above");
+                let end = rows.len().min(*next + target);
+                if let Some(out) = out {
+                    let arena = arena.reader();
+                    out.extend(rows[*next..end].iter().map(|row| row.materialise(&arena)));
                 }
+                let delivered = end - *next;
+                *next = end;
                 Ok(delivered)
             }
         }
@@ -1460,8 +1439,7 @@ impl RowCursor {
     /// [`PlanReport::estimates`](crate::plan::PlanReport::estimates)).
     /// `None` unless the cursor was compiled with [`ExecConfig::profile`]
     /// (for the batch strategies, also until the first pull runs the
-    /// batch). Parallel runs sum the partitions' prefix actuals (see
-    /// [`partitioned`]).
+    /// batch).
     pub(crate) fn op_actuals(&self) -> Option<Vec<OpActuals>> {
         match &self.inner {
             Inner::Pipe { root, .. } => root.has_trace().then(|| {
@@ -1473,8 +1451,7 @@ impl RowCursor {
         }
     }
 
-    /// Work counters accumulated so far (for the parallel strategy, the
-    /// partitions' included once they have joined).
+    /// Work counters accumulated so far.
     pub fn stats(&self) -> ExecStats {
         self.counters.stats()
     }

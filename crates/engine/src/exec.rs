@@ -1,9 +1,10 @@
 //! Executors: evaluating a [`LogicalPlan`] against a [`GraphSnapshot`].
 //!
-//! Three strategies are provided, all computing the same result set. Rows
-//! come out in one canonical order — row-major: each input row's expansions
-//! are contiguous, depth-/iteration-ordered within a row — which is what
-//! makes `Limit` deterministic across strategies:
+//! Three strategies are provided, two of them distinct evaluators, all
+//! computing the same result set. Rows come out in one canonical order —
+//! row-major: each input row's expansions are contiguous, depth-/
+//! iteration-ordered within a row — which is what makes `Limit`
+//! deterministic across strategies:
 //!
 //! * [`ExecutionStrategy::Materialized`] — level-at-a-time evaluation that
 //!   materialises the full row set after every operation, the analogue of
@@ -20,16 +21,13 @@
 //!   saturated `Limit` stops pulling, so an in-flight `(vertex, dfa-state)`
 //!   product-automaton frontier is dropped mid-layer without finishing the
 //!   walk.
-//! * [`ExecutionStrategy::Parallel`] — the materialized executor over start
-//!   partitions (`partitioned`), one scoped thread each. Joins distribute
-//!   over a union of start sets, so the partitions' stateless prefixes,
-//!   concatenated in partition order, are row-for-row the materialized
-//!   levels; the stateful suffix (from the first `Dedup`, `Limit` or global
-//!   reachability automaton) runs over them. A suffix that starts with a
-//!   `Dedup` or a `Limit` runs it as the rows cross, so only its survivors
-//!   are forwarded.
-//!   Like Materialized, it exits early only through the R7/R9 emission caps,
-//!   applied per partition.
+//! * [`ExecutionStrategy::Parallel`] — an alias of Materialized: the same
+//!   rows, the same [`ExecStats`] and the same trace. The joins distribute
+//!   over a union of start sets, so splitting the starts into partitions
+//!   only schedules the work; on two CPUs the partitioned run never beat
+//!   Materialized by 1.5× and held every partition's last level until the
+//!   join, so it was removed (ROADMAP item 16(c)). The variant stays so that
+//!   callers naming it keep working.
 //!
 //! Expansion is **frontier-driven**: each row's next edges come straight from
 //! the snapshot's per-generation [`CsrTopology`] — the only adjacency any
@@ -46,40 +44,40 @@
 //! vector. The push skips the arena's intern map: rows are walks, a
 //! multiset, and no executor compares `PathId`s, so two rows with equal paths
 //! (a duplicated start vertex, a self-loop walked both ways) simply get two
-//! nodes. Only the parallel boundary's id forwarding hash-conses.
+//! nodes.
 //! [`PlanOp::ExpandAutomaton`] runs the product construction: a per-row walk
 //! over `(row, dfa-state)` pairs that emits the rows landing in accepting
 //! states at every depth up to the spec's bound (deduplicated by `(vertex,
-//! state)` under [`Semantics::Reachable`]). Rows are materialised into
-//! [`ResultRow`]s only once, at the cursor boundary, a delivered chunk under
-//! one arena read lock ([`mrpa_core::ArenaReader`]). A [`mrpa_core::Path`]
-//! keeps up to three edges inline, so a delivered row of at most three edges
-//! allocates nothing.
+//! state)` under [`Semantics::Reachable`](crate::plan::Semantics::Reachable)).
+//! Rows are materialised into [`ResultRow`]s only once, at the cursor
+//! boundary, a delivered chunk under one arena read lock
+//! ([`mrpa_core::ArenaReader`]). A [`mrpa_core::Path`] keeps up to three
+//! edges inline, so a delivered row of at most three edges allocates
+//! nothing.
 //!
 //! Every execution shares one [`ExecStats`] counter set (exposed through
 //! [`QueryResult::stats`] and `RowCursor::stats`), so early-exit claims are
 //! assertable: `expansions` counts adjacency entries visited, not wall time.
 //!
-//! Experiment E8 (`exp_engine_throughput`) benchmarks the three against each
-//! other and against a hand-written algebra evaluation. Optimized plans are
-//! checked row-for-row against naive ones in `tests/equivalence.rs`,
-//! and `limit(1)` early exit by its expansion count in
+//! Experiment E8 (`exp_engine_throughput`) times Materialized and Streaming
+//! against each other and against a hand-written algebra evaluation, and
+//! `tests/paper_claims.rs` checks that every strategy gives the algebra's
+//! answer. Optimized plans are checked row-for-row against naive ones in
+//! `tests/equivalence.rs`, and `limit(1)` early exit by its expansion count in
 //! `tests/streaming_early_exit.rs`; perfbench's `dense_fit` workload times
 //! full drains (`rows_per_s`) and first rows (`first_row_ms_p50`).
 
 use std::cell::Cell;
 use std::collections::HashSet;
-use std::time::Instant;
 
-use mrpa_core::fxhash::FxHashSet;
 use mrpa_core::scratch::{Recycle, ScratchVec, Spares};
-use mrpa_core::{ArenaReader, IdForwarder, PathArena, PathId, VertexId};
+use mrpa_core::{ArenaReader, PathArena, PathId, VertexId};
 
 use crate::cancel::Liveness;
 use crate::csr::CsrTopology;
 use crate::cursor::{RowCursor, Stage};
 use crate::error::EngineError;
-use crate::plan::{Direction, LogicalPlan, PlanOp, Semantics};
+use crate::plan::{Direction, LogicalPlan, PlanOp};
 use crate::query::{QueryResult, ResultRow};
 use crate::store::GraphSnapshot;
 use crate::trace::OpActuals;
@@ -94,8 +92,10 @@ pub enum ExecutionStrategy {
     Materialized,
     /// Demand-driven pull-cursor evaluation (row-at-a-time).
     Streaming,
-    /// Level-at-a-time evaluation over start partitions, one scoped thread
-    /// per partition.
+    /// An alias of [`ExecutionStrategy::Materialized`]: the same rows, the
+    /// same [`ExecStats`] and the same trace (see the module docs for why the
+    /// partitioned evaluation it once named was removed). A traversal or
+    /// trace still reports the strategy it was asked for.
     Parallel,
 }
 
@@ -110,11 +110,9 @@ pub enum ExecutionStrategy {
 pub struct ExecStats {
     /// Adjacency entries visited by expansion operations.
     pub expansions: u64,
-    /// Arena nodes appended while forwarding rows across the parallel
-    /// strategy's partition → suffix boundary. The id-forwarding boundary
-    /// appends each distinct partition-arena node at most once, so this is
-    /// O(new nodes) for the whole execution — the materialise-and-re-intern
-    /// boundary it replaced appended O(path length) nodes *per row*.
+    /// Arena nodes hash-consed by the execution. Always `0`: the executors
+    /// push their nodes without interning. Kept so that readers of the
+    /// field keep compiling.
     pub interned_nodes: u64,
     /// Bytes charged against the traversal's
     /// [`memory_budget`](crate::Traversal::memory_budget): arena node growth
@@ -148,16 +146,12 @@ pub(crate) const ROW_BYTES: u64 = std::mem::size_of::<ArenaRow>() as u64;
 
 /// Mutable work counters. Deliberately *not* atomic: counting happens on
 /// every visited edge, so it must be a plain increment. Each `Counters`
-/// instance is only ever touched by one thread — the parallel strategy gives
-/// every partition its own instance on its worker thread and adds them into
-/// the cursor's after the join ([`partitioned`]).
+/// instance belongs to one cursor and is only ever touched by its thread.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     pub(crate) expansions: Cell<u64>,
-    pub(crate) interned_nodes: Cell<u64>,
     /// Bytes charged against the memory budget (see
-    /// [`ExecStats::bytes_charged`]). Plain cells like the other counters:
-    /// each instance is single-threaded, partitions own their own.
+    /// [`ExecStats::bytes_charged`]).
     pub(crate) bytes: Cell<u64>,
     /// High-water arena node count already charged, so each charge site pays
     /// only the delta since the last one (all sites touching the same arena
@@ -169,18 +163,9 @@ impl Counters {
     pub(crate) fn stats(&self) -> ExecStats {
         ExecStats {
             expansions: self.expansions.get(),
-            interned_nodes: self.interned_nodes.get(),
+            interned_nodes: 0,
             bytes_charged: self.bytes.get(),
         }
-    }
-
-    /// Adds another accounting domain's counts (a joined partition's).
-    fn add(&self, other: ExecStats) {
-        self.expansions
-            .set(self.expansions.get() + other.expansions);
-        self.interned_nodes
-            .set(self.interned_nodes.get() + other.interned_nodes);
-        self.bytes.set(self.bytes.get() + other.bytes_charged);
     }
 }
 
@@ -195,8 +180,7 @@ pub(crate) struct ExecConfig {
     /// off). When off, the per-pull residual cost is one branch.
     pub(crate) profile: bool,
     /// Per-query memory budget in bytes (`Traversal::memory_budget`;
-    /// default: none). The parallel strategy splits it evenly across its
-    /// accounting domains (each partition plus the consumer).
+    /// default: none).
     pub(crate) budget: Option<u64>,
 }
 
@@ -218,8 +202,7 @@ pub(crate) struct ExecCtx<'a> {
     /// Cancellation/deadline bounds; `None` when the execution is unbounded,
     /// so the hot path pays a single branch.
     pub(crate) alive: Option<&'a Liveness>,
-    /// Byte budget for this accounting domain; `None` disables all memory
-    /// accounting (the unbudgeted hot path pays one branch per charge site).
+    /// The query's byte budget; `None` disables all memory accounting (the unbudgeted hot path pays one branch per charge site).
     pub(crate) budget: Option<u64>,
 }
 
@@ -240,13 +223,6 @@ impl<'a> ExecCtx<'a> {
         self.counters
             .expansions
             .set(self.counters.expansions.get() + n as u64);
-    }
-
-    #[inline]
-    pub(crate) fn count_interned(&self, n: usize) {
-        self.counters
-            .interned_nodes
-            .set(self.counters.interned_nodes.get() + n as u64);
     }
 
     /// Errors with [`EngineError::Cancelled`] if this execution's token fired
@@ -328,26 +304,10 @@ pub fn execute(
     plan: &LogicalPlan,
     strategy: ExecutionStrategy,
 ) -> Result<QueryResult, EngineError> {
-    execute_with_threads(snapshot, plan, strategy, None)
-}
-
-/// Executes a plan, optionally forcing the parallel strategy's worker thread
-/// count (`None` = `available_parallelism`; ignored by the other
-/// strategies). Tests and benchmarks use this to exercise the partitioned
-/// path on machines whose `available_parallelism` reports a single core —
-/// the snapshot-isolation suite runs it against frozen snapshots while
-/// writers churn the live graph.
-pub fn execute_with_threads(
-    snapshot: &GraphSnapshot,
-    plan: &LogicalPlan,
-    strategy: ExecutionStrategy,
-    threads: Option<usize>,
-) -> Result<QueryResult, EngineError> {
     let mut cursor = RowCursor::compile_with_config(
         snapshot.clone(),
         plan.clone(),
         strategy,
-        threads,
         ExecConfig::default(),
     );
     // full drain: ask for whole chunks per call
@@ -367,8 +327,8 @@ pub(crate) struct ArenaRow {
     pub(crate) weight: Option<f64>,
 }
 
-/// Row buffers are recycled per thread: a level, a partition's rows and a
-/// cursor's result segments hand their capacity back when they drop.
+/// Row buffers are recycled per thread: a level and a cursor's result rows
+/// hand their capacity back when they drop.
 impl Recycle for ArenaRow {
     fn spares() -> &'static std::thread::LocalKey<Spares<Self>> {
         thread_local!(static SPARES: Spares<ArenaRow> = const { Spares::new() });
@@ -441,228 +401,6 @@ pub(crate) fn materialized(
         rows = next;
     }
     Ok(rows)
-}
-
-/// A run of result rows in delivery order, with the arena their paths live
-/// in.
-pub(crate) type Segment = (PathArena, ScratchVec<ArenaRow>);
-
-/// The batch strategies' evaluator: [`materialized`] over start partitions.
-///
-/// `threads` bounds the partition count (`Some(1)` under Materialized; under
-/// Parallel the forced count, or `None` for `available_parallelism`), at most
-/// one partition per start vertex. The plan splits at its first op that is
-/// stateful across rows — `Dedup`, `Limit`, or a
-/// [`Semantics::GlobalReachable`] automaton, whose shared seen-set makes a
-/// row's output depend on earlier rows (the R7/R9 emission caps are sound
-/// per-partition over-approximations). With one partition or no stateless
-/// prefix, the whole plan runs on the calling thread. Otherwise the plan's
-/// CSR directions are built first, and each partition evaluates the prefix
-/// on its own scoped thread, spawned once per query, with its own arena,
-/// [`Counters`] and an even share of the memory budget (the consumer holds
-/// one more share). Stateless ops map each input row to a contiguous run of
-/// output rows, so the partitions in order are the materialized row order:
-/// they are the result segments, or, with a suffix, they cross into one
-/// suffix arena through a per-partition [`IdForwarder`] (each node appended
-/// once, counted in [`ExecStats::interned_nodes`]) and the suffix runs as
-/// [`materialized`] levels over them (a leading `Dedup` or `Limit` drops its
-/// rows as they cross, see [`join`]). The partitions' counters join `ctx`'s
-/// at the end; `trace` sums per-op actuals over partitions, credits the
-/// boundary's interns to the prefix's last op and appends the suffix levels.
-pub(crate) fn partitioned(
-    ctx: &ExecCtx<'_>,
-    plan: &LogicalPlan,
-    threads: Option<usize>,
-    chunk: usize,
-    mut trace: Option<&mut Vec<OpActuals>>,
-) -> Result<Vec<Segment>, EngineError> {
-    let start = plan.start();
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
-        .min(start.len().max(1));
-    let stateful = |op: &PlanOp| {
-        matches!(op, PlanOp::DedupByVertex | PlanOp::Limit(_))
-            || matches!(
-                op,
-                PlanOp::ExpandAutomaton { spec, .. }
-                    if spec.semantics() == Semantics::GlobalReachable
-            )
-    };
-    let split = plan
-        .ops()
-        .iter()
-        .position(stateful)
-        .unwrap_or(plan.ops().len());
-    let (snapshot, alive, profile) = (ctx.snapshot, ctx.alive, trace.is_some());
-    let run = move |starts: &[VertexId], ops: &[PlanOp], budget: Option<u64>| {
-        let counters = Counters::default();
-        let ctx = ExecCtx {
-            snapshot,
-            counters: &counters,
-            alive,
-            budget,
-        };
-        let mut trace = profile.then(|| {
-            vec![OpActuals {
-                rows_out: starts.len() as u64,
-                ..OpActuals::default()
-            }]
-        });
-        let arena = PathArena::new();
-        let rows = materialized(
-            &ctx,
-            &arena,
-            initial_rows(starts),
-            ops,
-            chunk,
-            trace.as_mut(),
-        );
-        Partition {
-            stats: counters.stats(),
-            arena,
-            rows,
-            trace,
-        }
-    };
-    let (partitions, suffix, ctx) = if threads <= 1 || start.len() <= 1 || split == 0 {
-        (vec![run(start, plan.ops(), ctx.budget)], &[][..], *ctx)
-    } else {
-        let (out, in_) = plan.csr_directions();
-        snapshot.prewarm_csr(out, in_);
-        let (prefix, suffix) = plan.ops().split_at(split);
-        let per_partition = start.len().div_ceil(threads);
-        let domains = start.chunks(per_partition).count() as u64 + 1;
-        let share = ctx.budget.map(|b| (b / domains).max(1));
-        let partitions = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = start
-                .chunks(per_partition)
-                .map(|starts| scope.spawn(move |_| run(starts, prefix, share)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("partition thread panicked"))
-                .collect()
-        })
-        .expect("thread scope failed");
-        let consumer = ExecCtx {
-            budget: share,
-            ..*ctx
-        };
-        (partitions, suffix, consumer)
-    };
-    let joined = Counters::default();
-    let mut segments = Vec::with_capacity(partitions.len());
-    let mut failed = None;
-    for p in partitions {
-        joined.add(p.stats);
-        if let (Some(acc), Some(part)) = (trace.as_deref_mut(), p.trace) {
-            acc.resize(part.len(), OpActuals::default());
-            acc.iter_mut().zip(&part).for_each(|(a, b)| a.merge(b));
-        }
-        match p.rows {
-            Ok(rows) => segments.push((p.arena, rows)),
-            Err(e) => failed = failed.or(Some(e)),
-        }
-    }
-    let result = match failed {
-        Some(e) => Err(e),
-        None => join(&ctx, segments, suffix, chunk, trace),
-    };
-    // added only now: each partition was charged against its own share, not
-    // the consumer's
-    ctx.counters.add(joined.stats());
-    result
-}
-
-/// One partition's prefix evaluation, returned from its worker thread.
-struct Partition {
-    stats: ExecStats,
-    arena: PathArena,
-    rows: Result<ScratchVec<ArenaRow>, EngineError>,
-    trace: Option<Vec<OpActuals>>,
-}
-
-/// Joins the partitions' prefix rows in partition order and runs the
-/// `suffix` over them (see [`partitioned`]). A suffix that starts with a
-/// `Dedup` or a `Limit` runs it as the rows cross: a row whose head an
-/// earlier row already had, or that comes after the limit's `n`th, is
-/// dropped before it is forwarded, so only the survivors are interned into
-/// the suffix arena and buffered for the rest of the suffix. Once a limit
-/// is full, the remaining partitions are dropped without crossing.
-fn join(
-    ctx: &ExecCtx<'_>,
-    segments: Vec<Segment>,
-    suffix: &[PlanOp],
-    chunk: usize,
-    mut trace: Option<&mut Vec<OpActuals>>,
-) -> Result<Vec<Segment>, EngineError> {
-    if suffix.is_empty() {
-        return Ok(segments);
-    }
-    let (crossing, suffix) = match suffix {
-        [op @ (PlanOp::DedupByVertex | PlanOp::Limit(_)), rest @ ..] => (Some(op), rest),
-        _ => (None, suffix),
-    };
-    let mut heads = matches!(crossing, Some(PlanOp::DedupByVertex)).then(FxHashSet::default);
-    let limit = match crossing {
-        Some(&PlanOp::Limit(n)) => n,
-        _ => usize::MAX,
-    };
-    let started = Instant::now();
-    let arena = PathArena::new();
-    let total: usize = segments.iter().map(|(_, rows)| rows.len()).sum();
-    let mut rows = if heads.is_some() {
-        ScratchVec::take_spare()
-    } else {
-        ScratchVec::with_capacity(total.min(limit))
-    };
-    let mut interned = 0;
-    // each partition's arena and rows are freed once they have crossed
-    for (part, part_rows) in segments {
-        let mut forward = IdForwarder::new();
-        let crossed = rows.len();
-        for row in part_rows.iter() {
-            if rows.len() >= limit {
-                break;
-            }
-            if heads.as_mut().is_some_and(|seen| !seen.insert(row.head)) {
-                continue;
-            }
-            let (path, appended) = forward.forward(&part, &arena, row.path);
-            interned += appended;
-            rows.push(ArenaRow { path, ..*row });
-        }
-        if ctx.budgeted() {
-            // the forwarder grew the suffix arena, and the rows join the
-            // suffix's input — both on the consumer's share
-            ctx.charge_arena_growth(arena.node_count())?;
-            ctx.charge_bytes((rows.len() - crossed) as u64 * ROW_BYTES)?;
-        }
-    }
-    ctx.count_interned(interned);
-    if let Some(trace) = trace.as_deref_mut() {
-        // the forwarding runs between levels, so no stage records it: credit
-        // it to the prefix's last op, whose rows crossed the boundary
-        if let Some(last) = trace.last_mut() {
-            last.interned += interned as u64;
-        }
-        // a crossing Dedup or Limit is a level of its own, timed with the
-        // crossing
-        if crossing.is_some() {
-            trace.push(OpActuals {
-                rows_out: rows.len() as u64,
-                chunks: 1,
-                nanos: started.elapsed().as_nanos() as u64,
-                ..OpActuals::default()
-            });
-        }
-    }
-    let rows = materialized(ctx, &arena, rows, suffix, chunk, trace)?;
-    Ok(vec![(arena, rows)])
 }
 
 #[cfg(test)]
@@ -866,59 +604,6 @@ mod tests {
             .execute()
             .unwrap();
         assert_eq!(r.head_names_sorted(), vec!["lop", "ripple"]);
-    }
-
-    #[test]
-    fn forced_multithread_parallel_matches_materialized_row_for_row() {
-        // `available_parallelism` may report 1 core in CI sandboxes, hiding
-        // the partitioned path — force it. Mid-plan stateful ops are the
-        // regression of interest: a dedup *before* an expansion must not be
-        // re-applied to the final rows.
-        let g = classic_social_graph();
-        let snap = g.snapshot();
-        let pipelines: Vec<Traversal> = vec![
-            // dedup before expand: 4 created-rows survive (lop ×3, ripple)
-            Traversal::over(&g).dedup().out(["created"]),
-            // stateful suffix after a parallel prefix
-            Traversal::over(&g)
-                .out_any()
-                .out(["created"])
-                .dedup()
-                .limit(3),
-            // limit sandwiched between expansions
-            Traversal::over(&g).out_any().limit(4).out(["created"]),
-            // stateless-only plan
-            Traversal::over(&g).both_any(),
-            // automaton + repeat prefix with stateful tail
-            Traversal::over(&g).match_("knows*·created").dedup(),
-            // a GlobalReachable automaton is stateful across rows: it must
-            // land in the global suffix, not the partitioned prefix
-            Traversal::over(&g)
-                .out_any()
-                .match_reachable_global("knows+"),
-            // weighted ops are parallel-safe in the prefix (per-row search);
-            // the R9 cap is a sound per-partition over-approximation
-            Traversal::over(&g)
-                .cheapest_("(knows|created)+")
-                .weight_by("weight")
-                .top_k(3),
-        ];
-        for (i, t) in pipelines.iter().enumerate() {
-            let naive = crate::plan::plan(&snap, t.start_spec(), t.steps()).unwrap();
-            let optimized = crate::plan::optimize(&snap, &naive);
-            let reference = execute(&snap, &naive, ExecutionStrategy::Materialized).unwrap();
-            // the unoptimized dedup-before-expand case (R3 drops the dedup
-            // of distinct starts) keeps duplicate final heads
-            assert!(i != 0 || reference.len() == 4, "{}", reference.len());
-            for plan in [&naive, &optimized] {
-                for threads in [2, 3, 7] {
-                    let parallel = ExecutionStrategy::Parallel;
-                    let r = execute_with_threads(&snap, plan, parallel, Some(threads));
-                    let msg = format!("pipeline {i}, {threads} threads");
-                    assert_eq!(r.unwrap().rows(), reference.rows(), "{msg}");
-                }
-            }
-        }
     }
 
     #[test]

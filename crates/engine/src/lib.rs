@@ -17,10 +17,11 @@
 //!   regexes become minimized product automata, §IV) and then rewrites it
 //!   with an explicit optimizer pass. `Traversal::explain` returns the
 //!   pre-/post-rewrite plans plus cardinality estimates.
-//! * [`exec`] — three executors over the same logical plan: materialized
-//!   (level-at-a-time, the reference), streaming (row-at-a-time), and
-//!   parallel (materialized over start partitions, one crossbeam scoped
-//!   thread per partition).
+//! * [`exec`] — two executors over the same logical plan: materialized
+//!   (level-at-a-time, the reference) and streaming (row-at-a-time). The
+//!   third strategy, parallel, is an alias of materialized: the joins
+//!   distribute over a union of start sets, and splitting the starts across
+//!   threads did not pay for itself, so no execution spawns a thread.
 //!
 //! ```
 //! use mrpa_engine::{classic_social_graph, Predicate, Traversal};

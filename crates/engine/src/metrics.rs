@@ -389,10 +389,6 @@ cached_metric! {
     pub fn query_expansions: Counter("mrpa_query_expansions_total", "Edge expansions performed by query execution");
 }
 cached_metric! {
-    /// Rows interned into path arenas across all queries.
-    pub fn query_interned: Counter("mrpa_query_interned_total", "Rows interned into path arenas by query execution");
-}
-cached_metric! {
     /// O(1) COW snapshots taken of any store.
     pub fn snapshots_total: Counter("mrpa_store_snapshots_total", "COW snapshots taken");
 }

@@ -60,7 +60,6 @@ fn record_query_metrics(stats: ExecStats, elapsed: std::time::Duration) {
     crate::metrics::queries_total().inc();
     crate::metrics::query_latency().observe(elapsed);
     crate::metrics::query_expansions().add(stats.expansions);
-    crate::metrics::query_interned().add(stats.interned_nodes);
 }
 
 /// How a traversal starts.
@@ -475,7 +474,6 @@ pub struct Traversal {
     start: StartSpec,
     pipeline: Pipeline,
     strategy: ExecutionStrategy,
-    threads: Option<usize>,
     timeout: Option<std::time::Duration>,
     cancel: Option<crate::cancel::CancelToken>,
     chunk: usize,
@@ -491,7 +489,6 @@ impl Traversal {
             start: StartSpec::AllVertices,
             pipeline: Pipeline::new(),
             strategy: ExecutionStrategy::Materialized,
-            threads: None,
             timeout: None,
             cancel: None,
             chunk: crate::chunk::DEFAULT_CHUNK_SIZE,
@@ -934,13 +931,11 @@ impl Traversal {
         self.strategy
     }
 
-    /// Forces the parallel strategy's worker thread count (the default is
-    /// `available_parallelism`). Useful for tests and benchmarks —
-    /// single-core CI machines otherwise silently fall back to the
-    /// materialized path — and for pinning resource use in servers. Ignored
-    /// by the other strategies.
-    pub fn parallel_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+    /// Does nothing: it set the worker thread count of the parallel
+    /// strategy, which is now an alias of the materialized one (see
+    /// [`ExecutionStrategy::Parallel`]). Kept so that callers keep
+    /// compiling; no execution spawns a thread.
+    pub fn parallel_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -987,9 +982,8 @@ impl Traversal {
     /// layer/pull/batch boundaries cancellation is checked at; crossing the
     /// cap fails the traversal with [`EngineError::MemoryBudget`], suspending
     /// any in-flight frontier cleanly — the cursor fuses and the store stays
-    /// fully usable, exactly like a timeout. The parallel strategy splits the
-    /// budget evenly across its partitions and consumer. With no budget set
-    /// (the default) accounting is skipped entirely.
+    /// fully usable, exactly like a timeout. With no budget set (the default)
+    /// accounting is skipped entirely.
     ///
     /// ```
     /// use mrpa_engine::{classic_social_graph, EngineError, Traversal};
@@ -1034,10 +1028,9 @@ impl Traversal {
     /// rows (row-for-row identical to [`Traversal::execute`]) together with a
     /// [`QueryTrace`]: one node per optimized-plan op joining the planner's
     /// cardinality estimate with measured actuals (rows in/out, pulls,
-    /// chunks, wall time, expansions, arena appends). Tracing uses per-thread
-    /// plain counters attached to each cursor stage — partitioned runs sum
-    /// them at the partition boundary, and nothing here adds atomics to the
-    /// execution hot path.
+    /// chunks, wall time, expansions). Tracing uses per-thread plain
+    /// counters attached to each cursor stage, so nothing here adds atomics
+    /// to the execution hot path.
     ///
     /// The query is planned once: the trace's estimates are those of the
     /// very plan the cursor executes, on the snapshot it executes against,
@@ -1121,7 +1114,6 @@ impl Traversal {
             snapshot,
             optimized,
             self.strategy,
-            self.threads,
             crate::exec::ExecConfig {
                 chunk: self.chunk,
                 budget: self.budget,
@@ -1298,15 +1290,10 @@ mod tests {
     fn unprofiled_cursors_record_no_stage_actuals() {
         // The disabled profiling path, checked exactly: a cursor compiled
         // without `profile` attaches no trace record to any stage, so a full
-        // drain leaves it no per-op actuals under any strategy (the parallel
-        // one partitioned across 2 threads, with a dedup suffix). The same
-        // plan compiled with `profile` has them, so the check is not vacuous.
+        // drain leaves it no per-op actuals under any strategy. The same plan
+        // compiled with `profile` has them, so the check is not vacuous.
         let g = classic_social_graph();
-        let base = Traversal::over(&g)
-            .out(["knows"])
-            .out(["created"])
-            .dedup()
-            .parallel_threads(2);
+        let base = Traversal::over(&g).out(["knows"]).out(["created"]).dedup();
         for strategy in [
             ExecutionStrategy::Materialized,
             ExecutionStrategy::Streaming,

@@ -183,8 +183,7 @@ pub enum Semantics {
     /// most once for the whole operation, attributed to the first input row
     /// (in row-major order) that reaches it. The multi-source reachability
     /// mode: `n` sources cost one BFS over the product space instead of `n`.
-    /// Stateful across rows, so it forces the parallel strategy's
-    /// global-suffix split and is rejected inside `repeat` bodies. Besides
+    /// Stateful across rows, so it is rejected inside `repeat` bodies. Besides
     /// `match_reachable_global`, rule R8 picks it for a `Walks` or
     /// `Reachable` automaton under a head dedup whose hop bound cannot bind:
     /// there it gives the dedup the same rows, paths and order.
@@ -532,7 +531,7 @@ pub enum PlanOp {
     Repeat {
         /// The loop body (contains no `DedupByVertex`/`Limit`; enforced at
         /// plan time so the body is stateless per row and distributes over
-        /// row-at-a-time and partitioned execution).
+        /// its input rows).
         body: Vec<PlanOp>,
         /// Minimum completed iterations before a row may be emitted.
         min: usize,
@@ -575,45 +574,6 @@ impl LogicalPlan {
     /// The planned operations.
     pub fn ops(&self) -> &[PlanOp] {
         &self.ops
-    }
-
-    /// Which CSR directions evaluating this plan can read, as `(out, in)` —
-    /// i.e. which directions its expansions walk, labeled or wildcard
-    /// (recursively, through repeat bodies). The parallel executor uses this
-    /// annotation to prewarm exactly the CSR caches a run will touch, so
-    /// worker threads never hit a first-touch build, pure-`Out` plans never
-    /// build the In-CSR, and plans with no expansion build nothing.
-    pub fn csr_directions(&self) -> (bool, bool) {
-        fn op_dirs(op: &PlanOp, out: &mut bool, in_: &mut bool) {
-            let mut mark = |d: Direction| match d {
-                Direction::Out => *out = true,
-                Direction::In => *in_ = true,
-                Direction::Both => {
-                    *out = true;
-                    *in_ = true;
-                }
-            };
-            match op {
-                PlanOp::Expand { direction, .. } => mark(*direction),
-                PlanOp::ExpandAutomaton { spec, .. } | PlanOp::ExpandWeighted { spec, .. } => {
-                    mark(spec.direction());
-                }
-                PlanOp::Repeat { body, .. } => {
-                    for op in body {
-                        op_dirs(op, out, in_);
-                    }
-                }
-                PlanOp::RestrictVertices(_)
-                | PlanOp::RestrictProperty { .. }
-                | PlanOp::DedupByVertex
-                | PlanOp::Limit(_) => {}
-            }
-        }
-        let (mut out, mut in_) = (false, false);
-        for op in &self.ops {
-            op_dirs(op, &mut out, &mut in_);
-        }
-        (out, in_)
     }
 
     /// Number of expansion (join) steps at the top level of the plan.
@@ -1738,47 +1698,6 @@ mod tests {
         assert!(desc.contains("join[out"));
         assert!(desc.contains("has(age)"));
         assert!(desc.contains("limit(5)"));
-    }
-
-    #[test]
-    fn csr_directions_detect_every_expansion_anywhere_in_the_plan() {
-        let g = classic_social_graph();
-        let snap = g.snapshot();
-        let p = |steps: &[Step]| {
-            plan(&snap, &StartSpec::AllVertices, steps)
-                .unwrap()
-                .csr_directions()
-        };
-        let repeat = |body: Step| Step::Repeat {
-            body: vec![body],
-            min: 1,
-            max: 2,
-            until: None,
-        };
-        let matching = |direction| Step::Match {
-            pattern: "knows+".into(),
-            max_hops: 3,
-            direction,
-            semantics: Semantics::Walks,
-        };
-        const OUT: (bool, bool) = (true, false);
-        const IN: (bool, bool) = (false, true);
-        const BOTH: (bool, bool) = (true, true);
-        // no expansion reads nothing
-        assert_eq!(p(&[Step::DedupByVertex, Step::Limit(3)]), (false, false));
-        // pure-Out plans — including stateful tails and Out-repeat bodies
-        assert_eq!(p(&[out_step(&["knows"]), Step::DedupByVertex]), OUT);
-        assert_eq!(p(&[repeat(out_step(&["knows"]))]), OUT);
-        assert_eq!(p(&[matching(Direction::Out)]), OUT);
-        // wildcard steps read the CSR like labeled ones
-        assert_eq!(p(&[Step::Out(None)]), OUT);
-        assert_eq!(p(&[repeat(Step::Out(None))]), OUT);
-        // In/Both steps read the In direction, wherever they sit
-        assert_eq!(p(&[Step::In(None)]), IN);
-        assert_eq!(p(&[Step::Both(None)]), BOTH);
-        assert_eq!(p(&[repeat(Step::In(None))]), IN);
-        assert_eq!(p(&[matching(Direction::In)]), IN);
-        assert_eq!(p(&[out_step(&["knows"]), Step::In(None)]), BOTH);
     }
 
     #[test]

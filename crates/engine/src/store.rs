@@ -936,8 +936,8 @@ impl PropertyGraph {
     }
 }
 
-/// An immutable snapshot of a [`PropertyGraph`], shared by executors
-/// (including across threads in the parallel executor).
+/// An immutable snapshot of a [`PropertyGraph`], shared by executors and
+/// across threads.
 ///
 /// A snapshot pins one *generation* of the store: cloning it (or taking it in
 /// the first place) is an `Arc` clone. Each adjacency direction's
@@ -1004,9 +1004,11 @@ impl GraphSnapshot {
         self.state.csr_in()
     }
 
-    /// Forces the CSR caches a plan will need to be built now (a no-op per
-    /// direction if already built). The parallel executor calls this so
-    /// worker threads never stall on a first-touch build mid-traversal.
+    /// Forces the CSR caches of the chosen directions to be built now (a
+    /// no-op per direction if already built), so a caller can time or pay
+    /// the build apart from the query that would first read it. The
+    /// executors never call this: each builds a direction on its first
+    /// read.
     pub fn prewarm_csr(&self, out: bool, in_: bool) {
         if out {
             let _ = self.state.csr_out();

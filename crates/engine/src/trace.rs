@@ -5,16 +5,13 @@
 //! downstream-op-as-parent (the root is the last op; the sole leaf is the
 //! start). Each node joins the planner's cardinality *estimate* (from
 //! [`crate::plan::estimate`] of the plan that ran) with the executor's
-//! *actuals* — rows in/out, pull and chunk counts, monotonic wall time,
-//! expansions, and arena appends — so estimate-vs-actual drift is visible
-//! per operation.
+//! *actuals* — rows in/out, pull and chunk counts, monotonic wall time and
+//! expansions — so estimate-vs-actual drift is visible per operation.
 //!
 //! Actuals are recorded by per-thread plain counters (`Cell`, like
 //! [`crate::exec::ExecStats`]'s `Counters`) attached to each cursor stage
-//! when profiling is enabled; partitioned (parallel-strategy) runs sum their
-//! per-partition counters at the partition boundary. There are **no atomics
-//! on the hot path**, and with profiling disabled the only residual cost is
-//! one branch per pull.
+//! when profiling is enabled. There are **no atomics on the hot path**, and
+//! with profiling disabled the only residual cost is one branch per pull.
 //!
 //! Semantics by strategy:
 //!
@@ -23,14 +20,11 @@
 //!   for one counts as a pull, any other as a chunk. Times are measured
 //!   around each call and reported *exclusive* (self time, upstream stages
 //!   subtracted).
-//! * **Materialized / Parallel** — each op's stage is drained over the whole
-//!   previous level, so `pulls`/`chunks` count that level's drain calls
-//!   (each asks for `Traversal::chunk_size` rows; the last one reports
-//!   `Done`) and the wall time is the level's. Under Parallel, a prefix
-//!   op's drain calls, times and counters are summed over the partitions
-//!   (its time is CPU time across threads, not wall time), and the
-//!   partition → suffix id forwarding is credited to the prefix's last op.
-//!   The start frontier node reports no calls.
+//! * **Materialized** (and its alias Parallel) — each op's stage is drained
+//!   over the whole previous level, so `pulls`/`chunks` count that level's
+//!   drain calls (each asks for `Traversal::chunk_size` rows; the last one
+//!   reports `Done`) and the wall time is the level's. The start frontier
+//!   node reports no calls.
 
 use crate::exec::{ExecStats, ExecutionStrategy};
 use crate::plan::OpEstimate;
@@ -51,19 +45,6 @@ pub(crate) struct OpActuals {
     pub(crate) nanos: u64,
     /// Edge expansions performed by the op itself.
     pub(crate) expansions: u64,
-    /// Arena rows interned by the op itself.
-    pub(crate) interned: u64,
-}
-
-impl OpActuals {
-    pub(crate) fn merge(&mut self, other: &OpActuals) {
-        self.rows_out += other.rows_out;
-        self.pulls += other.pulls;
-        self.chunks += other.chunks;
-        self.nanos += other.nanos;
-        self.expansions += other.expansions;
-        self.interned += other.interned;
-    }
 }
 
 /// One node of a [`QueryTrace`]: a plan op (or the start frontier, at the
@@ -92,9 +73,9 @@ pub struct TraceNode {
     pub total_time_ns: u64,
     /// Edge expansions performed by this op alone.
     pub expansions: u64,
-    /// Arena nodes hash-consed by this op alone: the parallel boundary's id
-    /// forwarding (see [`ExecStats::interned_nodes`](crate::ExecStats::interned_nodes)).
-    /// Expansions push their nodes without interning and do not count here.
+    /// Arena nodes hash-consed by this op alone. Always `0`, like
+    /// [`ExecStats::interned_nodes`](crate::ExecStats::interned_nodes):
+    /// expansions push their nodes without interning.
     pub arena_appends: u64,
     /// Upstream input (empty for the start frontier; at most one element —
     /// plans are chains, but the tree shape is kept general).
@@ -159,7 +140,7 @@ impl QueryTrace {
                 self_time_ns: a.nanos,
                 total_time_ns: total_ns,
                 expansions: a.expansions,
-                arena_appends: a.interned,
+                arena_appends: 0,
                 children: node.take().into_iter().collect(),
             });
             upstream_ns = total_ns;
@@ -197,11 +178,10 @@ impl QueryTrace {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "strategy: {:?}  total: {:.3}ms  expansions: {}  interned: {}",
+            "strategy: {:?}  total: {:.3}ms  expansions: {}",
             self.strategy,
             self.total_time_ns as f64 / 1e6,
             self.stats.expansions,
-            self.stats.interned_nodes,
         );
         let _ = writeln!(
             s,

@@ -18,7 +18,7 @@
 //!
 //! | `op`             | request fields                                               | response payload                         |
 //! |------------------|--------------------------------------------------------------|------------------------------------------|
-//! | `query`          | `query`, `timeout_ms?`, `strategy?`, `threads?`, `memory_budget?` | `rows`/`count`/`exists`/`row` + `stats`; `plan` for `EXPLAIN`; + `trace` for `PROFILE` |
+//! | `query`          | `query`, `timeout_ms?`, `strategy?` (`"parallel"` runs as `"materialized"`), `threads?` (accepted and ignored), `memory_budget?` | `rows`/`count`/`exists`/`row` + `stats`; `plan` for `EXPLAIN`; + `trace` for `PROFILE` |
 //! | `ping`           | —                                                            | `pong: true`                             |
 //! | `stats`          | —                                                            | `vertices`, `edges`, full `store` block  |
 //! | `metrics`        | `format?` (`"json"` default, `"prometheus"`)                 | `metrics` array / `metrics_text`         |
@@ -54,8 +54,9 @@
 //! A query's resources are bounded by its deadline (`timeout_ms`, else
 //! [`ServerConfig::default_timeout`]) and its byte budget (`memory_budget`,
 //! never looser than the server's per-worker share of
-//! [`ServerConfig::memory_budget`]); `threads` is clamped to the host's
-//! available parallelism.
+//! [`ServerConfig::memory_budget`]). `strategy` is `"materialized"` (the
+//! default), `"streaming"` or `"parallel"`, an alias of materialized; a
+//! query runs on its worker's thread alone, so `threads` changes nothing.
 //!
 //! ## Concurrency model
 //!
@@ -1319,8 +1320,7 @@ impl<'a> Session<'a> {
 }
 
 impl<'a> QueryRunner<'a> {
-    /// Applies strategy, thread count, deadline and memory budget to a
-    /// traversal.
+    /// Applies strategy, deadline and memory budget to a traversal.
     fn apply_limits(&self, mut t: Traversal, req: &Value) -> Result<Traversal, Failure> {
         // ignoring the removed row cap would run a query the client meant to
         // bound without that bound
@@ -1331,9 +1331,6 @@ impl<'a> QueryRunner<'a> {
         }
         if let Some(name) = req.get("strategy").and_then(Value::as_str) {
             t = t.strategy(parse_strategy(name)?);
-        }
-        if let Some(threads) = request_threads(req) {
-            t = t.parallel_threads(threads);
         }
         let timeout = req
             .get("timeout_ms")
@@ -1441,15 +1438,6 @@ fn strategy_name(strategy: ExecutionStrategy) -> &'static str {
         ExecutionStrategy::Streaming => "streaming",
         ExecutionStrategy::Parallel => "parallel",
     }
-}
-
-/// The request's `threads`, clamped to the host's available parallelism
-/// (the engine's own default): a parallel query spawns one scoped thread per
-/// start partition, outside the worker pool's bound.
-fn request_threads(req: &Value) -> Option<usize> {
-    let threads = req.get("threads").and_then(Value::as_u64)?;
-    let host = std::thread::available_parallelism().map_or(4, |n| n.get());
-    Some(usize::try_from(threads).map_or(host, |t| t.min(host)))
 }
 
 fn parse_strategy(name: &str) -> Result<ExecutionStrategy, Failure> {
@@ -1931,11 +1919,22 @@ mod tests {
     }
 
     #[test]
-    fn request_threads_are_clamped_to_the_host() {
-        let host = std::thread::available_parallelism().map_or(4, |n| n.get());
-        let threads = |line: &str| request_threads(&json::parse(line).unwrap());
-        assert_eq!(threads(r#"{"threads":1000000}"#), Some(host));
-        assert_eq!(threads(r#"{"threads":1}"#), Some(1));
-        assert_eq!(threads(r#"{"op":"query"}"#), None);
+    fn a_threads_field_is_accepted_and_ignored() {
+        let (server, mut client) = start();
+        let query = |client: &mut Client, extra: &str| {
+            let line = format!(
+                r#"{{"op":"query","query":"FROM * OUT knows, created","strategy":"parallel"{extra}}}"#
+            );
+            let r = client.request(&line).unwrap();
+            assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true), "{r:?}");
+            r.get("rows").cloned().unwrap()
+        };
+        let plain = query(&mut client, "");
+        assert_eq!(plain.as_array().map(|rows| rows.len()), Some(6));
+        for threads in [1, 4, 1_000_000] {
+            let with = query(&mut client, &format!(r#","threads":{threads}"#));
+            assert_eq!(with, plain, "threads {threads}");
+        }
+        server.shutdown();
     }
 }

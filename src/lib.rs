@@ -11,7 +11,7 @@
 //! * [`algorithms`] (`mrpa-algorithms`) — single-relational algorithms and the
 //!   §IV-C derivations that make them meaningful on multi-relational data.
 //! * [`engine`] (`mrpa-engine`) — the property-graph traversal engine the
-//!   paper motivates: pipeline DSL, planner, and three executors.
+//!   paper motivates: pipeline DSL, planner, and executors.
 //! * [`datagen`] (`mrpa-datagen`) — deterministic synthetic workloads.
 //! * [`query`] (`mrpa-query`) — MRPA-QL, the textual query frontend: lexer,
 //!   parser, pretty-printer, and lowering onto the engine's pipeline IR.

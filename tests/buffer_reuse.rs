@@ -122,6 +122,7 @@ fn a_warm_repeat_of_a_drained_query_allocates_no_large_buffer() {
     for strategy in [
         ExecutionStrategy::Materialized,
         ExecutionStrategy::Streaming,
+        ExecutionStrategy::Parallel,
     ] {
         let t = chain(&g, strategy);
         let rows = t.count().unwrap();
@@ -130,7 +131,7 @@ fn a_warm_repeat_of_a_drained_query_allocates_no_large_buffer() {
         std::thread::spawn(move || {
             let (cold, cold_large, peak, expansions) = measured_drain(&t2, rows);
             assert_eq!(cold.len(), rows);
-            // the arena's node vector and the rows' level (Materialized),
+            // the arena's node vector and the rows' level (Materialized, Parallel),
             // each grown past LARGE by doubling
             assert!(
                 cold_large >= 2,

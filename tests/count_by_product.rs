@@ -34,8 +34,7 @@ fn dense_social() -> PropertyGraph {
     })
 }
 
-/// The chain under `strategy`; the parallel strategy gets two partitions
-/// whatever the machine's core count.
+/// The chain under `strategy`.
 fn chain(g: &PropertyGraph, strategy: ExecutionStrategy) -> Traversal {
     Traversal::over(g)
         .v_where("kind", Predicate::Eq(Value::from("person")))
@@ -43,7 +42,6 @@ fn chain(g: &PropertyGraph, strategy: ExecutionStrategy) -> Traversal {
         .out(["knows"])
         .out(["created"])
         .strategy(strategy)
-        .parallel_threads(2)
 }
 
 /// The distinct heads of `label`-edges out of `tails`.
@@ -129,7 +127,7 @@ fn head_filters_between_a_reachability_automaton_and_its_dedup_keep_the_product(
         let drained = t.execute().unwrap().len();
         assert!(drained > 0, "{plan}");
         for strategy in STRATEGIES {
-            let t = t.clone().strategy(strategy).parallel_threads(2);
+            let t = t.clone().strategy(strategy);
             let (n, execution) = t.count_with_stats().unwrap();
             assert!(count::by_product(execution.plan()), "{plan} {strategy:?}");
             assert_eq!(n, drained, "{plan} {strategy:?}");
@@ -214,8 +212,7 @@ fn a_reachability_count_expands_each_pair_once_at_its_least_depth() {
             .v(["v0"])
             .match_reachable("knows+")
             .dedup()
-            .strategy(strategy)
-            .parallel_threads(2);
+            .strategy(strategy);
         let (n, execution) = t.count_with_stats().unwrap();
         assert!(count::by_product(execution.plan()), "{strategy:?}");
         assert_eq!((n, execution.stats().expansions), (12, 143), "{strategy:?}");

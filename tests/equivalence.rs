@@ -11,7 +11,8 @@
 //! it under each strategy: the naive and the optimized plan; chunk sizes 1,
 //! 3 and the default (one test per kind of stage, [`Stages`]); profiled
 //! runs; and the streaming cursor drained one `next_row` at a time or as an
-//! `Iterator`.
+//! `Iterator`. The parallel strategy is an alias of the materialized one:
+//! every input must give it exactly the materialized rows and `ExecStats`.
 //! The remaining tests state the algebra's other identities on the same
 //! inputs: `limit(k)` is a prefix, the terminals agree with `execute()`,
 //! patterns equal step chains and unrolled unions, the optimizer's rewrites
@@ -374,9 +375,9 @@ fn reference(g: &PropertyGraph, t: &Traversal, ctx: &str) -> Vec<String> {
     row_sequence(&rows.unwrap())
 }
 
-/// `t` configured for `strategy`, with four partitions under Parallel.
+/// `t` configured for `strategy`.
 fn under(t: &Traversal, strategy: ExecutionStrategy) -> Traversal {
-    t.clone().strategy(strategy).parallel_threads(4)
+    t.clone().strategy(strategy)
 }
 
 #[test]
@@ -387,17 +388,22 @@ fn optimized_plans_produce_exactly_the_naive_rows() {
         let naive = naive_plan(g, t, ctx);
         let optimized = plan::optimize(&g.snapshot(), &naive);
         let reference = reference(g, t, ctx);
-        for strategy in STRATEGIES {
-            for (name, p) in [("naive", &naive), ("optimized", &optimized)] {
-                let rows = exec::execute(&g.snapshot(), p, strategy).unwrap();
+        for (name, p) in [("naive", &naive), ("optimized", &optimized)] {
+            let runs =
+                STRATEGIES.map(|strategy| exec::execute(&g.snapshot(), p, strategy).unwrap());
+            for (strategy, rows) in STRATEGIES.iter().zip(&runs) {
                 assert_eq!(
-                    row_sequence(&rows),
+                    row_sequence(rows),
                     reference,
                     "{ctx} {strategy:?}: {name} plan\n naive: {}\n opt:   {}",
                     naive.describe(),
                     optimized.describe()
                 );
             }
+            // Parallel is an alias of Materialized: the same work, counted
+            // the same way
+            let [materialized, _, parallel] = &runs;
+            assert_eq!(parallel.stats(), materialized.stats(), "{ctx}: {name} plan");
         }
         let global = |p: &plan::LogicalPlan| p.describe().contains("global-reachable");
         (optimized != naive, global(&optimized) && !global(&naive))
@@ -573,22 +579,17 @@ fn terminals_agree_with_execute() {
         for (fi, (counted, base)) in forms(&g, r).into_iter().enumerate() {
             let mut materialized = None;
             for strategy in STRATEGIES {
+                // a thread count changes nothing: no strategy spawns threads
                 let t = base.clone().strategy(strategy).parallel_threads(2);
                 let ctx = format!("case {case} form {fi} {strategy:?}");
                 let all = t.execute().unwrap();
-                // Parallel is Materialized over start partitions: the same
-                // work, except where each partition applies an emission cap
-                // to its own walks
+                // Parallel is an alias of Materialized: the same rows and
+                // exactly the same counters
+                let run = Some((row_sequence(&all), all.stats()));
                 match strategy {
-                    ExecutionStrategy::Materialized => materialized = Some(all.stats().expansions),
-                    ExecutionStrategy::Parallel if !emission_capped(all.execution().plan()) => {
-                        assert_eq!(
-                            Some(all.stats().expansions),
-                            materialized,
-                            "{ctx} expansions"
-                        );
-                    }
-                    _ => {}
+                    ExecutionStrategy::Materialized => materialized = run,
+                    ExecutionStrategy::Parallel => assert_eq!(run, materialized, "{ctx} alias"),
+                    ExecutionStrategy::Streaming => {}
                 }
                 let (n, execution) = t.count_with_stats().unwrap();
                 assert_eq!(n, all.len(), "{ctx} count");
@@ -597,9 +598,6 @@ fn terminals_agree_with_execute() {
                     counted,
                     "{ctx} count path"
                 );
-                if counted {
-                    assert_eq!(execution.stats().interned_nodes, 0, "{ctx}");
-                }
                 assert_eq!(t.exists().unwrap(), !all.is_empty(), "{ctx} exists");
                 let first = t.first().unwrap();
                 match all.rows().first() {
@@ -609,18 +607,6 @@ fn terminals_agree_with_execute() {
             }
         }
     });
-}
-
-/// Whether the plan carries an R7/R9 emission cap (which each parallel
-/// partition applies to its own walks).
-fn emission_capped(plan: &plan::LogicalPlan) -> bool {
-    plan.ops().iter().any(|op| {
-        matches!(
-            op,
-            plan::PlanOp::ExpandAutomaton { limit: Some(_), .. }
-                | plan::PlanOp::ExpandWeighted { k: Some(_), .. }
-        )
-    })
 }
 
 #[test]
@@ -987,7 +973,7 @@ fn trace_nodes_mirror_the_plan_report() {
         let g = random_graph(r);
         let t = random_traversal(r, &g);
         for strategy in STRATEGIES {
-            let t = t.clone().strategy(strategy).parallel_threads(4);
+            let t = t.clone().strategy(strategy);
             let ctx = format!("case {case} strategy {strategy:?}");
             let report = t.explain().unwrap_or_else(|e| panic!("{ctx}: {e}"));
             let profiled = t.profile().unwrap_or_else(|e| panic!("{ctx}: {e}"));

@@ -142,10 +142,7 @@ fn a_row_is_charged_once_at_any_chunk_size() {
             g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
         }
     }
-    for strategy in [
-        ExecutionStrategy::Materialized,
-        ExecutionStrategy::Streaming,
-    ] {
+    for strategy in STRATEGIES {
         let charged = |chunk| {
             let r = Traversal::over(&g)
                 .out(["knows"])
@@ -182,10 +179,7 @@ fn recycled_buffers_neither_add_nor_hide_a_charge() {
             .execute()
             .map(|r| r.stats().bytes_charged)
     };
-    for strategy in [
-        ExecutionStrategy::Materialized,
-        ExecutionStrategy::Streaming,
-    ] {
+    for strategy in STRATEGIES {
         for limit in [1 << 30, 64 * 1024] {
             let fresh = std::thread::spawn(move || budgeted(strategy, limit))
                 .join()

@@ -1,5 +1,4 @@
-//! Snapshot cost-model and isolation tests for the epoch/copy-on-write store
-//! and the id-forwarding parallel boundary.
+//! Snapshot cost-model and isolation tests for the epoch/copy-on-write store.
 //!
 //! Three families of properties:
 //!
@@ -14,14 +13,12 @@
 //! 3. **Snapshot isolation under writer churn** — seeded random graphs are
 //!    frozen with a snapshot, scoped writer threads mutate the live store
 //!    (add/remove edges, set properties) while traversals execute against
-//!    the frozen snapshot under all three strategies (the parallel one with
-//!    forced multi-threading); every result is row-for-row identical to the
-//!    single-threaded evaluation of the frozen graph, and the id-forwarding
-//!    partition boundary stays row-for-row ≡ materialized.
+//!    the frozen snapshot under all three strategies; every result is
+//!    row-for-row identical to the single-threaded evaluation of the frozen
+//!    graph.
 
 use rand::Rng as _;
 
-use mrpa::core::{Edge, IdForwarder, PathArena, PathId};
 use mrpa::datagen::random::{rng_stream, Rng};
 use mrpa::engine::{
     exec, plan, Direction, ExecutionStrategy, Pipeline, PropertyGraph, QueryResult, SemiringKind,
@@ -111,11 +108,9 @@ fn in_direction_plans_read_the_in_csr_and_never_build_the_reversed_graph() {
         weight: WeightSpec::Unit,
     };
     // In, Both, wildcard, In-automaton and In-weighted queries under every
-    // strategy, the parallel one also with forced multi-threading
-    let queries = |strategy, threads| {
-        let base = Traversal::over(&g)
-            .strategy(strategy)
-            .parallel_threads(threads);
+    // strategy
+    let queries = |strategy| {
+        let base = Traversal::over(&g).strategy(strategy);
         let lop = base.clone().v(["lop"]);
         assert_eq!(lop.clone().in_(["created"]).count().unwrap(), 3);
         assert_eq!(lop.clone().both(["created"]).count().unwrap(), 3);
@@ -133,9 +128,8 @@ fn in_direction_plans_read_the_in_csr_and_never_build_the_reversed_graph() {
         base.out(["created"]).dedup().execute().unwrap();
     };
     for strategy in STRATEGIES {
-        queries(strategy, 1);
+        queries(strategy);
     }
-    queries(ExecutionStrategy::Parallel, 3);
     let stats = g.stats();
     assert_eq!(
         stats.reversed_builds, 0,
@@ -164,9 +158,8 @@ fn in_direction_plans_read_the_in_csr_and_never_build_the_reversed_graph() {
     assert_eq!(g.stats().reversed_builds, 0);
 }
 
-/// A pipeline mix covering all three executors' moving parts, pure-`Out` so
-/// churn results are comparable, with stateful tails to exercise the
-/// id-forwarding partition boundary.
+/// A pipeline mix covering the executors' moving parts, pure-`Out` so churn
+/// results are comparable, with stateful tails.
 fn churn_pipelines() -> Vec<Pipeline> {
     vec![
         Pipeline::new().out(["a"]).out(["b"]),
@@ -226,7 +219,7 @@ fn traversals_on_frozen_snapshots_are_isolated_from_writer_churn() {
             scope.spawn(writer(1));
             scope.spawn(writer(2));
             // readers execute every case against the frozen snapshot under
-            // every strategy, parallel both auto- and force-threaded
+            // every strategy
             for worker in 0..2 {
                 let cases = &cases;
                 let snapshot = &snapshot;
@@ -240,18 +233,6 @@ fn traversals_on_frozen_snapshots_are_isolated_from_writer_churn() {
                                 "seed {seed} case {case} {strategy:?} (worker {worker})"
                             );
                         }
-                        let forced = exec::execute_with_threads(
-                            snapshot,
-                            plan,
-                            ExecutionStrategy::Parallel,
-                            Some(3),
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            &row_sequence(&forced),
-                            reference,
-                            "seed {seed} case {case} forced-parallel (worker {worker})"
-                        );
                     }
                 });
             }
@@ -265,132 +246,4 @@ fn traversals_on_frozen_snapshots_are_isolated_from_writer_churn() {
         // …while the live graph moved on to a new generation
         assert!(g.stats().generation > snapshot.generation());
     }
-}
-
-#[test]
-fn id_forwarding_boundary_is_row_for_row_and_copy_free() {
-    // P disjoint chains of length L: every result path is L edges deep, so a
-    // materialise/re-intern boundary would append O(L) nodes per row while
-    // id forwarding appends each chain node once
-    const P: usize = 8;
-    const L: usize = 24;
-    let g = PropertyGraph::new();
-    let mut heads = Vec::new();
-    for c in 0..P {
-        heads.push(format!("c{c}_0"));
-        for i in 0..L {
-            g.add_edge(&format!("c{c}_{i}"), "next", &format!("c{c}_{}", i + 1));
-        }
-    }
-    let base = Traversal::over(&g)
-        .v(heads.iter().map(String::as_str))
-        .match_within("next+", L)
-        .dedup(); // the stateful suffix every row must cross into
-    let reference = base
-        .clone()
-        .strategy(ExecutionStrategy::Materialized)
-        .execute()
-        .unwrap();
-    assert_eq!(reference.len(), P * L);
-    assert_eq!(reference.stats().interned_nodes, 0);
-
-    let parallel = base
-        .clone()
-        .strategy(ExecutionStrategy::Parallel)
-        .parallel_threads(4)
-        .execute()
-        .unwrap();
-    assert_eq!(parallel.rows(), reference.rows(), "boundary reorders rows");
-
-    // copy-freedom, counter-asserted: each of the P·L chain nodes crosses
-    // the boundary exactly once; the round-tripping boundary would have
-    // appended one node per path edge — Σ path lengths = P·L·(L+1)/2
-    let forwarded = parallel.stats().interned_nodes;
-    assert_eq!(forwarded, (P * L) as u64);
-    let round_trip = (P * L * (L + 1) / 2) as u64;
-    assert!(
-        forwarded * 3 <= round_trip,
-        "forwarding appended {forwarded} nodes, round-tripping would append {round_trip}"
-    );
-
-    // the forwarder in isolation, over the rows a partition's prefix emits
-    // here (every prefix of every chain): each chain node crosses once, and
-    // every forwarded id names the same path in the destination arena
-    let src = PathArena::new();
-    let mut prefixes = Vec::new();
-    for c in 0..P {
-        let mut cur = PathId::EPSILON;
-        for i in 0..L {
-            let tail = (c * (L + 1) + i) as u32;
-            cur = src.append(cur, Edge::from((tail, 0, tail + 1)));
-            prefixes.push(cur);
-        }
-    }
-    let dst = PathArena::new();
-    let mut forwarder = IdForwarder::new();
-    let mut appended = 0;
-    for &id in &prefixes {
-        let (moved, nodes) = forwarder.forward(&src, &dst, id);
-        assert_eq!(dst.to_path(moved), src.to_path(id));
-        appended += nodes;
-    }
-    assert_eq!(appended, P * L);
-    assert_eq!(dst.node_count(), src.node_count());
-}
-
-/// The complete directed `knows` graph on `n` vertices.
-fn complete_knows_graph(n: usize) -> PropertyGraph {
-    let g = PropertyGraph::new();
-    for i in 0..n {
-        for j in (0..n).filter(|&j| j != i) {
-            g.add_edge(&format!("v{i}"), "knows", &format!("v{j}"));
-        }
-    }
-    g
-}
-
-#[test]
-fn a_dedup_suffix_forwards_only_the_surviving_rows() {
-    // K12: the two-hop prefix yields 1,452 rows over 12 heads. The dedup
-    // runs as the rows cross the boundary, so only its 12 survivors, 2
-    // edges each, are forwarded into the suffix arena
-    let g = complete_knows_graph(12);
-    let t = Traversal::over(&g)
-        .out(["knows"])
-        .out(["knows"])
-        .dedup()
-        .parallel_threads(2);
-    let reference = t
-        .clone()
-        .strategy(ExecutionStrategy::Materialized)
-        .execute()
-        .unwrap();
-    let parallel = t.strategy(ExecutionStrategy::Parallel).execute().unwrap();
-    assert_eq!(parallel.len(), 12);
-    assert_eq!(parallel.rows(), reference.rows(), "boundary reorders rows");
-    let forwarded = parallel.stats().interned_nodes;
-    assert!(forwarded <= 24, "forwarding appended {forwarded} nodes");
-}
-
-#[test]
-fn a_limit_suffix_forwards_only_its_rows() {
-    // K12: the two-hop prefix yields 1,452 rows, and the limit keeps the
-    // first 3. It runs as the rows cross the boundary, so only those 3 rows
-    // are forwarded, and the second partition is dropped without crossing
-    let g = complete_knows_graph(12);
-    let t = Traversal::over(&g)
-        .out_any()
-        .out_any()
-        .limit(3)
-        .parallel_threads(2);
-    let reference = t
-        .clone()
-        .strategy(ExecutionStrategy::Materialized)
-        .execute()
-        .unwrap();
-    let parallel = t.strategy(ExecutionStrategy::Parallel).execute().unwrap();
-    assert_eq!(parallel.len(), 3);
-    assert_eq!(parallel.rows(), reference.rows(), "boundary reorders rows");
-    let forwarded = parallel.stats().interned_nodes;
-    assert!(forwarded <= 6, "forwarding appended {forwarded} nodes");
 }

@@ -6,8 +6,8 @@
 //!   *bounded* number of expansions;
 //! * a limited chunked `execute()` does the work of a `next_row` drain (the
 //!   cursor has one stage protocol, and a one-row pull is a chunk of one);
-//! * the materialized and parallel strategies finish a level before `limit`
-//!   sees it, through every terminal;
+//! * the materialized strategy (and Parallel, its alias) finishes a level
+//!   before `limit` sees it, through every terminal;
 //! * `Semantics::Reachable` terminates on cyclic graphs where walk
 //!   enumeration exhausts a memory budget.
 //!
@@ -64,17 +64,14 @@ fn first_on_a_dense_match_performs_bounded_expansions() {
     // anything that enumerates it will not finish. The assertion is on the
     // expansion counter, not wall time.
     let g = complete_knows_graph(12);
-    // the first row costs one expansion per walk that must emit: the
-    // R7-capped walk stops at the CSR entry of its first emission, and under
-    // the parallel strategy each of the two partitions runs its own
-    let per_strategy = [1, 1, 2];
-    for (strategy, expected) in STRATEGIES.into_iter().zip(per_strategy) {
+    // the first row costs one expansion under every strategy: the R7-capped
+    // walk stops at the CSR entry of its first emission
+    for strategy in STRATEGIES {
         // the terminal itself, from one start: one expansion
         let (row, execution) = Traversal::over(&g)
             .v(["v0"])
             .match_("knows+")
             .strategy(strategy)
-            .parallel_threads(2)
             .first_with_stats()
             .unwrap();
         let row = row.expect("a complete graph has knows-walks");
@@ -85,30 +82,28 @@ fn first_on_a_dense_match_performs_bounded_expansions() {
             .match_("knows+")
             .limit(1)
             .strategy(strategy)
-            .parallel_threads(2)
             .cursor()
             .unwrap();
         let row = cursor.next_row().unwrap().expect("one row");
         assert_eq!(row.path.len(), 1);
         let expansions = cursor.stats().expansions;
-        assert_eq!(expansions, expected, "{strategy:?} limit(1)");
+        assert_eq!(expansions, 1, "{strategy:?} limit(1)");
     }
     // bounded to 4 hops the walk set is enumerable (12 · Σ_{d≤4} 11^d =
     // 193,248 rows): limit(1) keeps exactly its first row, at the same cost
     let within = Traversal::over(&g).match_within("knows+", 4);
-    for (strategy, expected) in STRATEGIES.into_iter().zip(per_strategy) {
+    for strategy in STRATEGIES {
         let full = within.clone().strategy(strategy).execute().unwrap();
         assert_eq!(full.len(), 193_248, "{strategy:?}");
         let limited = within
             .clone()
             .limit(1)
             .strategy(strategy)
-            .parallel_threads(2)
             .execute()
             .unwrap();
         assert_eq!(limited.rows(), &full.rows()[..1], "{strategy:?}");
         let expansions = limited.stats().expansions;
-        assert_eq!(expansions, expected, "{strategy:?} limit(1) within 4 hops");
+        assert_eq!(expansions, 1, "{strategy:?} limit(1) within 4 hops");
     }
     // exists() on the same dense automaton is equally bounded
     assert!(Traversal::over(&g).match_("knows+").exists().unwrap());
@@ -143,7 +138,6 @@ fn a_limited_chunked_drain_does_the_work_of_a_one_row_drain() {
             let r = t
                 .clone()
                 .strategy(strategy)
-                .parallel_threads(2)
                 .chunk_size(chunk)
                 .execute()
                 .unwrap();
@@ -156,9 +150,9 @@ fn a_limited_chunked_drain_does_the_work_of_a_one_row_drain() {
 fn materialized_limit_expands_the_whole_level_and_streaming_one_row() {
     // out(knows).limit(1) on K12 has no emission cap to push into: the
     // materialized strategy finishes the expansion level before `Limit`
-    // sees it (all 132 edges), and so do the parallel strategy's partitions
-    // between them; the streaming one expands only the first row's 11
-    // neighbours — through every terminal.
+    // sees it (all 132 edges), and so does its alias Parallel; the streaming
+    // one expands only the first row's 11 neighbours — through every
+    // terminal.
     let g = complete_knows_graph(12);
     for (strategy, expected) in [
         (ExecutionStrategy::Materialized, 132),
@@ -168,8 +162,7 @@ fn materialized_limit_expands_the_whole_level_and_streaming_one_row() {
         let t = Traversal::over(&g)
             .out(["knows"])
             .limit(1)
-            .strategy(strategy)
-            .parallel_threads(2);
+            .strategy(strategy);
         let (row, first) = t.first_with_stats().unwrap();
         assert!(row.is_some(), "{strategy:?}");
         let (count, counted) = t.count_with_stats().unwrap();
